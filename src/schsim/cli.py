@@ -14,7 +14,6 @@ on stderr; exit code 2 flags config/usage problems, 1 runtime failures.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -28,8 +27,9 @@ from .expressions import evaluate_expression
 from .experiments import (ConvergenceTable, run_ergodic_study,
                           run_spatial_study, run_temporal_study)
 from .grid import SpectralBasis
-from .integrator import (DriftSpec, SchemeParams, TrajectoryBlowUpError,
-                         initial_state, run_trajectory)
+from .integrator import (DriftSpec, HorizonError, SchemeParams,
+                         TrajectoryBlowUpError, initial_state, run_trajectory,
+                         whole_steps)
 from .noise import NoiseSource
 from .output import write_csv, write_svg_line_chart
 from .verify import run_all_checks
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, help="override the config seed")
         cmd.add_argument("--out", default=".", help="output directory (default: .)")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="trajectory-chunk parallelism (default: 1)")
+                         help="thread pool for convergence studies; changes no result (default: 1)")
         cmd.add_argument("--deterministic", action="store_true",
                          help="single-threaded fixed reduction order, NA timings")
         cmd.add_argument("--svg", action="store_true", help="also emit SVG charts")
@@ -88,10 +88,6 @@ def _scheme_pieces(cfg: RunConfig):
     return basis, drift
 
 
-def _steps(t_final: float, tau: float) -> int:
-    return math.floor(t_final / tau + 1e-9)
-
-
 def _maybe_na(cfg: RunConfig, seconds: float) -> str:
     return "NA" if cfg.deterministic else format(seconds, ".3f")
 
@@ -107,7 +103,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, want_svg: bool) -> int:
         source = NoiseSource(cfg.seed, cfg.trajectory_id,
                              tau_fine=tau_fine, n_modes_max=cfg.n_modes - 1)
         state = initial_state(params, evaluate_expression(cfg.initial, basis.grid))
-    n_total = _steps(cfg.t_final, params.tau)
+    n_total = whole_steps(cfg.t_final, params.tau, "t_final in steps of tau", key="t_final")
     if n_total < state.step_index:
         raise ConfigError([f"t_final corresponds to step {n_total}, but the "
                            f"checkpoint is already at step {state.step_index}"])
@@ -244,15 +240,18 @@ def main(argv=None) -> int:
             return _cmd_ergodic(cfg, out_dir, args.svg)
         return _cmd_verify()
     except ConfigError as exc:
-        for message in exc.messages:
-            print(f"error: config: {message}", file=sys.stderr)
-        return 2
+        messages = exc.messages
+    except HorizonError as exc:
+        messages = [f"key {exc.key!r}: {exc}"]
     except TrajectoryBlowUpError as exc:
         print(f"error: blow-up: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: runtime: {exc}", file=sys.stderr)
         return 1
+    for message in messages:
+        print(f"error: config: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

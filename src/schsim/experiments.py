@@ -18,9 +18,12 @@ coarse run with fewer modes truncates the same shared streams.
 
 Both studies advance the reference and all coarse levels in lockstep, so the
 reference is integrated once per trajectory regardless of ladder length.
-Trajectory batches are vectorized; ``threads`` splits the trajectory set into
-contiguous chunks reduced in fixed order, so results are reproducible for a
-fixed (seed, threads) pair.
+Noise is generated once, in blocks at the reference step and mode count; a
+coarse level reads the first N_c modes of each block and sums each run of
+``stride`` reference increments, which is exact (see ``noise``).
+All trajectories are advanced as one vectorized batch, whatever ``threads``
+is, and their per-trajectory rows are reduced once in trajectory-id order, so
+the results do not depend on ``threads``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import numpy as np
 from .expressions import evaluate_expression
 from .grid import SpectralBasis
 from .integrator import (DriftSpec, SchemeParams, TrajectoryBlowUpError,
-                         _advance, _ratio, initial_state)
+                         _advance, _noise_blocks, _ratio, initial_state,
+                         whole_steps)
 from .noise import NoiseSource
 from .observables import (TestFunctionSpec, time_average_ensemble,
                           time_average_single)
@@ -139,7 +143,7 @@ class _CoarseEntry:
     coeffs0: np.ndarray
     eval_coarse: np.ndarray  # maps coarse coefficients to evaluation values
     eval_ref: np.ndarray     # maps reference coefficients to the same points
-    sums: np.ndarray = field(default=None)  # per-checked-step sums of max|diff|^2
+    rows: np.ndarray = field(default=None)  # max|diff|^2 per checked step and trajectory
 
 
 def _make_entry(params: SchemeParams, stride: int, coeffs0: np.ndarray,
@@ -150,125 +154,111 @@ def _make_entry(params: SchemeParams, stride: int, coeffs0: np.ndarray,
     return _CoarseEntry(params, stride, coeffs0, eval_coarse, eval_ref)
 
 
-class _NoiseCursor:
-    """Prefetches spectral increments chunkwise for a batch of trajectories."""
-
-    def __init__(self, sources, basis, ratio, budget_floats=4_000_000):
-        self.sources = sources
-        self.basis = basis
-        self.ratio = ratio
-        self.chunk = max(1, min(512, budget_floats // max(1, basis.n_modes * len(sources))))
-        self._block = None
-        self._pos = 0
-        self._m = 0
-
-    def next(self) -> np.ndarray:
-        if self._block is None or self._pos >= self._block.shape[0]:
-            block = np.empty((self.chunk, self.basis.n_modes, len(self.sources)))
-            for l, src in enumerate(self.sources):
-                block[:, :, l] = src.increment_matrix(
-                    self.basis, self._m, self._m + self.chunk, self.ratio)
-            self._block = block
-            self._pos = 0
-            self._m += self.chunk
-        out = self._block[self._pos]
-        self._pos += 1
-        return out
-
-
 def _tile(coeffs0: np.ndarray, n_traj: int) -> np.ndarray:
     return np.repeat(np.asarray(coeffs0, dtype=np.float64)[:, None], n_traj, axis=1)
 
 
+def _check_rows(entries: list[_CoarseEntry], sources, m0: int, m1: int) -> None:
+    """Raise at the earliest non-finite row checked at a reference step in
+    (m0, m1], or in [0, m1] when m0 == 0, naming its trajectory."""
+    bad = []
+    for entry in entries:
+        lo = m0 // entry.stride + 1 if m0 else 0
+        for i, l in np.argwhere(~np.isfinite(entry.rows[lo:m1 // entry.stride + 1]))[:1]:
+            bad.append(((lo + int(i)) * entry.stride, int(l), entry.params))
+    if bad:
+        s, l, params = min(bad, key=lambda b: b[:2])
+        tid = sources[l].trajectory_id
+        raise TrajectoryBlowUpError(
+            f"trajectory {tid}: non-finite error at reference step {s} "
+            f"(coarse level tau={params.tau!r}, n_modes={params.basis.n_modes})",
+            s, tid)
+
+
+def _coarse_increments(fine: np.ndarray, m: int, stride: int,
+                       carry: np.ndarray) -> np.ndarray:
+    """Increments of the coarse steps ending within reference steps
+    [m, m + len(fine)), ``fine[i]`` holding the increments of step m + i.
+
+    A coarse step that straddles a block boundary is carried over as a running
+    sum in ``carry``.  Every sum is exact (see ``noise``), so the grouping
+    does not change a bit.
+    """
+    n = len(fine)
+    head = min(-m % stride, n)  # steps that finish the coarse step open at m
+    k = (n - head) // stride
+    tail = head + k * stride
+    incs = fine[head:tail].reshape(k, stride, *fine.shape[1:]).sum(axis=1)
+    if head:
+        carry += fine[:head].sum(axis=0)
+        if (m + head) % stride == 0:
+            incs = np.concatenate([carry[None], incs])
+            carry[...] = 0.0
+    if tail < n:
+        carry[...] = fine[tail:].sum(axis=0)
+    return incs
+
+
 def _coupled_sums(params_ref: SchemeParams, coeffs0_ref: np.ndarray,
                   entries: list[_CoarseEntry], sources, n_ref_steps: int) -> None:
-    """Advance reference and coarse levels in lockstep, accumulating into
-    ``entry.sums`` the per-checked-step sums over this batch of trajectories."""
+    """Advance reference and coarse levels in lockstep over one trajectory
+    batch, filling ``entry.rows`` with max-over-space squared differences.
+    A blow-up is raised at the end of the noise block in which it shows."""
     L = len(sources)
-    ratio_ref = {_ratio(params_ref, src) for src in sources}.pop()
-    cursor_ref = _NoiseCursor(sources, params_ref.basis, ratio_ref)
+    ratio_ref = _ratio(params_ref, sources)
     state_ref = _tile(coeffs0_ref, L)
-
-    states = []
-    cursors = []
+    states = [_tile(entry.coeffs0, L) for entry in entries]
+    carries = [np.zeros((entry.params.basis.n_modes, L)) for entry in entries]
     for entry in entries:
-        entry.sums = np.zeros(n_ref_steps // entry.stride + 1)
-        states.append(_tile(entry.coeffs0, L))
-        cursors.append(_NoiseCursor(sources, entry.params.basis,
-                                    ratio_ref * entry.stride))
+        entry.rows = np.empty((n_ref_steps // entry.stride + 1, L))
 
     def record(entry: _CoarseEntry, state_c: np.ndarray, i: int) -> None:
         diff = entry.eval_coarse @ state_c - entry.eval_ref @ state_ref
-        entry.sums[i] = np.sum(np.max(diff * diff, axis=0))
+        entry.rows[i] = np.max(diff * diff, axis=0)
 
     for entry, state_c in zip(entries, states):
         record(entry, state_c, 0)
-    for s in range(1, n_ref_steps + 1):
-        state_ref = _advance(params_ref, state_ref, cursor_ref.next())
-        for k, entry in enumerate(entries):
-            if s % entry.stride == 0:
-                states[k] = _advance(entry.params, states[k], cursors[k].next())
-                record(entry, states[k], s // entry.stride)
-
-    for entry in entries:
-        if not np.all(np.isfinite(entry.sums)):
-            raise TrajectoryBlowUpError(
-                "non-finite error accumulation (trajectory blow-up) in "
-                f"coarse level tau={entry.params.tau!r}, "
-                f"n_modes={entry.params.basis.n_modes}",
-                int(np.argmax(~np.isfinite(entry.sums))))
-
-
-def _split_chunks(items: list, n_chunks: int) -> list[list]:
-    n_chunks = max(1, min(n_chunks, len(items)))
-    bounds = np.linspace(0, len(items), n_chunks + 1).astype(int)
-    return [items[bounds[i]:bounds[i + 1]] for i in range(n_chunks)]
+    for m, block in _noise_blocks(params_ref.basis, sources, ratio_ref, 0, n_ref_steps):
+        # a level's increments: the first N_c modes, summed over runs of
+        # stride reference steps (exact, so equal to drawing them directly)
+        coarse = [_coarse_increments(block[:, :e.params.basis.n_modes], m, e.stride, carry)
+                  for e, carry in zip(entries, carries)]
+        for i in range(block.shape[0]):
+            state_ref = _advance(params_ref, state_ref, block[i])
+            s = m + i + 1
+            for k, entry in enumerate(entries):
+                if s % entry.stride == 0:
+                    j = s // entry.stride
+                    states[k] = _advance(entry.params, states[k],
+                                         coarse[k][j - m // entry.stride - 1])
+                    record(entry, states[k], j)
+        _check_rows(entries, sources, m, m + block.shape[0])
 
 
-def _run_coupled(params_ref, coeffs0_ref, make_entries, sources, n_ref_steps,
+def _run_coupled(params_ref, coeffs0_ref, entries, sources, n_ref_steps,
                  threads: int) -> list[np.ndarray]:
-    """Run the coupled study over trajectory chunks; returns per-entry sums.
+    """Run the coupled study; returns per-entry sums over trajectories.
 
-    ``make_entries`` constructs a fresh entry list per chunk (entries hold
-    per-chunk accumulators).  Chunk results are reduced in fixed order.
+    All trajectories advance as one batch.  BLAS picks its kernel by the
+    batch width, so a trajectory's floats depend on the batch it rides in;
+    one batch keeps the results independent of ``threads``.  With
+    ``threads > 1`` the batch runs on a one-worker pool, which adds no
+    parallelism; the benchmark's ``spatial`` workload traces its ``map``.
+    The per-trajectory rows are summed once, in trajectory-id order.
     """
-    chunks = _split_chunks(list(sources), threads)
-    all_entries: list[list[_CoarseEntry]] = []
+    def work(batch):
+        _coupled_sums(params_ref, coeffs0_ref, entries, batch, n_ref_steps)
 
-    def work(chunk_sources):
-        entries = make_entries()
-        _coupled_sums(params_ref, coeffs0_ref, entries, chunk_sources, n_ref_steps)
-        return entries
-
-    if len(chunks) == 1:
-        all_entries.append(work(chunks[0]))
+    if threads <= 1:
+        work(sources)
     else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            all_entries = list(pool.map(work, chunks))
-
-    combined = [np.zeros_like(entry.sums) for entry in all_entries[0]]
-    for entries in all_entries:  # fixed chunk order -> deterministic reduction
-        for k, entry in enumerate(entries):
-            combined[k] += entry.sums
-    return combined
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            list(pool.map(work, [sources]))
+    return [entry.rows.sum(axis=1) for entry in entries]
 
 
 def _error_from_sums(sums: np.ndarray, n_traj: int) -> float:
     return float(np.max(np.sqrt(sums / n_traj)))
-
-
-def _count_steps(t_final: float, tau: float) -> int:
-    n = math.floor(t_final / tau + 1e-9)
-    if n < 1:
-        raise ValueError(f"t_final = {t_final!r} is shorter than one step tau = {tau!r}")
-    return n
-
-
-def _exact_multiple(value: float, base: float, what: str) -> int:
-    k = round(value / base)
-    if k < 1 or abs(value - k * base) > 1e-12 * value:
-        raise ValueError(f"{what}: {value!r} must be a positive integer multiple of {base!r}")
-    return k
 
 
 def _warn_step_constraint(params: SchemeParams) -> None:
@@ -296,10 +286,9 @@ def mean_square_error(params_coarse: SchemeParams, params_ref: SchemeParams,
     """
     if params_coarse.basis.n_modes > params_ref.basis.n_modes:
         raise ValueError("coarse run may not have more modes than the reference")
-    stride = _exact_multiple(params_coarse.tau, params_ref.tau, "tau_coarse / tau_ref")
-    n_ref_steps = _count_steps(t_final, params_ref.tau)
-    if n_ref_steps % stride:
-        raise ValueError("t_final must be a whole number of coarse steps")
+    stride = whole_steps(params_coarse.tau, params_ref.tau, "tau_coarse in steps of tau_ref")
+    n_ref_steps = stride * whole_steps(t_final, params_coarse.tau, "t_final in coarse steps",
+                                       key="t_final")
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be positive, got {n_trajectories}")
     coeffs0_ref = initial_state(params_ref, u0_ref).coeffs
@@ -308,10 +297,8 @@ def mean_square_error(params_coarse: SchemeParams, params_ref: SchemeParams,
                            n_modes_max=params_ref.basis.n_modes - 1)
                for k in range(n_trajectories)]
 
-    def make_entries():
-        return [_make_entry(params_coarse, stride, coeffs0_c, params_ref)]
-
-    sums = _run_coupled(params_ref, coeffs0_ref, make_entries, sources,
+    entries = [_make_entry(params_coarse, stride, coeffs0_c, params_ref)]
+    sums = _run_coupled(params_ref, coeffs0_ref, entries, sources,
                         n_ref_steps, threads)[0]
     return _error_from_sums(sums, n_trajectories)
 
@@ -334,27 +321,17 @@ def run_temporal_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
     params_ref = SchemeParams(basis, drift, tau_ref, sigma)
     u0 = evaluate_expression(initial, basis.grid)
     coeffs0 = initial_state(params_ref, u0).coeffs
-    n_ref_steps = _count_steps(t_final, tau_ref)
-
-    strides = []
+    n_ref_steps = whole_steps(t_final, tau_ref, "t_final in steps of tau_ref", key="t_final")
+    entries = []
     for tau in taus:
-        stride = _exact_multiple(tau, tau_ref, "ladder tau / tau_ref")
-        if n_ref_steps % stride:
-            raise ValueError(f"t_final is not a whole number of steps of tau={tau!r}")
-        strides.append(stride)
-
-    def make_entries():
-        entries = []
-        for tau, stride in zip(taus, strides):
-            params = SchemeParams(basis, drift, tau, sigma)
-            entries.append(_make_entry(params, stride, coeffs0, params_ref))
-        return entries
-
-    for tau in taus:
-        _warn_step_constraint(SchemeParams(basis, drift, tau, sigma))
+        stride = whole_steps(tau, tau_ref, "ladder tau in steps of tau_ref")
+        whole_steps(t_final, tau, "t_final in steps of the ladder tau", key="t_final")
+        params = SchemeParams(basis, drift, tau, sigma)
+        _warn_step_constraint(params)
+        entries.append(_make_entry(params, stride, coeffs0, params_ref))
     sources = [NoiseSource(seed, k, tau_fine=tau_ref, n_modes_max=basis.n_modes - 1)
                for k in range(n_trajectories)]
-    sums = _run_coupled(params_ref, coeffs0, make_entries, sources, n_ref_steps, threads)
+    sums = _run_coupled(params_ref, coeffs0, entries, sources, n_ref_steps, threads)
 
     errors = [_error_from_sums(s, n_trajectories) for s in sums]
     rates = pairwise_rates(errors)
@@ -386,21 +363,19 @@ def run_spatial_study(*, drift: DriftSpec, sigma: float, t_final: float,
     _warn_step_constraint(params_ref)
     u0_ref = evaluate_expression(initial, basis_ref.grid)
     coeffs0_ref = initial_state(params_ref, u0_ref).coeffs
-    n_steps = _count_steps(t_final, tau)
+    n_steps = whole_steps(t_final, tau, "t_final in steps of tau", key="t_final")
 
-    def make_entries():
-        entries = []
-        for n in ns:
-            basis = SpectralBasis(n)
-            params = SchemeParams(basis, drift, tau, sigma)
-            u0 = evaluate_expression(initial, basis.grid)
-            coeffs0 = initial_state(params, u0).coeffs
-            entries.append(_make_entry(params, 1, coeffs0, params_ref))
-        return entries
+    entries = []
+    for n in ns:
+        basis = SpectralBasis(n)
+        params = SchemeParams(basis, drift, tau, sigma)
+        u0 = evaluate_expression(initial, basis.grid)
+        coeffs0 = initial_state(params, u0).coeffs
+        entries.append(_make_entry(params, 1, coeffs0, params_ref))
 
     sources = [NoiseSource(seed, k, tau_fine=tau, n_modes_max=n_modes_ref - 1)
                for k in range(n_trajectories)]
-    sums = _run_coupled(params_ref, coeffs0_ref, make_entries, sources, n_steps, threads)
+    sums = _run_coupled(params_ref, coeffs0_ref, entries, sources, n_steps, threads)
 
     errors = [_error_from_sums(s, n_trajectories) for s in sums]
     rates = pairwise_rates(errors)  # rows run coarse (small N) to fine
@@ -452,32 +427,36 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
         raise ValueError("at least one initial condition is required")
     params = SchemeParams(basis, drift, tau, sigma)
     spec = TestFunctionSpec.from_expression(basis, v_expr, alpha1, alpha2)
-    burn_steps = math.floor(burn_in / tau + 1e-9) if burn_in else 0
+    burn_steps = whole_steps(burn_in, tau, "burn_in in steps of tau", minimum=0,
+                             key="burn_in")
+    horizons = {"single": ("t_final", t_final),
+                "ensemble": ("t_final", t_final) if t_final_ensemble is None
+                else ("t_final_ensemble", t_final_ensemble)}
+    n_steps = {kind: whole_steps(value, tau, f"{key} in steps of tau", key=key)
+               for kind, (key, value) in horizons.items()
+               if estimator in (kind, "both")}
     runs: list[ErgodicRun] = []
     for i, expr in enumerate(initials):
         u0 = evaluate_expression(expr, basis.grid)
         state0 = initial_state(params, u0)
         if estimator in ("single", "both"):
-            n_steps = _count_steps(t_final, tau)
             source = NoiseSource(seed, i, tau_fine=tau, n_modes_max=basis.n_modes - 1)
             t0 = time.perf_counter()
             avg, history, _ = time_average_single(
-                params, state0, source, n_steps, spec,
+                params, state0, source, n_steps["single"], spec,
                 burn_in_steps=burn_steps, record_every=thinning)
             runs.append(ErgodicRun(f"single[{i}]", "single", expr, avg,
-                                   n_steps - burn_steps + 1,
+                                   n_steps["single"] - burn_steps + 1,
                                    time.perf_counter() - t0, tuple(history)))
         if estimator in ("ensemble", "both"):
-            horizon = t_final if t_final_ensemble is None else t_final_ensemble
-            n_steps = _count_steps(horizon, tau)
             sources = [NoiseSource(seed, _ENSEMBLE_ID_BASE + i * n_trajectories + l,
                                    tau_fine=tau, n_modes_max=basis.n_modes - 1)
                        for l in range(n_trajectories)]
             t0 = time.perf_counter()
             grand, _, history, _ = time_average_ensemble(
-                params, state0.coeffs, sources, n_steps, spec,
+                params, state0.coeffs, sources, n_steps["ensemble"], spec,
                 burn_in_steps=burn_steps, record_every=thinning)
             runs.append(ErgodicRun(f"ensemble[{i}]", "ensemble", expr, grand,
-                                   (n_steps - burn_steps + 1) * n_trajectories,
+                                   (n_steps["ensemble"] - burn_steps + 1) * n_trajectories,
                                    time.perf_counter() - t0, tuple(history)))
     return ErgodicStudyResult(tuple(runs))

@@ -32,6 +32,7 @@ __all__ = [
     "DriftSpec",
     "SchemeParams",
     "SchemeState",
+    "HorizonError",
     "TrajectoryBlowUpError",
     "initial_state",
     "state_from_coeffs",
@@ -39,9 +40,11 @@ __all__ = [
     "run_trajectory",
     "run_ensemble",
     "solution_at",
+    "whole_steps",
 ]
 
-_NOISE_CHUNK = 512  # steps fetched per bulk noise request
+_BLOCK_STEPS = 512        # most steps in one noise block
+_BLOCK_FLOATS = 4_000_000  # most floats in a noise block of more than one step
 
 
 class TrajectoryBlowUpError(RuntimeError):
@@ -215,13 +218,48 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
     return SchemeState(state.step_index + 1, new, state.mass0)
 
 
-def _ratio(params: SchemeParams, source: NoiseSource) -> int:
-    ratio = round(params.tau / source.tau_fine)
-    if ratio < 1 or abs(params.tau - ratio * source.tau_fine) > 1e-12 * params.tau:
-        raise ValueError(
-            f"tau = {params.tau!r} is not a positive integer multiple of the "
-            f"source's tau_fine = {source.tau_fine!r}")
-    return ratio
+class HorizonError(ValueError):
+    """A configured duration that is not a whole number of steps; ``key``
+    names its config key."""
+
+    def __init__(self, message: str, key: str):
+        super().__init__(message)
+        self.key = key
+
+
+def whole_steps(value: float, base: float, what: str, minimum: int = 1, *,
+                key: str | None = None) -> int:
+    """The integer k >= ``minimum`` with value == k * base up to 1e-12 relative.
+    The one rule for horizons, burn-in and step ratios: never rounds.  A
+    failure raises ``HorizonError`` when ``key`` names a config duration."""
+    k = round(value / base)
+    if k < minimum or abs(value - k * base) > 1e-12 * abs(value):
+        kind = "positive" if minimum >= 1 else "nonnegative"
+        message = f"{what}: {value!r} must be a {kind} integer multiple of {base!r}"
+        raise ValueError(message) if key is None else HorizonError(message, key)
+    return k
+
+
+def _ratio(params: SchemeParams, sources) -> int:
+    """Fine increments per scheme step, shared by every source."""
+    ratios = {whole_steps(params.tau, src.tau_fine, "tau in steps of tau_fine") for src in sources}
+    if len(ratios) != 1:
+        raise ValueError("all sources in an ensemble must share tau_fine")
+    return ratios.pop()
+
+
+def _noise_blocks(basis: SpectralBasis, sources, ratio: int, m0: int, m1: int):
+    """Yield (m, block) covering steps m0 <= m < m1, block[i] being the
+    (N, L) increments of step m + i for the L sources.  A block holds at
+    most 512 steps and, beyond one step, at most 4M floats."""
+    n = basis.n_modes
+    steps = max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // (n * len(sources))))
+    for m in range(m0, m1, steps):
+        m_next = min(m + steps, m1)
+        block = np.empty((m_next - m, n, len(sources)))
+        for l, src in enumerate(sources):
+            block[:, :, l] = src.increment_matrix(basis, m, m_next, ratio)
+        yield m, block
 
 
 def run_trajectory(params: SchemeParams, state: SchemeState, source: NoiseSource,
@@ -236,17 +274,14 @@ def run_trajectory(params: SchemeParams, state: SchemeState, source: NoiseSource
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-    ratio = _ratio(params, source)
+    ratio = _ratio(params, [source])
     for obs in observers:
         obs(state.step_index, state)
-    m_end = state.step_index + n_steps
-    while state.step_index < m_end:
-        m0 = state.step_index
-        m1 = min(m0 + _NOISE_CHUNK, m_end)
-        block = source.increment_matrix(params.basis, m0, m1, ratio)
-        for i in range(m1 - m0):
+    m0 = state.step_index
+    for _, block in _noise_blocks(params.basis, [source], ratio, m0, m0 + n_steps):
+        for dw in block[:, :, 0]:
             try:
-                state = step(params, state, block[i])
+                state = step(params, state, dw)
             except TrajectoryBlowUpError as exc:
                 raise TrajectoryBlowUpError(
                     f"trajectory {source.trajectory_id}: {exc}",
@@ -270,10 +305,7 @@ def run_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources, n_steps: in
     sources = list(sources)
     if not sources:
         raise ValueError("at least one noise source is required")
-    ratios = {_ratio(params, src) for src in sources}
-    if len(ratios) != 1:
-        raise ValueError("all sources in an ensemble must share tau_fine")
-    ratio = ratios.pop()
+    ratio = _ratio(params, sources)
     n = params.basis.n_modes
     coeffs0 = np.asarray(coeffs0, dtype=np.float64)
     if coeffs0.ndim == 1:
@@ -285,17 +317,10 @@ def run_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources, n_steps: in
 
     if observer is not None:
         observer(start_index, coeffs)
-    # keep each prefetched noise block under ~32 MB
-    chunk = max(1, min(_NOISE_CHUNK, 4_000_000 // (n * len(sources))))
     m = start_index
-    m_end = start_index + n_steps
-    while m < m_end:
-        m1 = min(m + chunk, m_end)
-        block = np.empty((m1 - m, n, len(sources)))
-        for l, src in enumerate(sources):
-            block[:, :, l] = src.increment_matrix(params.basis, m, m1, ratio)
-        for i in range(m1 - m):
-            coeffs = _advance(params, coeffs, block[i])
+    for _, block in _noise_blocks(params.basis, sources, ratio, m, m + n_steps):
+        for dw in block:
+            coeffs = _advance(params, coeffs, dw)
             m += 1
             if not np.all(np.isfinite(coeffs)):
                 bad = int(np.argmax(~np.all(np.isfinite(coeffs), axis=0)))

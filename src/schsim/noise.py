@@ -22,12 +22,18 @@ Design notes on exact refinement:
   tau -> tau/r1 -> tau/(r1*r2) reproduces identical increments for any
   factorization r = r1*r2.  The snap perturbs each draw by at most ~2^-36
   relative, far below every statistical tolerance used in this package.
+
+Counter layout: word k of the (trajectory, mode) stream is lane k % 4 of the
+Philox block at counter (k % 2048 // 4, k // 2048, mode, trajectory_id), so
+any range [k0, k1) is generated directly, with at most three alignment words
+wasted per 2048-word block.  Nothing is cached: every request regenerates
+exactly the words it returns.  Each source keeps one Philox generator and
+resets its counter per block, so a source must not be shared between threads.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 from numpy.random import Philox
@@ -36,8 +42,7 @@ from scipy.special import ndtri
 __all__ = ["NoiseSource", "stationary_variance"]
 
 _KEY_CONST = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, decorrelates the seed word
-_BLOCK = 2048
-_CACHE_BLOCKS = 128
+_BLOCK = 2048  # words per counter value of word 1
 
 
 class NoiseSource:
@@ -75,8 +80,12 @@ class NoiseSource:
         self.quantum = math.ldexp(1.0, exponent - 36)
         # root/quantum = mantissa * 2^36, exactly representable
         self._scale = mantissa * 2.0**36
-        self._key = np.array([self.seed, _KEY_CONST], dtype=np.uint64)
-        self._cache: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        key = np.array([self.seed, _KEY_CONST], dtype=np.uint64)
+        # looked up through the module name so a substituted Philox is used
+        self._philox = Philox(key=key)
+        self._state = self._philox.state
+        self._counter = self._state["state"]["counter"]
+        self._counter[3] = self.trajectory_id
 
     def __repr__(self) -> str:
         return (f"NoiseSource(seed={self.seed}, trajectory_id={self.trajectory_id}, "
@@ -84,37 +93,32 @@ class NoiseSource:
 
     # -- generation --------------------------------------------------------
 
-    def _block_ints(self, mode: int, block: int) -> np.ndarray:
-        """Quantized draws (int64 multiples of self.quantum) for one block."""
-        cached = self._cache.get((mode, block))
-        if cached is not None:
-            self._cache.move_to_end((mode, block))
-            return cached
-        counter = np.array([0, block, mode, self.trajectory_id], dtype=np.uint64)
-        raw = Philox(key=self._key, counter=counter).random_raw(_BLOCK)
-        uniform = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        ints = np.rint(ndtri(uniform) * self._scale).astype(np.int64)
-        self._cache[(mode, block)] = ints
-        if len(self._cache) > _CACHE_BLOCKS:
-            self._cache.popitem(last=False)
-        return ints
-
     def _fine_ints(self, mode: int, k0: int, k1: int) -> np.ndarray:
         """Quantized fine increments with indices k0 <= k < k1, as int64."""
-        out = np.empty(k1 - k0, dtype=np.int64)
-        pos = 0
-        block = k0 // _BLOCK
-        while pos < k1 - k0:
-            lo = max(k0, block * _BLOCK) - block * _BLOCK
-            hi = min(k1, (block + 1) * _BLOCK) - block * _BLOCK
-            out[pos:pos + hi - lo] = self._block_ints(mode, block)[lo:hi]
-            pos += hi - lo
-            block += 1
-        return out
+        raw = np.empty(k1 - k0, dtype=np.uint64)
+        k = k0
+        while k < k1:
+            base = k - k % _BLOCK  # first word of k's block
+            start = k - k % 4      # Philox emits four words per counter value
+            stop = min(k1, base + _BLOCK)
+            self._counter[:3] = ((start - base) // 4, base // _BLOCK, mode)
+            self._philox.state = self._state
+            raw[k - k0:stop - k0] = self._philox.random_raw(stop - start)[k - start:]
+            k = stop
+        uniform = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        return np.rint(ndtri(uniform) * self._scale).astype(np.int64)
 
     def _check_mode(self, j: int) -> None:
         if not 1 <= j <= self.n_modes_max:
             raise ValueError(f"mode index must be in [1, {self.n_modes_max}], got {j}")
+
+    def _check_basis(self, basis) -> int:
+        n = basis.n_modes
+        if n - 1 > self.n_modes_max:
+            raise ValueError(
+                f"basis needs modes up to {n - 1} but this source is declared "
+                f"for at most {self.n_modes_max}")
+        return n
 
     # -- public API --------------------------------------------------------
 
@@ -154,11 +158,7 @@ class NoiseSource:
         the coarse increments of the corresponding modes.  A basis with fewer
         modes than another simply truncates the same shared streams.
         """
-        n = basis.n_modes
-        if n - 1 > self.n_modes_max:
-            raise ValueError(
-                f"basis needs modes up to {n - 1} but this source is declared "
-                f"for at most {self.n_modes_max}")
+        n = self._check_basis(basis)
         out = np.zeros(n)
         for j in range(1, n):
             out[j] = self.coarse_increment(j, m, ratio)
@@ -169,11 +169,7 @@ class NoiseSource:
 
         Row m - m0 is bit-for-bit equal to ``increment_field(basis, m, ratio)``.
         """
-        n = basis.n_modes
-        if n - 1 > self.n_modes_max:
-            raise ValueError(
-                f"basis needs modes up to {n - 1} but this source is declared "
-                f"for at most {self.n_modes_max}")
+        n = self._check_basis(basis)
         if not isinstance(ratio, (int, np.integer)) or ratio < 1:
             raise ValueError(f"ratio must be a positive integer, got {ratio!r}")
         if not 0 <= m0 <= m1:

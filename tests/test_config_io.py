@@ -322,6 +322,33 @@ initials = 1/3; 1
                      "--out", str(tmp_path / "out")]) == 2
         assert "subcommand" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, extra, key", [
+        ("simulate", "tau = 0.25\nt_final = 0.3\ninitial = 1/3\n", "t_final"),
+        ("converge-time", "t_final = 0.1875\ntau_ref = 0.00390625\n"
+         "tau_ladder = 0.0625, 0.125\ninitial = 1/3\n", "t_final"),
+        ("converge-space", "t_final = 0.13\ntau = 0.0078125\nn_modes_ref = 16\n"
+         "n_modes_ladder = 4, 8\ninitial = 1/3\n", "t_final"),
+        ("ergodic", "tau = 0.01\nt_final = 0.3\nt_final_ensemble = 0.105\n"
+         "initials = 1/3\n", "t_final_ensemble"),
+        ("ergodic", "tau = 0.01\nt_final = 0.3\nburn_in = 0.015\n"
+         "initials = 1/3\n", "burn_in"),
+    ])
+    def test_partial_steps_exit_2(self, tmp_path, capsys, command, extra, key):
+        """A horizon that is not a whole number of steps is a config error
+        naming the key, not a silently floored run."""
+        cfg = self.write_cfg(tmp_path, f"command = {command}\nn_modes = 8\n" + extra)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: config: key {key!r}" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_unused_horizon_is_not_checked(self, tmp_path):
+        """The ensemble estimator reads t_final_ensemble, not t_final."""
+        cfg = self.write_cfg(tmp_path, "command = ergodic\nn_modes = 8\ntau = 0.01\n"
+                             "t_final = 0.305\nt_final_ensemble = 0.05\n"
+                             "estimator = ensemble\nn_trajectories = 2\ninitials = 1/3\n")
+        assert main(["ergodic", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
     def test_runtime_errors_exit_1(self, tmp_path, capsys):
         # tau not a multiple of tau_fine is only caught at run time
         cfg = self.write_cfg(tmp_path, SIM_CFG + "tau_fine = 0.017\n")

@@ -12,10 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from schsim import (DriftSpec, SchemeParams, build_basis, mean_square_error,
-                    pairwise_rates, rate_regression, run_ergodic_study,
-                    run_spatial_study, run_temporal_study)
+from schsim import (DriftSpec, NoiseSource, SchemeParams, TrajectoryBlowUpError,
+                    build_basis, mean_square_error, pairwise_rates,
+                    rate_regression, run_ergodic_study, run_spatial_study,
+                    run_temporal_study)
 from schsim.experiments import _kappa_rows
+from schsim import integrator
 from schsim.integrator import initial_state, step
 
 WELL = DriftSpec(0.5, -0.5, 1.0, -1.0)
@@ -148,13 +150,41 @@ class TestMeanSquareError:
                         n_trajectories=1) == pytest.approx(e2, rel=1e-12)
 
     def test_threaded_reduction_is_reproducible(self):
-        basis = build_basis(8)
-        params_c = SchemeParams(basis, WELL, 2.0**-4)
-        params_r = SchemeParams(basis, WELL, 2.0**-6)
+        """Any thread count, zero included, gives the one-thread errors bit
+        for bit, for 5 trajectories and for 70."""
+        params_c = SchemeParams(build_basis(8), WELL, 2.0**-7)
+        params_r = SchemeParams(build_basis(32), WELL, 2.0**-7)
         u0 = lambda b: np.cos(b.grid) / 3 + 1 / 3
-        serial = self.run(params_c, params_r, u0, n_trajectories=6, threads=1)
-        threaded = self.run(params_c, params_r, u0, n_trajectories=6, threads=3)
-        assert serial == threaded
+        for n_trajectories in (5, 70):
+            kw = dict(seed=0, t_final=0.25, n_trajectories=n_trajectories)
+            serial = self.run(params_c, params_r, u0, **kw)
+            for threads in (0, 2, 3):
+                assert self.run(params_c, params_r, u0, threads=threads, **kw) == serial
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blow_up_stops_at_first_noise_block(self, threads, monkeypatch):
+        """A non-finite state is reported with its trajectory and the first
+        reference step whose check saw it, before the run goes on."""
+        calls = []
+        increment_matrix = NoiseSource.increment_matrix
+
+        def counting(self, *args):
+            calls.append(self.trajectory_id)
+            return increment_matrix(self, *args)
+
+        monkeypatch.setattr(NoiseSource, "increment_matrix", counting)
+        basis = build_basis(8)
+        params_c = SchemeParams(basis, WELL, 2.0**-4, 0.0)
+        params_r = SchemeParams(basis, WELL, 2.0**-6, 0.0)
+        u0 = np.full(8, 1e160)
+        with pytest.raises(TrajectoryBlowUpError) as exc_info:
+            mean_square_error(params_c, params_r, u0, u0, seed=0,
+                              n_trajectories=3, t_final=64.0, threads=threads)
+        # the reference turns non-finite at step 1; the first check is step 4
+        assert exc_info.value.step_index == 4
+        assert exc_info.value.trajectory_id == 0
+        assert sorted(calls) == [0, 1, 2]  # one 512-step block of 4096
 
     def test_validation(self):
         basis8, basis16 = build_basis(8), build_basis(16)
@@ -225,6 +255,40 @@ class TestTemporalStudy:
                 tau_ref=2.0**-6, tau_ladder=[0.1, 0.05],
                 initial="1/3", seed=1, n_trajectories=1)
 
+    def test_bit_exact_errors(self):
+        """Pinned float-hex errors: noise refinement and the error reduction
+        must not move a single bit (640 reference steps span two blocks)."""
+        table = run_temporal_study(
+            basis=build_basis(8), drift=WELL, sigma=1.0, t_final=2.5,
+            tau_ref=2.0**-8, tau_ladder=[2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7],
+            initial="(1/3)*cos(x)+1/3", seed=3, n_trajectories=3)
+        assert [e.hex() for e in table.errors()] == [
+            "0x1.692dce37ed543p-3", "0x1.e24c7dcab6d30p-4",
+            "0x1.5f69cf1755d3bp-4", "0x1.9999371e24ea1p-5"]
+
+    def test_coarse_steps_may_straddle_noise_blocks(self, monkeypatch):
+        """Strides 3, 5 and 15 never align with the noise blocks; a coarse
+        step split across blocks is carried over exactly, so one block, the
+        default 512-step blocks and 7-step blocks give the same bits."""
+        def errors(block_steps):
+            monkeypatch.setattr(integrator, "_BLOCK_STEPS", block_steps)
+            return run_temporal_study(
+                basis=build_basis(8), drift=WELL, sigma=1.0, t_final=600 * 2.0**-10,
+                tau_ref=2.0**-10, tau_ladder=[3 * 2.0**-10, 5 * 2.0**-10, 15 * 2.0**-10],
+                initial="(1/3)*cos(x)+1/3", seed=4, n_trajectories=2).errors()
+
+        whole = errors(600)
+        assert errors(512) == whole
+        assert errors(7) == whole
+
+    def test_horizon_must_be_whole_steps(self):
+        kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau_ref=2.0**-6,
+                  initial="1/3", seed=1, n_trajectories=1)
+        with pytest.raises(ValueError, match="t_final in steps of tau_ref"):
+            run_temporal_study(t_final=0.25 + 2.0**-8, tau_ladder=[2.0**-3], **kw)
+        with pytest.raises(ValueError, match="t_final in steps of the ladder tau"):
+            run_temporal_study(t_final=2.0**-6 * 9, tau_ladder=[2.0**-3], **kw)
+
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             run_temporal_study(
@@ -255,6 +319,15 @@ class TestSpatialStudy:
         assert table.errors()[1] == 0.0
         assert table.rows[1].pair_rate is None
         assert math.isnan(table.slope)
+
+    def test_bit_exact_errors(self):
+        """Pinned float-hex errors, as for the temporal study."""
+        table = run_spatial_study(
+            drift=WELL, sigma=1.0, t_final=5.0, tau=2.0**-7,
+            n_modes_ladder=[4, 8, 16], n_modes_ref=32,
+            initial="(1/3)*cos(x)+1/3", seed=3, n_trajectories=3)
+        assert [e.hex() for e in table.errors()] == [
+            "0x1.a6381fff3d1c7p-2", "0x1.5c6cdfd6f39d8p-3", "0x1.c7a2d22d8d876p-5"]
 
     def test_ladder_may_not_exceed_reference(self):
         with pytest.raises(ValueError, match="must not exceed"):
@@ -315,6 +388,17 @@ class TestErgodicStudy:
             run_ergodic_study(initials=("1/3",), estimator="median", **kw)
         with pytest.raises(ValueError, match="at least one initial"):
             run_ergodic_study(initials=(), estimator="single", **kw)
+
+    def test_horizons_must_be_whole_steps(self):
+        kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2,
+                  initials=("1/3",), v_expr="exp(x)", alpha1=1.0, alpha2=2.0, seed=0)
+        with pytest.raises(ValueError, match="t_final in steps of tau"):
+            run_ergodic_study(t_final=0.305, estimator="single", **kw)
+        with pytest.raises(ValueError, match="t_final_ensemble in steps of tau"):
+            run_ergodic_study(t_final=0.3, t_final_ensemble=0.105,
+                              estimator="ensemble", n_trajectories=2, **kw)
+        with pytest.raises(ValueError, match="burn_in in steps of tau"):
+            run_ergodic_study(t_final=0.3, burn_in=0.015, estimator="single", **kw)
 
 
 if __name__ == "__main__":

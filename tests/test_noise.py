@@ -6,10 +6,16 @@ sum of its fine constituents bit for bit, for any factorization of the ratio.
 That is what makes coupled coarse/reference runs and resumed runs exact.
 """
 
+import math
+
 import numpy as np
 import pytest
+from numpy.random import Philox
+from scipy.special import ndtri
 
-from schsim import NoiseSource, build_basis, stationary_variance
+from schsim import (DriftSpec, NoiseSource, SchemeParams, build_basis,
+                    noise, run_ensemble, run_spatial_study, run_temporal_study,
+                    stationary_variance)
 
 
 def make_source(**kw):
@@ -48,7 +54,7 @@ class TestAddressing:
         assert abs(np.corrcoef(va, vb)[0, 1]) < 0.25
 
     def test_fine_increments_match_scalar_calls_across_blocks(self):
-        # the slice spans a cache-block boundary (blocks are 2048 long)
+        # the slice spans a counter-block boundary (blocks are 2048 long)
         src = make_source()
         block = src.fine_increments(2, 2040, 2060)
         scalars = [src.fine_increment(2, k) for k in range(2040, 2060)]
@@ -119,6 +125,77 @@ class TestRefinement:
         small = src.increment_field(build_basis(8), m=11)
         large = src.increment_field(build_basis(64), m=11)
         np.testing.assert_array_equal(small, large[:8])
+
+
+def whole_block(src, mode, block):
+    """Fine increments of one 2048-word block, drawn by a fresh generator
+    exactly as the module docstring specifies."""
+    key = np.array([src.seed, noise._KEY_CONST], dtype=np.uint64)
+    counter = np.array([0, block, mode, src.trajectory_id], dtype=np.uint64)
+    raw = Philox(key=key, counter=counter).random_raw(2048)
+    uniform = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    scale = math.sqrt(src.tau_fine) / src.quantum
+    return np.rint(ndtri(uniform) * scale) * src.quantum
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Counts the Philox words drawn and the 2048-word blocks requested."""
+    counts = {"words": 0, "blocks": 0}
+
+    class CountingPhilox(noise.Philox):
+        def random_raw(self, size=None, output=True):
+            counts["words"] += 1 if size is None else int(np.prod(size))
+            return super().random_raw(size, output)
+
+    fine_ints = NoiseSource._fine_ints
+
+    def recording(self, mode, k0, k1):
+        if k1 > k0:
+            counts["blocks"] += (k1 - 1) // 2048 - k0 // 2048 + 1
+        return fine_ints(self, mode, k0, k1)
+
+    monkeypatch.setattr(noise, "Philox", CountingPhilox)
+    monkeypatch.setattr(NoiseSource, "_fine_ints", recording)
+    return counts
+
+
+class TestProducer:
+    """Every request draws exactly the words it returns, plus at most three
+    alignment words per block touched; nothing is drawn twice."""
+
+    @pytest.mark.parametrize("k0, k1", [(5, 77), (2045, 2051), (1001, 6150),
+                                        (6, 6), (4096, 4100), (0, 8192)])
+    def test_ranges_equal_slices_of_whole_blocks(self, k0, k1):
+        src = make_source(trajectory_id=3)
+        blocks = np.concatenate([whole_block(src, 9, b) for b in range(4)])
+        assert src.fine_increments(9, k0, k1).tolist() == blocks[k0:k1].tolist()
+
+    @staticmethod
+    def assert_budget(counts, used):
+        assert used <= counts["words"] <= used + 3 * counts["blocks"]
+
+    def test_temporal_study_draws_reference_increments_once(self, draws):
+        # 640 reference steps, ladder strides 16, 8, 4 and 2
+        run_temporal_study(
+            basis=build_basis(8), drift=DriftSpec(0.5, -0.5, 1.0, -1.0),
+            sigma=1.0, t_final=2.5, tau_ref=2.0**-8,
+            tau_ladder=[2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7],
+            initial="1/3", seed=1, n_trajectories=2)
+        self.assert_budget(draws, 2 * 7 * 640)
+
+    def test_spatial_study_draws_reference_increments_once(self, draws):
+        run_spatial_study(
+            drift=DriftSpec(0.5, -0.5, 1.0, -1.0), sigma=1.0, t_final=5.0,
+            tau=2.0**-7, n_modes_ladder=[4, 8, 16], n_modes_ref=32,
+            initial="1/3", seed=1, n_trajectories=2)
+        self.assert_budget(draws, 2 * 31 * 640)
+
+    def test_ensemble_draws_each_increment_once(self, draws):
+        params = SchemeParams(build_basis(8), DriftSpec(0.5, -0.5, 1.0, -1.0), 0.04)
+        sources = [NoiseSource(3, l, tau_fine=0.01, n_modes_max=7) for l in range(3)]
+        run_ensemble(params, np.zeros(8), sources, 100)
+        self.assert_budget(draws, 3 * 7 * 100 * 4)
 
 
 class TestStatistics:
