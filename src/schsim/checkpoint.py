@@ -20,6 +20,10 @@ from .noise import NoiseSource
 __all__ = ["CheckpointData", "write_checkpoint", "read_checkpoint"]
 
 _MAGIC = "schsim-checkpoint v1"
+_FIELDS = {"n_modes": int, "tau": float, "sigma": float,
+           "drift": lambda text: tuple(float(part) for part in text.split()),
+           "validation_mode": {"true": True, "false": False}.__getitem__,
+           "seed": int, "trajectory_id": int, "tau_fine": float, "step_index": int}
 
 
 @dataclass(frozen=True)
@@ -87,28 +91,19 @@ def read_checkpoint(path) -> CheckpointData:
         i += 1
     if i == len(lines):
         raise ValueError(f"{path}: missing coefficient block")
-    required = ("n_modes", "tau", "sigma", "drift", "validation_mode",
-                "seed", "trajectory_id", "tau_fine", "step_index")
-    missing = [k for k in required if k not in fields]
+    missing = [k for k in _FIELDS if k not in fields]
     if missing:
         raise ValueError(f"{path}: missing header fields {missing}")
-    n_modes = int(fields["n_modes"])
+    values = {}
+    for key, convert in _FIELDS.items():
+        try:
+            values[key] = convert(fields[key])
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: malformed field {key!r}: {fields[key]!r}") from None
     coeff_lines = [line for line in lines[i + 1:] if line]
-    if len(coeff_lines) != n_modes:
+    if len(coeff_lines) != values["n_modes"]:
         raise ValueError(
-            f"{path}: expected {n_modes} coefficients, found {len(coeff_lines)}")
-    drift = tuple(float(part) for part in fields["drift"].split())
-    if len(drift) != 4:
+            f"{path}: expected {values['n_modes']} coefficients, found {len(coeff_lines)}")
+    if len(values["drift"]) != 4:
         raise ValueError(f"{path}: drift must have 4 coefficients")
-    return CheckpointData(
-        n_modes=n_modes,
-        tau=float(fields["tau"]),
-        sigma=float(fields["sigma"]),
-        drift=drift,  # type: ignore[arg-type]
-        validation_mode={"true": True, "false": False}[fields["validation_mode"]],
-        seed=int(fields["seed"]),
-        trajectory_id=int(fields["trajectory_id"]),
-        tau_fine=float(fields["tau_fine"]),
-        step_index=int(fields["step_index"]),
-        coeffs=np.array([float(line) for line in coeff_lines]),
-    )
+    return CheckpointData(**values, coeffs=np.array([float(line) for line in coeff_lines]))

@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--threads", type=int, default=1,
                          help="thread pool for convergence studies; changes no result (default: 1)")
         cmd.add_argument("--deterministic", action="store_true",
-                         help="single-threaded fixed reduction order, NA timings")
+                         help="one thread and NA timings, for byte-reproducible outputs")
         cmd.add_argument("--svg", action="store_true", help="also emit SVG charts")
     return parser
 

@@ -249,8 +249,8 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
         value = getattr(cfg, name)
         if value is not None:
             check(value > 0, f"key {name!r}: must be positive, got {value}")
-    check(cfg.trajectory_id >= 0,
-          f"key 'trajectory_id': must be nonnegative, got {cfg.trajectory_id}")
+    check(0 <= cfg.trajectory_id < 2**64,
+          f"key 'trajectory_id': must be in [0, 2^64), got {cfg.trajectory_id}")
     check(cfg.snapshot_every >= 0,
           f"key 'snapshot_every': must be nonnegative, got {cfg.snapshot_every}")
     check(cfg.n_trajectories >= 1,

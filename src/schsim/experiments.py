@@ -38,9 +38,9 @@ import numpy as np
 
 from .expressions import evaluate_expression
 from .grid import SpectralBasis
-from .integrator import (DriftSpec, SchemeParams, TrajectoryBlowUpError,
-                         _advance, _noise_blocks, _ratio, initial_state,
-                         whole_steps)
+from .integrator import (DriftSpec, HorizonError, SchemeParams,
+                         TrajectoryBlowUpError, _advance, _noise_blocks, _ratio,
+                         initial_state, whole_steps)
 from .noise import NoiseSource
 from .observables import (TestFunctionSpec, time_average_ensemble,
                           time_average_single)
@@ -435,6 +435,10 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
     n_steps = {kind: whole_steps(value, tau, f"{key} in steps of tau", key=key)
                for kind, (key, value) in horizons.items()
                if estimator in (kind, "both")}
+    n_samples = {kind: n - burn_steps + 1 for kind, n in n_steps.items()}  # m = burn..n
+    if min(n_samples.values()) < 1:
+        raise HorizonError(f"burn_in: {burn_in!r} leaves no samples of the "
+                           f"{min(n_steps, key=n_steps.get)} estimator's horizon", "burn_in")
     runs: list[ErgodicRun] = []
     for i, expr in enumerate(initials):
         u0 = evaluate_expression(expr, basis.grid)
@@ -446,7 +450,7 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
                 params, state0, source, n_steps["single"], spec,
                 burn_in_steps=burn_steps, record_every=thinning)
             runs.append(ErgodicRun(f"single[{i}]", "single", expr, avg,
-                                   n_steps["single"] - burn_steps + 1,
+                                   n_samples["single"],
                                    time.perf_counter() - t0, tuple(history)))
         if estimator in ("ensemble", "both"):
             sources = [NoiseSource(seed, _ENSEMBLE_ID_BASE + i * n_trajectories + l,
@@ -457,6 +461,6 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
                 params, state0.coeffs, sources, n_steps["ensemble"], spec,
                 burn_in_steps=burn_steps, record_every=thinning)
             runs.append(ErgodicRun(f"ensemble[{i}]", "ensemble", expr, grand,
-                                   (n_steps["ensemble"] - burn_steps + 1) * n_trajectories,
+                                   n_samples["ensemble"] * n_trajectories,
                                    time.perf_counter() - t0, tuple(history)))
     return ErgodicStudyResult(tuple(runs))

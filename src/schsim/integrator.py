@@ -13,7 +13,9 @@ sum_j (1 + lambda_j) c_j^2 of the squared w12 norm, computed directly from the
 state's coefficients.
 
 The state lives in spectral space; nodal values are synthesized on demand for
-the drift evaluation and for observers.
+the drift evaluation and for observers.  A state is one trajectory's (N,)
+vector or an (N, L) stack advanced in lockstep; ``step`` and the one loop
+behind ``run_trajectory`` and ``run_ensemble`` take either.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ _BLOCK_FLOATS = 4_000_000  # most floats in a noise block of more than one step
 
 
 class TrajectoryBlowUpError(RuntimeError):
-    """The integration produced a non-finite state (drift overflow)."""
+    """A non-finite state (drift overflow); ``column`` is the failing column of a stack."""
+
+    column: int | None = None
 
     def __init__(self, message: str, step_index: int, trajectory_id: int | None = None):
         super().__init__(message)
@@ -149,14 +153,16 @@ class SchemeParams:
 class SchemeState:
     """Trajectory state: step counter, spectral coefficients, cached mean.
 
-    ``mass0`` is defined as coeffs[0]/sqrt(pi) at construction; because the
-    step never touches mode 0, the identity mass0 == coeffs[0]/sqrt(pi) holds
-    exactly forever.
+    ``coeffs`` is one trajectory's (N,) vector or an (N, L) stack of L
+    trajectories sharing the step counter.  ``mass0`` is defined as
+    coeffs[0]/sqrt(pi) at construction, a float for a vector and the (L,)
+    row for a stack; because the step never touches mode 0, the identity
+    mass0 == coeffs[0]/sqrt(pi) holds exactly forever.
     """
 
     step_index: int
     coeffs: np.ndarray = field(repr=False)
-    mass0: float
+    mass0: float | np.ndarray
 
     def __post_init__(self):
         if self.step_index < 0:
@@ -202,19 +208,25 @@ def _advance(params: SchemeParams, coeffs: np.ndarray, dw: np.ndarray) -> np.nda
 def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> SchemeState:
     """Advance one step with the given spectral noise increment.
 
-    ``noise_coeffs[0]`` must be exactly zero (the mean carries no noise).
-    Raises :class:`TrajectoryBlowUpError` if the update is non-finite.
+    ``noise_coeffs`` has the shape of ``state.coeffs``, (N,) or (N, L), and
+    its mode-0 entries must be exactly zero (the mean carries no noise).
+    Raises :class:`TrajectoryBlowUpError` if the update is non-finite; for a
+    stack its ``column`` names the first failing trajectory.
     """
     noise_coeffs = np.asarray(noise_coeffs, dtype=np.float64)
     if noise_coeffs.shape != state.coeffs.shape:
         raise ValueError(
             f"noise shape {noise_coeffs.shape} does not match state shape {state.coeffs.shape}")
-    if noise_coeffs[0] != 0.0:
+    mode0 = noise_coeffs[0]
+    if mode0.any() if mode0.ndim else mode0 != 0.0:
         raise ValueError("noise increment for mode 0 must be exactly zero")
     new = _advance(params, state.coeffs, noise_coeffs)
     if not np.all(np.isfinite(new)):
-        raise TrajectoryBlowUpError(
-            f"non-finite state at step {state.step_index + 1}", state.step_index + 1)
+        m = state.step_index + 1
+        exc = TrajectoryBlowUpError(f"non-finite state at step {m}", m)
+        if new.ndim == 2:
+            exc.column = int(np.argmax(~np.isfinite(new).all(axis=0)))
+        raise exc
     return SchemeState(state.step_index + 1, new, state.mass0)
 
 
@@ -262,6 +274,33 @@ def _noise_blocks(basis: SpectralBasis, sources, ratio: int, m0: int, m1: int):
         yield m, block
 
 
+def _run(params: SchemeParams, state: SchemeState, sources, n_steps: int,
+         observers) -> SchemeState:
+    """``n_steps`` calls of ``step`` on an (N,) state driven by sources[0]
+    or an (N, L) stack driven by sources[l], each observer called as
+    ``obs(m, state)`` before and after every step; a blow-up names the
+    failing source's trajectory id."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    ratio = _ratio(params, sources)
+    for obs in observers:
+        obs(state.step_index, state)
+    m0 = state.step_index
+    stacked = state.coeffs.ndim == 2
+    for _, block in _noise_blocks(params.basis, sources, ratio, m0, m0 + n_steps):
+        for dw in (block if stacked else block[:, :, 0]):
+            try:
+                state = step(params, state, dw)
+            except TrajectoryBlowUpError as exc:
+                tid = sources[exc.column or 0].trajectory_id
+                raise TrajectoryBlowUpError(
+                    f"trajectory {tid}: non-finite state at step {exc.step_index}",
+                    exc.step_index, tid) from None
+            for obs in observers:
+                obs(state.step_index, state)
+    return state
+
+
 def run_trajectory(params: SchemeParams, state: SchemeState, source: NoiseSource,
                    n_steps: int, observers=()) -> SchemeState:
     """Run ``n_steps`` scheme steps, notifying observers at every state.
@@ -272,23 +311,7 @@ def run_trajectory(params: SchemeParams, state: SchemeState, source: NoiseSource
     index, so a resumed run consumes exactly the increments the uninterrupted
     run would.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-    ratio = _ratio(params, [source])
-    for obs in observers:
-        obs(state.step_index, state)
-    m0 = state.step_index
-    for _, block in _noise_blocks(params.basis, [source], ratio, m0, m0 + n_steps):
-        for dw in block[:, :, 0]:
-            try:
-                state = step(params, state, dw)
-            except TrajectoryBlowUpError as exc:
-                raise TrajectoryBlowUpError(
-                    f"trajectory {source.trajectory_id}: {exc}",
-                    exc.step_index, source.trajectory_id) from None
-            for obs in observers:
-                obs(state.step_index, state)
-    return state
+    return _run(params, state, [source], n_steps, observers)
 
 
 def run_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources, n_steps: int,
@@ -300,36 +323,18 @@ def run_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources, n_steps: in
     ``observer(m, coeffs_matrix)`` at the initial state and after every step.
     Trajectory l draws from ``sources[l]``; all sources must share tau_fine.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     sources = list(sources)
     if not sources:
         raise ValueError("at least one noise source is required")
-    ratio = _ratio(params, sources)
     n = params.basis.n_modes
     coeffs0 = np.asarray(coeffs0, dtype=np.float64)
-    if coeffs0.ndim == 1:
-        coeffs = np.repeat(coeffs0[:, None], len(sources), axis=1)
-    else:
-        coeffs = coeffs0.copy()
+    coeffs = (np.repeat(coeffs0[:, None], len(sources), axis=1) if coeffs0.ndim == 1
+              else coeffs0.copy())
     if coeffs.shape != (n, len(sources)):
         raise ValueError(f"coeffs0 must have shape ({n},) or ({n}, {len(sources)})")
-
-    if observer is not None:
-        observer(start_index, coeffs)
-    m = start_index
-    for _, block in _noise_blocks(params.basis, sources, ratio, m, m + n_steps):
-        for dw in block:
-            coeffs = _advance(params, coeffs, dw)
-            m += 1
-            if not np.all(np.isfinite(coeffs)):
-                bad = int(np.argmax(~np.all(np.isfinite(coeffs), axis=0)))
-                raise TrajectoryBlowUpError(
-                    f"trajectory {sources[bad].trajectory_id}: non-finite state at step {m}",
-                    m, sources[bad].trajectory_id)
-            if observer is not None:
-                observer(m, coeffs)
-    return coeffs
+    state = SchemeState(start_index, coeffs, coeffs[0] / math.sqrt(math.pi))
+    observers = () if observer is None else (lambda m, s: observer(m, s.coeffs),)
+    return _run(params, state, sources, n_steps, observers).coeffs
 
 
 def solution_at(basis: SpectralBasis, state: SchemeState, x):

@@ -52,7 +52,7 @@ class NoiseSource:
         seed: Master seed, an unsigned 64-bit integer.  Together with
             ``trajectory_id`` it determines every value this source will ever
             produce.
-        trajectory_id: Nonnegative index selecting an independent stream.
+        trajectory_id: Index in [0, 2^64) selecting an independent stream.
         tau_fine: Finest time step; fine increments have variance tau_fine.
         n_modes_max: Largest cosine mode index this source will be asked for.
             A declared ceiling used for validation only -- it does not enter
@@ -64,8 +64,8 @@ class NoiseSource:
                  tau_fine: float, n_modes_max: int):
         if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-        if not isinstance(trajectory_id, (int, np.integer)) or trajectory_id < 0:
-            raise ValueError(f"trajectory_id must be a nonnegative integer, got {trajectory_id!r}")
+        if not isinstance(trajectory_id, (int, np.integer)) or not 0 <= int(trajectory_id) < 2**64:
+            raise ValueError(f"trajectory_id must be an integer in [0, 2^64), got {trajectory_id!r}")
         if not (isinstance(tau_fine, (int, float, np.floating)) and 0.0 < tau_fine and math.isfinite(tau_fine)):
             raise ValueError(f"tau_fine must be a finite positive real, got {tau_fine!r}")
         if not isinstance(n_modes_max, (int, np.integer)) or n_modes_max < 1:

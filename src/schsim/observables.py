@@ -117,23 +117,24 @@ def lyapunov_v(basis: SpectralBasis, u: np.ndarray):
 
 
 class RunningAverage:
-    """Incremental equal-weight mean.
+    """Incremental equal-weight mean of scalars or of per-column rows.
 
     Maintains (count, total) so the average can be read out at any time
-    without storing samples.
+    without storing samples.  Scalar samples keep a Python float total; an
+    (L,) row of samples keeps an (L,) total, one average per column.
     """
 
     def __init__(self):
         self.count = 0
         self.total = 0.0
 
-    def update(self, value: float) -> float:
+    def update(self, value):
         self.count += 1
-        self.total += float(value)
+        self.total += value if isinstance(value, np.ndarray) and value.ndim else float(value)
         return self.total / self.count
 
     @property
-    def average(self) -> float:
+    def average(self):
         if self.count == 0:
             raise ValueError("running average has no samples yet")
         return self.total / self.count
@@ -144,7 +145,10 @@ class TimeAverageObserver:
 
     Samples every visited state with index >= burn_in_steps (the initial
     state counts), recording (t, running average) every ``record_every``-th
-    sample into ``history``.
+    sample into ``history``.  ``sample(m, coeffs)`` takes one trajectory's
+    (N,) coefficients or an (N, L) stack; a stack keeps one running average
+    per trajectory, and its history records their mean.  Recorded values are
+    Python floats.
     """
 
     def __init__(self, params: SchemeParams, spec: TestFunctionSpec,
@@ -159,22 +163,28 @@ class TimeAverageObserver:
         self.record_every = record_every
         self.running = RunningAverage()
         self.history: list[tuple[float, float]] = []
-        self._last: tuple[float, float] | None = None
+        self._last_t = 0.0
 
     def __call__(self, m: int, state: SchemeState) -> None:
+        self.sample(m, state.coeffs)
+
+    def sample(self, m: int, coeffs: np.ndarray) -> None:
         if m < self.burn_in_steps:
             return
-        u = self.params.basis.from_spectral(state.coeffs)
-        avg = self.running.update(phi_test(self.params.basis, self.spec, u))
-        t = m * self.params.tau
-        self._last = (t, avg)
+        basis = self.params.basis
+        self.running.update(phi_test(basis, self.spec, basis.from_spectral(coeffs)))
+        self._last_t = m * self.params.tau
         if (self.running.count - 1) % self.record_every == 0:
-            self.history.append((t, avg))
+            self._record()
+
+    def _record(self) -> None:
+        # the mean is taken here, not per sample; for a scalar it is exact
+        self.history.append((self._last_t, float(np.mean(self.running.average))))
 
     def finalize(self) -> None:
         """Ensure the last sample is present in the history."""
-        if self._last is not None and (not self.history or self.history[-1] != self._last):
-            self.history.append(self._last)
+        if self.running.count and (self.running.count - 1) % self.record_every:
+            self._record()
 
 
 def time_average_single(params: SchemeParams, state0: SchemeState, source,
@@ -196,31 +206,13 @@ def time_average_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources,
                           burn_in_steps: int = 0, record_every: int = 1):
     """Ensemble estimator: mean over trajectories of per-trajectory averages.
 
-    All trajectories advance in lockstep; the recorded history holds the
-    ensemble mean of the running time averages.  Returns
+    All trajectories advance in lockstep as one (N, L) stack through the same
+    observer as the single estimator; the recorded history holds the ensemble
+    mean of the running time averages.  Returns
     (grand_average, per_trajectory_averages, history, final_coeffs).
     """
-    if burn_in_steps < 0:
-        raise ValueError(f"burn_in_steps must be nonnegative, got {burn_in_steps}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be a positive integer, got {record_every}")
-    basis = params.basis
-    sources = list(sources)
-    totals = np.zeros(len(sources))
-    state = {"count": 0}
-    history: list[tuple[float, float]] = []
-
-    def observer(m: int, coeffs: np.ndarray) -> None:
-        if m < burn_in_steps:
-            return
-        u = basis.from_spectral(coeffs)
-        totals[:] += phi_test(basis, spec, u)
-        state["count"] += 1
-        if (state["count"] - 1) % record_every == 0 or m == n_steps:
-            entry = (m * params.tau, float(np.mean(totals / state["count"])))
-            if not history or history[-1][0] != entry[0]:
-                history.append(entry)
-
-    final = run_ensemble(params, coeffs0, sources, n_steps, observer=observer)
-    per_traj = totals / state["count"]
-    return float(np.mean(per_traj)), per_traj, history, final
+    obs = TimeAverageObserver(params, spec, burn_in_steps, record_every)
+    final = run_ensemble(params, coeffs0, sources, n_steps, observer=obs.sample)
+    obs.finalize()
+    per_traj = obs.running.average
+    return float(np.mean(per_traj)), per_traj, obs.history, final

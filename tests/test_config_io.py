@@ -93,6 +93,13 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match=r"'tau': must lie in \(0, 1\)"):
             parse_config("command = simulate\ntau = 1.5\nt_final = 1\ninitial = 1/3\n")
 
+    def test_trajectory_id_range(self):
+        base = "command = verify\ntrajectory_id = "
+        assert parse_config(base + str(2**64 - 1)).trajectory_id == 2**64 - 1
+        for bad in (-1, 2**64):
+            with pytest.raises(ConfigError, match=r"'trajectory_id': must be in \[0, 2\^64\)"):
+                parse_config(base + str(bad))
+
     def test_zero_leading_drift_needs_validation_mode(self):
         base = "command = simulate\ntau = 0.1\nt_final = 1\ninitial = 1/3\ndrift_a0 = 0\n"
         with pytest.raises(ConfigError, match="validation_mode"):
@@ -341,6 +348,42 @@ initials = 1/3; 1
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"error: config: key {key!r}" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("extra", [
+        "t_final = 0.3\nt_final_ensemble = 0.05\nburn_in = 0.08\n",
+        "t_final = 0.3\nburn_in = 0.31\nestimator = single\n",
+    ])
+    def test_burn_in_beyond_horizon_exit_2(self, tmp_path, capsys, extra):
+        """A burn-in longer than a horizon that runs leaves no samples."""
+        cfg = self.write_cfg(tmp_path, "command = ergodic\nn_modes = 8\ntau = 0.01\n"
+                             "n_trajectories = 2\ninitials = 1/3\n" + extra)
+        out = tmp_path / "out"
+        assert main(["ergodic", "--config", cfg, "--out", str(out)]) == 2
+        assert "error: config: key 'burn_in': " in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_burn_in_equal_to_horizon_keeps_one_sample(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "command = ergodic\nn_modes = 8\ntau = 0.01\n"
+                             "t_final = 0.3\nt_final_ensemble = 0.05\nburn_in = 0.05\n"
+                             "estimator = ensemble\nn_trajectories = 2\ninitials = 1/3\n")
+        assert main(["ergodic", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "(2 samples)" in capsys.readouterr().out
+
+    def test_trajectory_id_out_of_range_exit_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, SIM_CFG + f"trajectory_id = {2**64}\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "error: config: key 'trajectory_id'" in capsys.readouterr().err
+
+    def test_malformed_checkpoint_exit_1(self, tmp_path, capsys):
+        ckpt = tmp_path / "state.ckpt"
+        cfg1 = self.write_cfg(tmp_path, SIM_CFG + f"checkpoint_out = {ckpt}\n", "first.cfg")
+        assert main(["simulate", "--config", cfg1, "--out", str(tmp_path / "o1")]) == 0
+        ckpt.write_text(ckpt.read_text().replace("validation_mode = false",
+                                                 "validation_mode = no"))
+        cfg2 = self.write_cfg(tmp_path, SIM_CFG + f"checkpoint_in = {ckpt}\n", "resume.cfg")
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 1
+        assert "malformed field 'validation_mode'" in capsys.readouterr().err
 
     def test_unused_horizon_is_not_checked(self, tmp_path):
         """The ensemble estimator reads t_final_ensemble, not t_final."""

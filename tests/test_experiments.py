@@ -18,7 +18,7 @@ from schsim import (DriftSpec, NoiseSource, SchemeParams, TrajectoryBlowUpError,
                     run_temporal_study)
 from schsim.experiments import _kappa_rows
 from schsim import integrator
-from schsim.integrator import initial_state, step
+from schsim.integrator import HorizonError, initial_state, step
 
 WELL = DriftSpec(0.5, -0.5, 1.0, -1.0)
 LINEAR = DriftSpec(0.0, 0.0, 1.0, 0.0, validation_mode=True)
@@ -372,6 +372,50 @@ class TestErgodicStudy:
             estimator="single", seed=0, burn_in=0.1)
         assert res.runs[0].n_samples == 21     # steps 10..30 inclusive
         assert res.runs[0].history[0][0] == pytest.approx(0.1)
+
+    def test_burn_in_must_leave_a_sample(self):
+        """The burn-in is checked against every horizon that runs; a burn-in
+        equal to the horizon keeps exactly the final state."""
+        kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.3,
+                  initials=("1/3",), v_expr="exp(x)", alpha1=1.0, alpha2=2.0,
+                  n_trajectories=2, t_final_ensemble=0.05, seed=0)
+        with pytest.raises(HorizonError, match="no samples") as exc_info:
+            run_ergodic_study(estimator="both", burn_in=0.08, **kw)
+        assert exc_info.value.key == "burn_in"
+        with pytest.raises(HorizonError, match="no samples"):
+            run_ergodic_study(estimator="single", burn_in=0.31, **kw)
+        res = run_ergodic_study(estimator="single", burn_in=0.08, **kw)
+        assert res.runs[0].n_samples == 23
+        res = run_ergodic_study(estimator="ensemble", burn_in=0.05, **kw)
+        assert res.runs[0].n_samples == 2
+        assert len(res.runs[0].history) == 1
+
+    def test_bit_exact_estimates_and_histories(self):
+        """Pinned float-hex results of both estimators with a burn-in and a
+        thinning that leaves the last sample off the recording cadence."""
+        res = run_ergodic_study(
+            basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.5,
+            initials=("(1/3)*cos(x)+1/3",), v_expr="exp(x)", alpha1=1.0, alpha2=2.0,
+            estimator="both", n_trajectories=3, t_final_ensemble=0.2, seed=3,
+            burn_in=0.05, thinning=4)
+        single, ensemble = res.runs
+        assert (single.n_samples, ensemble.n_samples) == (46, 48)
+        assert single.estimate.hex() == "-0x1.e3340153670c7p-2"
+        assert ensemble.estimate.hex() == "-0x1.5a9bd459b1f9bp-1"
+        assert [a.hex() for _, a in single.history] == [
+            "-0x1.9d22c278723eap+0", "-0x1.7a2d58177a53dp+0", "-0x1.8241a1cdbc1e9p+0",
+            "-0x1.6fba5db8828eap+0", "-0x1.61d2601147ee4p+0", "-0x1.75cf5f28385c8p+0",
+            "-0x1.892ce434cac7dp+0", "-0x1.4f7ba3e3e4287p+0", "-0x1.d3267408a2b4ap-1",
+            "-0x1.34f1b4aa4accap-1", "-0x1.7b8217b1786b4p-2", "-0x1.c59f987f6e15bp-2",
+            "-0x1.e3340153670c7p-2"]
+        assert [a.hex() for _, a in ensemble.history] == [
+            "-0x1.7522728805884p+0", "-0x1.350c42b9f71c0p+0", "-0x1.0fc8fa4ac1b79p+0",
+            "-0x1.99113dc465c43p-1", "-0x1.5a9bd459b1f9bp-1"]
+        assert [round(t / 1e-2) for t, _ in single.history] == [
+            5, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 49, 50]
+        assert [round(t / 1e-2) for t, _ in ensemble.history] == [5, 9, 13, 17, 20]
+        assert all(type(x) is float for run in res.runs
+                   for x in (run.estimate, *(v for entry in run.history for v in entry)))
 
     def test_single_estimator_streams_are_reused_verbatim(self):
         kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2,

@@ -224,6 +224,38 @@ class TestStep:
             with pytest.raises(TrajectoryBlowUpError) as exc_info:
                 step(params, state, np.zeros(8))
         assert exc_info.value.step_index == 1
+        assert exc_info.value.column is None
+
+    def test_stack_steps_every_column(self):
+        """An (N, L) state advances all columns at once and keeps the (L,)
+        mass row; a stack's mode-0 noise row must be zero too."""
+        params = make_params(n=8)
+        coeffs = np.stack([params.basis.to_spectral(np.cos(k * params.basis.grid) + k)
+                           for k in range(3)], axis=1)
+        state = SchemeState(4, coeffs, coeffs[0] / math.sqrt(math.pi))
+        dw = np.random.default_rng(1).standard_normal((8, 3)) * 0.1
+        dw[0] = 0.0
+        new = step(params, state, dw)
+        assert new.step_index == 5 and new.coeffs.shape == (8, 3)
+        np.testing.assert_array_equal(new.coeffs[0], coeffs[0])
+        np.testing.assert_array_equal(new.mass0, new.coeffs[0] / math.sqrt(math.pi))
+        for k in range(3):
+            one = step(params, state_from_coeffs(4, coeffs[:, k]), dw[:, k])
+            np.testing.assert_allclose(new.coeffs[:, k], one.coeffs, rtol=0, atol=1e-13)
+        dw[0, 2] = 1e-300
+        with pytest.raises(ValueError, match="mode 0 must be exactly zero"):
+            step(params, state, dw)
+
+    def test_stack_overflow_names_the_column(self):
+        params = make_params(n=8, sigma=0.0)
+        coeffs = np.zeros((8, 3))
+        coeffs[:, 1] = 1e160
+        state = SchemeState(0, coeffs, coeffs[0] / math.sqrt(math.pi))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrajectoryBlowUpError) as exc_info:
+                step(params, state, np.zeros((8, 3)))
+        assert exc_info.value.step_index == 1
+        assert exc_info.value.column == 1
 
 
 class TestTrajectories:
@@ -340,6 +372,19 @@ class TestEnsemble:
         tail = run_ensemble(params, head, [src], 10, start_index=10)
         np.testing.assert_array_equal(tail, full)
 
+    def test_blow_up_reports_trajectory_id_and_step(self):
+        """One 1e160 column among finite ones: the error names that column's
+        trajectory id and the step at which it turned non-finite."""
+        params = make_params(n=8, sigma=0.0)
+        sources = [make_source(params, trajectory_id=20 + l) for l in range(4)]
+        coeffs0 = np.zeros((8, 4))
+        coeffs0[:, 2] = 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrajectoryBlowUpError, match="trajectory 22: .* step 6") as exc_info:
+                run_ensemble(params, coeffs0, sources, 3, start_index=5)
+        assert exc_info.value.trajectory_id == 22
+        assert exc_info.value.step_index == 6
+
     def test_requires_sources(self):
         params = make_params(n=8)
         with pytest.raises(ValueError, match="at least one"):
@@ -397,6 +442,19 @@ class TestCheckpointResume:
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError, match="not a"):
             read_checkpoint(path)
+
+    def test_malformed_field_names_file_and_field(self, tmp_path):
+        params = make_params(n=8)
+        src = make_source(params)
+        path = tmp_path / "bad.ckpt"
+        write_checkpoint(path, params, initial_state(params, np.zeros(8)), src)
+        for line, bad in (("validation_mode = false", "validation_mode = no"),
+                          ("step_index = 0", "step_index = zero")):
+            path.write_text(path.read_text().replace(line, bad))
+            field = bad.split(" =")[0]
+            with pytest.raises(ValueError, match=f"bad.ckpt: malformed field '{field}'"):
+                read_checkpoint(path)
+            path.write_text(path.read_text().replace(bad, line))
 
     def test_rejects_truncated_coefficients(self, tmp_path):
         params = make_params(n=8)

@@ -269,6 +269,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="trajectory_id"):
             NoiseSource(1, -1, tau_fine=0.1, n_modes_max=3)
 
+    def test_trajectory_id_range(self):
+        with pytest.raises(ValueError, match=r"trajectory_id must be an integer in \[0, 2\^64\)"):
+            NoiseSource(1, 2**64, tau_fine=0.1, n_modes_max=3)
+        NoiseSource(1, 2**64 - 1, tau_fine=0.1, n_modes_max=3).fine_increment(1, 0)
+
     def test_tau_fine_positive_finite(self):
         for bad in (0.0, -0.5, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="tau_fine"):

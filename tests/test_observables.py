@@ -162,6 +162,12 @@ class TestRunningAverage:
         assert acc.update(2.0) == 2.0
         assert acc.update(4.0) == 3.0
 
+    def test_rows_keep_one_average_per_column(self):
+        acc = RunningAverage()
+        acc.update(np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(acc.update(np.array([3.0, 6.0])), [2.0, 4.0])
+        assert acc.count == 2
+
     def test_empty_average_raises(self):
         with pytest.raises(ValueError, match="no samples"):
             RunningAverage().average
@@ -204,6 +210,24 @@ class TestTimeAverageObserver:
             obs(m, state)
         obs.finalize()
         assert obs.history[-1][0] == pytest.approx(4 * params.tau)
+
+    def test_stack_sample_averages_each_column(self):
+        """sample() on an (N, L) stack keeps one running average per column,
+        equal to a separate observer per column; history holds their mean."""
+        params, stacked = self.make(record_every=2)
+        columns = [self.make(record_every=2)[1] for _ in range(3)]
+        rng = np.random.default_rng(3)
+        for m in range(5):
+            coeffs = rng.standard_normal((8, 3))
+            stacked.sample(m, coeffs)
+            for k, obs in enumerate(columns):
+                obs.sample(m, coeffs[:, k])
+        stacked.finalize()
+        per_column = np.array([obs.running.average for obs in columns])
+        np.testing.assert_allclose(stacked.running.average, per_column, rtol=1e-13)
+        assert [t for t, _ in stacked.history] == pytest.approx([0.0, 0.02, 0.04])
+        assert stacked.history[-1][1] == pytest.approx(np.mean(per_column), rel=1e-13)
+        assert all(type(avg) is float for _, avg in stacked.history)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="burn_in_steps"):
