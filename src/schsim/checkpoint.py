@@ -100,10 +100,17 @@ def read_checkpoint(path) -> CheckpointData:
             values[key] = convert(fields[key])
         except (KeyError, ValueError):
             raise ValueError(f"{path}: malformed field {key!r}: {fields[key]!r}") from None
-    coeff_lines = [line for line in lines[i + 1:] if line]
+    # (line number, text): lines[k] is line k + 1 of the file
+    coeff_lines = [(k + 1, line) for k, line in enumerate(lines) if k > i and line]
     if len(coeff_lines) != values["n_modes"]:
         raise ValueError(
             f"{path}: expected {values['n_modes']} coefficients, found {len(coeff_lines)}")
     if len(values["drift"]) != 4:
         raise ValueError(f"{path}: drift must have 4 coefficients")
-    return CheckpointData(**values, coeffs=np.array([float(line) for line in coeff_lines]))
+    coeffs = np.empty(len(coeff_lines))
+    for c, (lineno, line) in enumerate(coeff_lines):
+        try:
+            coeffs[c] = float(line)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed coefficient {line!r}") from None
+    return CheckpointData(**values, coeffs=coeffs)

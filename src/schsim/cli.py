@@ -4,6 +4,9 @@ Subcommands: ``simulate``, ``converge-time``, ``converge-space``, ``ergodic``,
 ``verify``.  Each takes a flat key=value config file (``--config``) plus the
 runtime flags ``--seed``, ``--out``, ``--threads``, ``--deterministic`` and
 ``--svg``.  Precedence: flags > SCHSIM_* environment variables > config file.
+A ``simulate`` run resumed from ``checkpoint_in`` runs with the checkpoint's
+scheme, drift and noise values and echoes them; setting one of those keys
+to another value is a config error.
 Deterministic mode pins threads to 1 and writes timing fields as NA, so output
 files are byte-reproducible from their own embedded config echo.
 
@@ -16,11 +19,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import CheckpointData, read_checkpoint, write_checkpoint
 from .config import (COMMANDS, ConfigError, RunConfig, apply_env_overrides,
                      build_config, parse_pairs, serialize_config)
 from .expressions import evaluate_expression
@@ -63,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args) -> tuple[RunConfig, set[str]]:
+    """The run's config and the keys set explicitly (file, environment or flag)."""
     text = ""
     if args.config:
         text = Path(args.config).read_text(encoding="utf-8")
@@ -78,7 +83,7 @@ def _load_config(args) -> RunConfig:
             f"config says command = {pairs['command']!r} but the "
             f"{args.command!r} subcommand was invoked"])
     pairs["command"] = args.command
-    return build_config(pairs)
+    return build_config(pairs), set(pairs)
 
 
 def _scheme_pieces(cfg: RunConfig):
@@ -88,13 +93,32 @@ def _scheme_pieces(cfg: RunConfig):
     return basis, drift
 
 
+def _resumed_config(cfg: RunConfig, explicit: set[str], data: CheckpointData) -> RunConfig:
+    """The config of a run resumed from ``data``: the checkpoint's scheme,
+    drift and noise values are the ones that run, so they replace the
+    config's in the echo.  A key set explicitly to another value is an error."""
+    stored = {"n_modes": data.n_modes, "tau": data.tau, "sigma": data.sigma,
+              **dict(zip(("drift_a0", "drift_a1", "drift_a2", "drift_a3"), data.drift)),
+              "validation_mode": data.validation_mode, "seed": data.seed,
+              "trajectory_id": data.trajectory_id, "tau_fine": data.tau_fine}
+    clashes = [f"key {key!r}: set to {getattr(cfg, key)!r}, but the checkpoint "
+               f"{cfg.checkpoint_in!r} was written with {value!r}"
+               for key, value in stored.items()
+               if key in explicit and getattr(cfg, key) != value]
+    if clashes:
+        raise ConfigError(clashes)
+    return replace(cfg, **stored)
+
+
 def _maybe_na(cfg: RunConfig, seconds: float) -> str:
     return "NA" if cfg.deterministic else format(seconds, ".3f")
 
 
-def _cmd_simulate(cfg: RunConfig, out_dir: Path, want_svg: bool) -> int:
+def _cmd_simulate(cfg: RunConfig, explicit: set[str], out_dir: Path, want_svg: bool) -> int:
     if cfg.checkpoint_in:
-        params, source, state = read_checkpoint(cfg.checkpoint_in).rebuild()
+        data = read_checkpoint(cfg.checkpoint_in)
+        cfg = _resumed_config(cfg, explicit, data)
+        params, source, state = data.rebuild()
         basis = params.basis
     else:
         basis, drift = _scheme_pieces(cfg)
@@ -226,12 +250,12 @@ def _cmd_verify() -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
+        cfg, explicit = _load_config(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         threads = 1 if cfg.deterministic else max(1, args.threads)
         if args.command == "simulate":
-            return _cmd_simulate(cfg, out_dir, args.svg)
+            return _cmd_simulate(cfg, explicit, out_dir, args.svg)
         if args.command == "converge-time":
             return _cmd_converge_time(cfg, out_dir, args.svg, threads)
         if args.command == "converge-space":

@@ -87,8 +87,14 @@ class DriftSpec:
             raise ValueError("a0 == 0 (non-cubic drift) requires validation_mode=True")
 
     def evaluate(self, x):
-        """f(x), elementwise."""
-        return ((self.a0 * x + self.a1) * x + self.a2) * x + self.a3
+        """f(x) = ((a0 x + a1) x + a2) x + a3, elementwise, in one new array."""
+        f = np.multiply(x, self.a0)
+        f += self.a1
+        f *= x
+        f += self.a2
+        f *= x
+        f += self.a3
+        return f
 
     def derivative(self, x):
         """f'(x), elementwise."""
@@ -144,6 +150,16 @@ class SchemeParams:
         factors.setflags(write=False)
         return factors
 
+    @cached_property
+    def _kernel_constants(self) -> dict:
+        """(tau * lambda, 1 + lambda, semigroup), read-only: (N,) rows under
+        key 1 for one trajectory and (N, 1) columns under key 2 for a stack."""
+        lam = self.basis.eigenvalues
+        rows = (self.tau * lam, 1.0 + lam, self.semigroup)
+        for row in rows:
+            row.setflags(write=False)
+        return {1: rows, 2: tuple(row[:, None] for row in rows)}
+
     def step_constraint_satisfied(self) -> bool:
         """Step-size coupling h^(-1) tau^9 <= 1 assumed by the error analysis."""
         return self.tau**9 / self.basis.h <= 1.0
@@ -192,15 +208,27 @@ def state_from_coeffs(step_index: int, coeffs: np.ndarray) -> SchemeState:
 
 
 def _advance(params: SchemeParams, coeffs: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Core update; ``coeffs`` and ``dw`` may be (N,) vectors or (N, L) stacks."""
+    """Core update; ``coeffs`` and ``dw`` may be (N,) vectors or (N, L) stacks.
+
+    The per-mode constants tau * lambda, 1 + lambda and the semigroup come
+    precomputed from ``params`` and the temporaries are updated in place,
+    but the operations and their grouping are those of the formula in the
+    module docstring, with f by Horner's rule (``DriftSpec.evaluate``) and
+    ||u||_{w12}^2 = sum_j ((1 + lambda_j) c_j) c_j, so the bits equal those
+    of the formula evaluated as written.
+    """
     basis = params.basis
-    lam = basis.eigenvalues if coeffs.ndim == 1 else basis.eigenvalues[:, None]
-    sem = params.semigroup if coeffs.ndim == 1 else params.semigroup[:, None]
-    u = basis.from_spectral(coeffs)
-    drift_coeffs = basis.to_spectral(params.drift.evaluate(u))
-    w12_sq = np.sum((1.0 + lam) * coeffs * coeffs, axis=0)
-    denom = 1.0 + params.tau * w12_sq**6
-    new = sem * (coeffs - params.tau * lam * (drift_coeffs / denom) + params.sigma * dw)
+    tau_lam, one_lam, sem = params._kernel_constants[coeffs.ndim]
+    f = params.drift.evaluate(basis.from_spectral(coeffs))
+    new = basis.to_spectral(f)
+    tmp = np.multiply(one_lam, coeffs, out=f)  # f is spent
+    tmp *= coeffs
+    w12_sq = np.add.reduce(tmp, axis=0)
+    new /= 1.0 + params.tau * w12_sq**6
+    new *= tau_lam
+    np.subtract(coeffs, new, out=new)
+    new += np.multiply(dw, params.sigma, out=tmp)
+    new *= sem
     new[0] = coeffs[0]  # exact mean conservation
     return new
 
@@ -221,7 +249,7 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
     if mode0.any() if mode0.ndim else mode0 != 0.0:
         raise ValueError("noise increment for mode 0 must be exactly zero")
     new = _advance(params, state.coeffs, noise_coeffs)
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(new).all():
         m = state.step_index + 1
         exc = TrajectoryBlowUpError(f"non-finite state at step {m}", m)
         if new.ndim == 2:

@@ -15,8 +15,8 @@ Design notes on exact refinement:
   (``scipy.special.ndtri``); the whole pipeline is deterministic and
   platform-stable.
 * Each draw is then snapped to the lattice q * Z, where q is the power of two
-  nearest sqrt(tau_fine) * 2^-36, and carried internally as an int64 multiple
-  of q.  Sums of these integers are exact, and every partial sum of practical
+  nearest sqrt(tau_fine) * 2^-36, and summed as an int64 multiple of q.
+  Sums of these integers are exact, and every partial sum of practical
   length is exactly representable in float64, so aggregating fine increments
   into coarse ones is bit-for-bit independent of the grouping: refining
   tau -> tau/r1 -> tau/(r1*r2) reproduces identical increments for any
@@ -29,6 +29,20 @@ any range [k0, k1) is generated directly, with at most three alignment words
 wasted per 2048-word block.  Nothing is cached: every request regenerates
 exactly the words it returns.  Each source keeps one Philox generator and
 resets its counter per block, so a source must not be shared between threads.
+
+Generation: every public method goes through one producer, which fills a
+(modes, words) array from Philox (one counter reset and one ``random_raw``
+per mode and 2048-word block) and quantizes it in one vectorized pass, at
+most 64 modes and 32 768 words at a time, so that a pass stays in cache and
+its temporaries stay below the size of the output.  The order of operations
+is part of the values and must not be rewritten algebraically: x >> 11,
+conversion to float64, + 0.5, * 2^-53, ndtri, * (sqrt(tau_fine) / q), rint,
+and for a coarse step an int64 sum of its fine steps, then * q.  For
+example k + 0.5 rounds once k >= 2^52, so folding the two constants into
+one changes bits.  The floor is ndtri (~20 ns per word) plus Philox
+(~7 ns); the producer costs ~35 ns per word at 63 modes x 512 steps, where
+the per-mode loop it replaced cost ~55-60 ns (2-vCPU Xeon VM, numpy 2.4,
+scipy 1.17).
 """
 
 from __future__ import annotations
@@ -43,6 +57,10 @@ __all__ = ["NoiseSource", "stationary_variance"]
 
 _KEY_CONST = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, decorrelates the seed word
 _BLOCK = 2048  # words per counter value of word 1
+# A pass quantizes at most this many modes and words (256 KB per buffer):
+# its buffer stays in cache and its temporaries below the request's output.
+_CHUNK_MODES = 64
+_CHUNK_WORDS = 32768
 
 
 class NoiseSource:
@@ -93,20 +111,46 @@ class NoiseSource:
 
     # -- generation --------------------------------------------------------
 
-    def _fine_ints(self, mode: int, k0: int, k1: int) -> np.ndarray:
-        """Quantized fine increments with indices k0 <= k < k1, as int64."""
-        raw = np.empty(k1 - k0, dtype=np.uint64)
-        k = k0
-        while k < k1:
-            base = k - k % _BLOCK  # first word of k's block
-            start = k - k % 4      # Philox emits four words per counter value
-            stop = min(k1, base + _BLOCK)
-            self._counter[:3] = ((start - base) // 4, base // _BLOCK, mode)
-            self._philox.state = self._state
-            raw[k - k0:stop - k0] = self._philox.random_raw(stop - start)[k - start:]
-            k = stop
-        uniform = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return np.rint(ndtri(uniform) * self._scale).astype(np.int64)
+    def _words(self, raw: np.ndarray, j0: int, k0: int) -> None:
+        """Fill ``raw[i, k - k0]`` with word k of mode j0 + i: one counter
+        reset and one ``random_raw`` per (mode, 2048-word block)."""
+        k1 = k0 + raw.shape[1]
+        for row, mode in zip(raw, range(j0, j0 + raw.shape[0])):
+            k = k0
+            while k < k1:
+                base = k - k % _BLOCK  # first word of k's block
+                start = k - k % 4      # Philox emits four words per counter value
+                stop = min(k1, base + _BLOCK)
+                self._counter[:3] = ((start - base) // 4, base // _BLOCK, mode)
+                self._philox.state = self._state
+                row[k - k0:stop - k0] = self._philox.random_raw(stop - start)[k - start:]
+                k = stop
+
+    def _fill(self, out: np.ndarray, j0: int, m0: int, ratio: int) -> None:
+        """The producer behind every public method: write the increments of
+        modes j0 <= j < j0 + out.shape[1] over coarse steps m0 <= m < m0 +
+        out.shape[0] of ``ratio`` fine steps into ``out``, one vectorized
+        pass per chunk of modes."""
+        steps, n = out.shape
+        words = steps * ratio
+        chunk = max(1, min(_CHUNK_MODES, _CHUNK_WORDS // max(words, 1)))
+        for c0 in range(0, n, chunk):
+            c1 = min(n, c0 + chunk)
+            raw = np.empty((c1 - c0, words), dtype=np.uint64)
+            self._words(raw, j0 + c0, m0 * ratio)
+            # in place and in the module docstring's order of operations;
+            # the shifted words are below 2^53, so converting them as int64
+            # is exact (and faster than from uint64)
+            np.right_shift(raw, np.uint64(11), out=raw)
+            x = raw.view(np.float64)
+            np.add(raw.view(np.int64), 0.5, out=x)
+            x *= 2.0**-53
+            ndtri(x, out=x)
+            x *= self._scale
+            np.rint(x, out=x)
+            if ratio > 1:  # at ratio 1 the floats are already whole multiples of q
+                x = x.astype(np.int64).reshape(c1 - c0, steps, ratio).sum(axis=2)
+            np.multiply(x.T, self.quantum, out=out[:, c0:c1])
 
     def _check_mode(self, j: int) -> None:
         if not 1 <= j <= self.n_modes_max:
@@ -127,14 +171,18 @@ class NoiseSource:
         self._check_mode(j)
         if k < 0:
             raise ValueError(f"increment index must be nonnegative, got {k}")
-        return float(self._fine_ints(j, k, k + 1)[0]) * self.quantum
+        out = np.empty((1, 1))
+        self._fill(out, j, k, 1)
+        return float(out[0, 0])
 
     def fine_increments(self, j: int, k0: int, k1: int) -> np.ndarray:
         """Fine increments k0 <= k < k1 of mode j as a float array."""
         self._check_mode(j)
         if not 0 <= k0 <= k1:
             raise ValueError(f"need 0 <= k0 <= k1, got ({k0}, {k1})")
-        return self._fine_ints(j, k0, k1).astype(np.float64) * self.quantum
+        out = np.empty((k1 - k0, 1))
+        self._fill(out, j, k0, 1)
+        return out.ravel()
 
     def coarse_increment(self, j: int, m: int, ratio: int) -> float:
         """Increment of mode j over coarse step m at step size ratio*tau_fine.
@@ -144,12 +192,12 @@ class NoiseSource:
         intermediate step sizes reproduces the identical float.
         """
         self._check_mode(j)
-        if not isinstance(ratio, (int, np.integer)) or ratio < 1:
-            raise ValueError(f"ratio must be a positive integer, got {ratio!r}")
+        _check_ratio(ratio)
         if m < 0:
             raise ValueError(f"coarse step index must be nonnegative, got {m}")
-        ints = self._fine_ints(j, m * ratio, (m + 1) * ratio)
-        return float(int(ints.sum())) * self.quantum
+        out = np.empty((1, 1))
+        self._fill(out, j, m, ratio)
+        return float(out[0, 0])
 
     def increment_field(self, basis, m: int, ratio: int = 1) -> np.ndarray:
         """Spectral increment vector for one scheme step on ``basis``.
@@ -159,10 +207,12 @@ class NoiseSource:
         modes than another simply truncates the same shared streams.
         """
         n = self._check_basis(basis)
-        out = np.zeros(n)
-        for j in range(1, n):
-            out[j] = self.coarse_increment(j, m, ratio)
-        return out
+        _check_ratio(ratio)
+        if m < 0:
+            raise ValueError(f"coarse step index must be nonnegative, got {m}")
+        out = np.zeros((1, n))
+        self._fill(out[:, 1:], 1, m, ratio)
+        return out[0]
 
     def increment_matrix(self, basis, m0: int, m1: int, ratio: int = 1) -> np.ndarray:
         """Spectral increments for coarse steps m0 <= m < m1, shape (m1-m0, N).
@@ -170,16 +220,17 @@ class NoiseSource:
         Row m - m0 is bit-for-bit equal to ``increment_field(basis, m, ratio)``.
         """
         n = self._check_basis(basis)
-        if not isinstance(ratio, (int, np.integer)) or ratio < 1:
-            raise ValueError(f"ratio must be a positive integer, got {ratio!r}")
+        _check_ratio(ratio)
         if not 0 <= m0 <= m1:
             raise ValueError(f"need 0 <= m0 <= m1, got ({m0}, {m1})")
         out = np.zeros((m1 - m0, n))
-        for j in range(1, n):
-            ints = self._fine_ints(j, m0 * ratio, m1 * ratio)
-            sums = ints.reshape(m1 - m0, ratio).sum(axis=1)
-            out[:, j] = sums.astype(np.float64) * self.quantum
+        self._fill(out[:, 1:], 1, m0, ratio)
         return out
+
+
+def _check_ratio(ratio) -> None:
+    if not isinstance(ratio, (int, np.integer)) or ratio < 1:
+        raise ValueError(f"ratio must be a positive integer, got {ratio!r}")
 
 
 def stationary_variance(lam: float, tau: float, sigma: float = 1.0) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,17 +66,23 @@ class TestFunctionSpec:
     alpha2: float
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64)
+        v = np.array(self.v, dtype=np.float64)  # a read-only copy: its sum is cached
         if v.ndim != 1 or v.size == 0:
             raise ValueError("v must be a nonempty 1-D nodal field")
         if not np.all(np.isfinite(v)):
             raise ValueError("v contains non-finite values")
+        v.setflags(write=False)
         object.__setattr__(self, "v", v)
         if not (isinstance(self.alpha1, (int, float, np.floating)) and math.isfinite(self.alpha1)):
             raise ValueError(f"alpha1 must be a finite real, got {self.alpha1!r}")
         if not (isinstance(self.alpha2, (int, float, np.floating))
                 and math.isfinite(self.alpha2) and self.alpha2 != 0.0):
             raise ValueError(f"alpha2 must be a nonzero finite real, got {self.alpha2!r}")
+
+    @cached_property
+    def _v_sum(self) -> float:
+        """sum_i v_i, taken once per spec; ``g_functional`` reads it every call."""
+        return self.v.sum()
 
     @classmethod
     def from_expression(cls, basis: SpectralBasis, expr: str,
@@ -91,7 +98,7 @@ def g_functional(basis: SpectralBasis, spec: TestFunctionSpec, u: np.ndarray):
         raise ValueError(
             f"test profile has {spec.v.shape[0]} nodes but basis has {basis.n_modes}")
     pairing = basis.h * (spec.v @ u)
-    mean_part = (spec.alpha1 / np.pi) * (basis.h * spec.v.sum()) * (basis.h * u.sum(axis=0))
+    mean_part = (spec.alpha1 / np.pi) * (basis.h * spec._v_sum) * (basis.h * u.sum(axis=0))
     return pairing - mean_part
 
 

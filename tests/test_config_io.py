@@ -11,8 +11,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from schsim import ConfigError, RunConfig, parse_config, serialize_config
-from schsim.cli import main
+from schsim import (ConfigError, DriftSpec, NoiseSource, RunConfig, SchemeParams,
+                    SpectralBasis, parse_config, read_checkpoint, serialize_config,
+                    state_from_coeffs, write_checkpoint)
+from schsim.cli import _resumed_config, main
 from schsim.config import apply_env_overrides, build_config, parse_pairs
 from schsim.output import (FORMAT_VERSION, git_blob_sha1, metadata_lines,
                            read_metadata_config, write_csv,
@@ -189,6 +191,38 @@ class TestOutputFiles:
     def test_svg_rejects_empty_series(self, tmp_path):
         with pytest.raises(ValueError, match="nonempty"):
             write_svg_line_chart(tmp_path / "bad.svg", [("e", [], [])], "t", "x", "y")
+
+
+class TestResumedConfig:
+    """``cli._resumed_config``: a checkpoint's values replace the config's."""
+
+    def checkpoint(self, tmp_path):
+        basis = SpectralBasis(8)
+        params = SchemeParams(basis, DriftSpec(0.5, 0.25, 1.0, -1.0), 0.0625, 0.5)
+        source = NoiseSource(5, 3, tau_fine=0.03125, n_modes_max=7)
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(path, params, state_from_coeffs(2, np.linspace(0, 1, 8)), source)
+        return read_checkpoint(path)
+
+    def test_checkpoint_values_replace_implicit_ones(self, tmp_path):
+        data = self.checkpoint(tmp_path)
+        cfg = parse_config("command = simulate\ntau = 0.0625\nt_final = 1\ninitial = 1/3\n")
+        resumed = _resumed_config(cfg, {"command", "tau", "t_final", "initial"}, data)
+        assert (resumed.n_modes, resumed.tau, resumed.sigma) == (8, 0.0625, 0.5)
+        assert (resumed.drift_a0, resumed.drift_a1, resumed.drift_a2, resumed.drift_a3) == \
+            (0.5, 0.25, 1.0, -1.0)
+        assert not resumed.validation_mode
+        assert (resumed.seed, resumed.trajectory_id, resumed.tau_fine) == (5, 3, 0.03125)
+        assert resumed.t_final == 1.0 and cfg.n_modes == 64  # the input is not mutated
+
+    def test_explicit_contradiction_names_every_key(self, tmp_path):
+        data = self.checkpoint(tmp_path)
+        text = ("command = simulate\nn_modes = 8\ntau = 0.125\nseed = 4\nt_final = 1\n"
+                "initial = 1/3\n")
+        cfg = parse_config(text)
+        with pytest.raises(ConfigError) as info:
+            _resumed_config(cfg, set(parse_pairs(text)), data)
+        assert [m.split(":")[0] for m in info.value.messages] == ["key 'tau'", "key 'seed'"]
 
 
 class TestCli:
@@ -384,6 +418,81 @@ initials = 1/3; 1
         capsys.readouterr()
         assert main(["simulate", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 1
         assert "malformed field 'validation_mode'" in capsys.readouterr().err
+
+    def test_malformed_checkpoint_coefficient_exit_1(self, tmp_path, capsys):
+        ckpt = tmp_path / "state.ckpt"
+        cfg1 = self.write_cfg(tmp_path, SIM_CFG + f"checkpoint_out = {ckpt}\n", "first.cfg")
+        assert main(["simulate", "--config", cfg1, "--out", str(tmp_path / "o1")]) == 0
+        lines = ckpt.read_text().splitlines()
+        lines[-1] = "abc"
+        ckpt.write_text("\n".join(lines) + "\n")
+        cfg2 = self.write_cfg(tmp_path, SIM_CFG + f"checkpoint_in = {ckpt}\n", "resume.cfg")
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 1
+        assert f"{ckpt}: line {len(lines)}: malformed coefficient 'abc'" in capsys.readouterr().err
+
+    def write_resumable(self, tmp_path):
+        """A checkpoint at step 2 of a run whose scheme, drift and noise
+        values all differ from the config defaults; returns its path."""
+        ckpt = tmp_path / "state.ckpt"
+        cfg = self.write_cfg(tmp_path, "command = simulate\nn_modes = 8\ntau = 0.0625\n"
+                             "sigma = 0.5\ndrift_a1 = 0.25\nseed = 5\ntrajectory_id = 3\n"
+                             "tau_fine = 0.03125\nt_final = 0.125\ninitial = 1/3\n"
+                             f"checkpoint_out = {ckpt}\n", "first.cfg")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o1")]) == 0
+        return ckpt
+
+    def resume_cfg(self, tmp_path, ckpt, extra=""):
+        """A resume config; simulate requires tau, which must then match."""
+        if "tau =" not in extra:
+            extra += "tau = 0.0625\n"
+        return self.write_cfg(tmp_path, f"command = simulate\ncheckpoint_in = {ckpt}\n"
+                              "t_final = 0.25\ninitial = 1/3\n" + extra, "resume.cfg")
+
+    def test_resume_echoes_the_checkpoint_run(self, tmp_path, capsys):
+        """The resumed run's CSV records the values it ran with, and re-running
+        its echo reproduces it byte for byte."""
+        ckpt = self.write_resumable(tmp_path)
+        cfg = self.resume_cfg(tmp_path, ckpt)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--config", cfg, "--out", str(out1), "--deterministic"]) == 0
+        echo = read_metadata_config(out1 / "trajectory.csv")
+        for line in ("n_modes = 8", "tau = 0.0625", "sigma = 0.5", "drift_a0 = 0.5",
+                     "drift_a1 = 0.25", "drift_a2 = 1.0", "drift_a3 = -1.0",
+                     "validation_mode = false", "seed = 5", "trajectory_id = 3",
+                     "tau_fine = 0.03125"):
+            assert line in echo.splitlines()
+        rows = [line for line in (out1 / "trajectory.csv").read_text().splitlines()
+                if line and not line.startswith("#")]
+        assert len(rows) == 1 + 8  # header and the final 8-node snapshot
+        echo_cfg = self.write_cfg(tmp_path, echo, "echo.cfg")
+        assert main(["simulate", "--config", echo_cfg, "--out", str(out2)]) == 0
+        assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize("setting, key", [
+        ("n_modes = 16\n", "n_modes"), ("tau = 0.125\n", "tau"), ("sigma = 0\n", "sigma"),
+        ("drift_a1 = -0.5\n", "drift_a1"), ("validation_mode = true\n", "validation_mode"),
+        ("seed = 6\n", "seed"), ("trajectory_id = 0\n", "trajectory_id"),
+        ("tau_fine = 0.0625\n", "tau_fine"),
+    ])
+    def test_resume_rejects_a_contradicting_key(self, tmp_path, capsys, setting, key):
+        ckpt = self.write_resumable(tmp_path)
+        cfg = self.resume_cfg(tmp_path, ckpt, setting)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: config: key {key!r}: " in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_resume_rejects_a_contradicting_seed_flag(self, tmp_path, capsys):
+        ckpt = self.write_resumable(tmp_path)
+        cfg = self.resume_cfg(tmp_path, ckpt)
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--seed", "9"]) == 2
+        assert "error: config: key 'seed': set to 9" in capsys.readouterr().err
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "y"),
+                     "--seed", "5"]) == 0
 
     def test_unused_horizon_is_not_checked(self, tmp_path):
         """The ensemble estimator reads t_final_ensemble, not t_final."""

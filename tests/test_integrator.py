@@ -19,6 +19,7 @@ from schsim import (DriftSpec, NoiseSource, SchemeParams, SchemeState,
                     TrajectoryBlowUpError, build_basis, initial_state,
                     read_checkpoint, run_ensemble, run_trajectory, solution_at,
                     state_from_coeffs, step, write_checkpoint)
+from schsim.integrator import _advance
 
 # double-well drift used throughout: f(x) = x^3/2 - x^2/2 + x - 1
 WELL = DriftSpec(0.5, -0.5, 1.0, -1.0)
@@ -112,6 +113,65 @@ class TestSchemeParams:
         assert make_params(n=64, tau=1e-2).step_constraint_satisfied()
         # tau^9 = 0.387 exceeds h = pi/64: the analysis coupling fails
         assert not make_params(n=64, tau=0.9).step_constraint_satisfied()
+
+
+def reference_advance(params, coeffs, dw):
+    """The step kernel as one expression, without precomputed constants."""
+    basis = params.basis
+    lam = basis.eigenvalues if coeffs.ndim == 1 else basis.eigenvalues[:, None]
+    sem = basis.semigroup_factor(params.tau)
+    sem = sem if coeffs.ndim == 1 else sem[:, None]
+    a = params.drift
+    u = basis.from_spectral(coeffs)
+    drift_coeffs = basis.to_spectral(((a.a0 * u + a.a1) * u + a.a2) * u + a.a3)
+    w12_sq = np.sum((1.0 + lam) * coeffs * coeffs, axis=0)
+    denom = 1.0 + params.tau * w12_sq**6
+    new = sem * (coeffs - params.tau * lam * (drift_coeffs / denom) + params.sigma * dw)
+    new[0] = coeffs[0]
+    return new
+
+
+class TestKernelOracle:
+    """``_advance`` and ``step`` equal the reference expression bit for bit."""
+
+    # drift, sigma and whether the tamer dominates (tau ||u||^12 >> 1) or
+    # barely acts, so that the drift term reaches the result's last bits
+    CASES = {
+        "cubic": (DriftSpec(1.5, 0.25, -0.75, 0.125), 1.0, False),
+        "double well": (WELL, 0.7, False),
+        "linear": (DriftSpec(0.0, 0.0, -0.5, 0.25, validation_mode=True), 1.0, False),
+        "no noise": (WELL, 0.0, False),
+        "tamed": (WELL, 1.0, True),
+    }
+
+    @pytest.mark.parametrize("width", [None, 1, 2, 5, 50])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference_expression(self, case, width):
+        drift, sigma, tamed = self.CASES[case]
+        params = make_params(n=16, tau=1e-2, sigma=sigma, drift=drift)
+        lam = params.basis.eigenvalues[:, None]
+        rng = np.random.default_rng(7)
+        coeffs = rng.standard_normal((16, width or 1))
+        coeffs *= 4.0 if tamed else 0.3 / (1.0 + lam)
+        tamer = params.tau * np.sum((1.0 + lam) * coeffs**2, axis=0)**6
+        assert np.all(tamer > 1e6) if tamed else np.all(tamer < 1e-2)
+        dw = rng.standard_normal(coeffs.shape) * 0.1
+        dw[0] = 0.0
+        if width is None:
+            coeffs, dw = coeffs[:, 0], dw[:, 0]
+        expected = reference_advance(params, coeffs, dw)
+        assert _advance(params, coeffs, dw).tobytes() == expected.tobytes()
+        state = SchemeState(3, coeffs, coeffs[0] / math.sqrt(math.pi))
+        assert step(params, state, dw).coeffs.tobytes() == expected.tobytes()
+
+    def test_kernel_constants_are_read_only(self):
+        params = make_params(n=8)
+        for ndim in (1, 2):
+            for constant in params._kernel_constants[ndim]:
+                assert not constant.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    constant[1] = 0.0
+        assert params._kernel_constants is params._kernel_constants
 
 
 class TestStates:
@@ -455,6 +515,17 @@ class TestCheckpointResume:
             with pytest.raises(ValueError, match=f"bad.ckpt: malformed field '{field}'"):
                 read_checkpoint(path)
             path.write_text(path.read_text().replace(bad, line))
+
+    def test_malformed_coefficient_names_file_and_line(self, tmp_path):
+        params = make_params(n=8)
+        path = tmp_path / "bad.ckpt"
+        write_checkpoint(path, params, initial_state(params, np.zeros(8)), make_source(params))
+        lines = path.read_text().splitlines()
+        assert lines[10] == "coeffs:" and len(lines) == 19
+        lines[-1] = "abc"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="bad.ckpt: line 19: malformed coefficient 'abc'"):
+            read_checkpoint(path)
 
     def test_rejects_truncated_coefficients(self, tmp_path):
         params = make_params(n=8)

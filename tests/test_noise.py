@@ -7,6 +7,7 @@ That is what makes coupled coarse/reference runs and resumed runs exact.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,15 +128,38 @@ class TestRefinement:
         np.testing.assert_array_equal(small, large[:8])
 
 
-def whole_block(src, mode, block):
-    """Fine increments of one 2048-word block, drawn by a fresh generator
-    exactly as the module docstring specifies."""
+def reference_ints(src, mode, k0, k1):
+    """Fine increments k0 <= k < k1 of one mode as int64 multiples of the
+    quantum, by the per-mode formula the vectorized producer replaced: a
+    fresh Philox per 2048-word block, then uniform, ndtri, rint and int64."""
     key = np.array([src.seed, noise._KEY_CONST], dtype=np.uint64)
-    counter = np.array([0, block, mode, src.trajectory_id], dtype=np.uint64)
-    raw = Philox(key=key, counter=counter).random_raw(2048)
+    parts = []
+    k = k0
+    while k < k1:
+        base, start = k - k % 2048, k - k % 4
+        stop = min(k1, base + 2048)
+        counter = np.array([(start - base) // 4, base // 2048, mode, src.trajectory_id],
+                           dtype=np.uint64)
+        parts.append(Philox(key=key, counter=counter).random_raw(stop - start)[k - start:])
+        k = stop
+    raw = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
     uniform = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     scale = math.sqrt(src.tau_fine) / src.quantum
-    return np.rint(ndtri(uniform) * scale) * src.quantum
+    return np.rint(ndtri(uniform) * scale).astype(np.int64)
+
+
+def reference_matrix(src, n, m0, m1, ratio):
+    out = np.zeros((m1 - m0, n))
+    for j in range(1, n):
+        sums = reference_ints(src, j, m0 * ratio, m1 * ratio).reshape(m1 - m0, ratio).sum(axis=1)
+        out[:, j] = sums.astype(np.float64) * src.quantum
+    return out
+
+
+def assert_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 @pytest.fixture
@@ -148,15 +172,16 @@ def draws(monkeypatch):
             counts["words"] += 1 if size is None else int(np.prod(size))
             return super().random_raw(size, output)
 
-    fine_ints = NoiseSource._fine_ints
+    words = NoiseSource._words
 
-    def recording(self, mode, k0, k1):
+    def recording(self, raw, j0, k0):
+        modes, k1 = raw.shape[0], k0 + raw.shape[1]
         if k1 > k0:
-            counts["blocks"] += (k1 - 1) // 2048 - k0 // 2048 + 1
-        return fine_ints(self, mode, k0, k1)
+            counts["blocks"] += modes * ((k1 - 1) // 2048 - k0 // 2048 + 1)
+        return words(self, raw, j0, k0)
 
     monkeypatch.setattr(noise, "Philox", CountingPhilox)
-    monkeypatch.setattr(NoiseSource, "_fine_ints", recording)
+    monkeypatch.setattr(NoiseSource, "_words", recording)
     return counts
 
 
@@ -168,7 +193,7 @@ class TestProducer:
                                         (6, 6), (4096, 4100), (0, 8192)])
     def test_ranges_equal_slices_of_whole_blocks(self, k0, k1):
         src = make_source(trajectory_id=3)
-        blocks = np.concatenate([whole_block(src, 9, b) for b in range(4)])
+        blocks = reference_ints(src, 9, 0, 4 * 2048) * src.quantum
         assert src.fine_increments(9, k0, k1).tolist() == blocks[k0:k1].tolist()
 
     @staticmethod
@@ -196,6 +221,68 @@ class TestProducer:
         sources = [NoiseSource(3, l, tau_fine=0.01, n_modes_max=7) for l in range(3)]
         run_ensemble(params, np.zeros(8), sources, 100)
         self.assert_budget(draws, 3 * 7 * 100 * 4)
+
+
+class TestOracle:
+    """Every public method equals the per-mode reference formula bit for bit,
+    across 64-mode chunks (N = 257), fine-step ratios, a first step whose
+    first word is not a multiple of 4 and ranges that cross a 2048-word
+    block."""
+
+    # coarse steps [m0, m1) by ratio: words [2001, 2103), [2001, 2103) and
+    # [2000, 2096), each crossing word 2048
+    STEPS = {1: (2001, 2103), 3: (667, 701), 16: (125, 131)}
+
+    @pytest.mark.parametrize("ratio", [1, 3, 16])
+    @pytest.mark.parametrize("n", [2, 8, 65, 257])
+    def test_every_method_matches_reference(self, n, ratio):
+        src = make_source(seed=11, trajectory_id=7, n_modes_max=n - 1)
+        basis = build_basis(n)
+        m0, m1 = self.STEPS[ratio]
+        expected = reference_matrix(src, n, m0, m1, ratio)
+        assert_bits(src.increment_matrix(basis, m0, m1, ratio), expected)
+        for i in (0, m1 - m0 - 1):
+            assert_bits(src.increment_field(basis, m0 + i, ratio), expected[i])
+            for j in {1, n // 2, n - 1}:
+                assert src.coarse_increment(j, m0 + i, ratio).hex() == expected[i, j].hex()
+        for j in {1, n - 1}:
+            fine = reference_ints(src, j, 2001, 2101).astype(np.float64) * src.quantum
+            assert_bits(src.fine_increments(j, 2001, 2101), fine)
+            assert src.fine_increment(j, 2047).hex() == fine[46].hex()
+            assert src.fine_increment(j, 2048).hex() == fine[47].hex()
+
+    @pytest.mark.parametrize("n, m0, m1, ratio", [(65, 125, 165, 16), (8, 667, 4667, 3)])
+    def test_long_requests_match_reference(self, n, m0, m1, ratio):
+        """Requests longer than 512 words are quantized in passes of fewer
+        modes (51 and 2 of them here)."""
+        src = make_source(seed=11, trajectory_id=7, n_modes_max=n - 1)
+        assert_bits(src.increment_matrix(build_basis(n), m0, m1, ratio),
+                    reference_matrix(src, n, m0, m1, ratio))
+
+    def test_pinned_values(self):
+        """Entries of two matrices, recorded from the per-mode producer."""
+        src = make_source(seed=2024, trajectory_id=5, n_modes_max=256)
+        m1 = src.increment_matrix(build_basis(257), 2001, 2101, 1)
+        m3 = src.increment_matrix(build_basis(65), 667, 700, 3)
+        assert [float(m1[i, j]).hex() for i, j in ((0, 1), (46, 64), (47, 65), (99, 256))] == [
+            "-0x1.d71d70a700000p-8", "-0x1.1f6e810200000p-4",
+            "-0x1.949dd39280000p-7", "0x1.507e5b9800000p-10"]
+        assert [float(m3[i, j]).hex() for i, j in ((0, 1), (32, 64))] == [
+            "0x1.24c6145900000p-5", "0x1.b0ad213a00000p-9"]
+
+    def test_temporaries_stay_below_the_output(self):
+        """Modes are quantized at most 64 at a time, so the peak traced
+        memory of a request stays under twice its output."""
+        src = make_source(n_modes_max=255)
+        basis = build_basis(256)
+        src.increment_matrix(basis, 0, 4)  # warm up outside the trace
+        tracemalloc.start()
+        try:
+            out = src.increment_matrix(basis, 0, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes
 
 
 class TestStatistics:

@@ -78,6 +78,38 @@ class TestGFunctional:
             g_functional(basis, spec, np.ones(8))
 
 
+def reference_g(basis, spec, u):
+    """The centered pairing as one expression, summing v on every call."""
+    pairing = basis.h * (spec.v @ u)
+    mean_part = (spec.alpha1 / np.pi) * (basis.h * spec.v.sum()) * (basis.h * u.sum(axis=0))
+    return pairing - mean_part
+
+
+class TestObserverOracle:
+    @pytest.mark.parametrize("width", [None, 1, 2, 5, 50])
+    @pytest.mark.parametrize("alpha1", [1.0, 0.3])
+    def test_g_and_phi_match_reference_expression(self, alpha1, width):
+        basis = build_basis(16)
+        spec = make_spec(basis, "exp(x)", alpha1=alpha1, alpha2=1.5)
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((16,) if width is None else (16, width))
+        g = reference_g(basis, spec, u)
+        assert np.asarray(g_functional(basis, spec, u)).tobytes() == np.asarray(g).tobytes()
+        phi = spec.alpha2 * g / (1.0 + (g / spec.alpha2) ** 2)
+        assert np.asarray(phi_test(basis, spec, u)).tobytes() == np.asarray(phi).tobytes()
+
+    def test_profile_is_a_read_only_copy(self):
+        """The cached sum of v cannot go stale: the spec owns a frozen copy."""
+        basis = build_basis(8)
+        profile = np.cos(basis.grid)
+        spec = TestFunctionSpec(profile, 1.0, 2.0)
+        profile[:] = 5.0
+        assert profile.flags.writeable and not spec.v.flags.writeable
+        np.testing.assert_array_equal(spec.v, np.cos(basis.grid))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.v[0] = 1.0
+
+
 class TestPhiTest:
     def test_bound_is_sharp_at_g_equals_alpha2(self):
         """phi attains alpha2^2/2 exactly where g = alpha2."""
