@@ -12,6 +12,9 @@ files are byte-reproducible from their own embedded config echo.
 
 Failures are reported as single machine-readable lines ``error: <kind>: ...``
 on stderr; exit code 2 flags config/usage problems, 1 runtime failures.
+RuntimeWarnings raised during a run are held back until it ends: a run that
+blows up drops them and prints only its error line, any other run re-emits
+them.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -124,6 +128,7 @@ def _cmd_simulate(cfg: RunConfig, explicit: set[str], out_dir: Path, want_svg: b
         basis, drift = _scheme_pieces(cfg)
         params = SchemeParams(basis, drift, cfg.tau, cfg.sigma)
         tau_fine = cfg.tau_fine if cfg.tau_fine is not None else cfg.tau
+        whole_steps(cfg.tau, tau_fine, "tau in steps of tau_fine", key="tau")
         source = NoiseSource(cfg.seed, cfg.trajectory_id,
                              tau_fine=tau_fine, n_modes_max=cfg.n_modes - 1)
         state = initial_state(params, evaluate_expression(cfg.initial, basis.grid))
@@ -249,6 +254,22 @@ def _cmd_verify() -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = _run_command(args)
+        except TrajectoryBlowUpError as exc:
+            print(f"error: blow-up: {exc}", file=sys.stderr)
+            # the overflow warnings that led to a blow-up only repeat its error
+            caught = [w for w in caught if not issubclass(w.category, RuntimeWarning)]
+            code = 1
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return code
+
+
+def _run_command(args) -> int:
+    """Run the parsed command and return its exit code; a blow-up
+    propagates to ``main``."""
     try:
         cfg, explicit = _load_config(args)
         out_dir = Path(args.out)
@@ -267,9 +288,6 @@ def main(argv=None) -> int:
         messages = exc.messages
     except HorizonError as exc:
         messages = [f"key {exc.key!r}: {exc}"]
-    except TrajectoryBlowUpError as exc:
-        print(f"error: blow-up: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: runtime: {exc}", file=sys.stderr)
         return 1

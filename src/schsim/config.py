@@ -164,6 +164,7 @@ _REQUIRED = {
     "ergodic": ("tau", "t_final", "initials"),
     "verify": (),
 }
+_REQUIRED_RESUMED = ("t_final",)  # a simulate run with checkpoint_in set
 
 
 def parse_pairs(text: str) -> dict[str, str]:
@@ -271,7 +272,10 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
               f"key 'n_modes_ref': must be at least 2, got {cfg.n_modes_ref}")
 
     if command is not None:
-        for key in _REQUIRED[command]:
+        required = _REQUIRED[command]
+        if command == "simulate" and cfg.checkpoint_in:
+            required = _REQUIRED_RESUMED  # the checkpoint supplies tau and the state
+        for key in required:
             if getattr(cfg, key) is None:
                 errors.append(f"command {command!r} requires key {key!r}")
 

@@ -324,7 +324,7 @@ def run_temporal_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
     n_ref_steps = whole_steps(t_final, tau_ref, "t_final in steps of tau_ref", key="t_final")
     entries = []
     for tau in taus:
-        stride = whole_steps(tau, tau_ref, "ladder tau in steps of tau_ref")
+        stride = whole_steps(tau, tau_ref, "ladder tau in steps of tau_ref", key="tau_ladder")
         whole_steps(t_final, tau, "t_final in steps of the ladder tau", key="t_final")
         params = SchemeParams(basis, drift, tau, sigma)
         _warn_step_constraint(params)
@@ -357,7 +357,8 @@ def run_spatial_study(*, drift: DriftSpec, sigma: float, t_final: float,
     if not ns:
         raise ValueError("n_modes_ladder must not be empty")
     if ns[-1] > n_modes_ref:
-        raise ValueError("ladder mode counts must not exceed n_modes_ref")
+        raise HorizonError(f"ladder mode count {ns[-1]} must not exceed "
+                           f"n_modes_ref = {n_modes_ref}", "n_modes_ladder")
     basis_ref = SpectralBasis(n_modes_ref)
     params_ref = SchemeParams(basis_ref, drift, tau, sigma)
     _warn_step_constraint(params_ref)

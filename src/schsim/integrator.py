@@ -12,17 +12,19 @@ is conserved bit-for-bit.  The taming denominator uses the Parseval form
 sum_j (1 + lambda_j) c_j^2 of the squared w12 norm, computed directly from the
 state's coefficients.
 
-The state lives in spectral space; nodal values are synthesized on demand for
-the drift evaluation and for observers.  A state is one trajectory's (N,)
-vector or an (N, L) stack advanced in lockstep; ``step`` and the one loop
-behind ``run_trajectory`` and ``run_ensemble`` take either.
+The state lives in spectral space.  ``step`` synthesizes the nodal values
+of each new state once and returns them with it: the next drift evaluation
+and the observers read them from the state instead of synthesizing again.
+A state is one trajectory's (N,) vector or an (N, L) stack advanced in
+lockstep; ``step`` and the one loop behind ``run_trajectory`` and
+``run_ensemble`` take either.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -173,12 +175,15 @@ class SchemeState:
     trajectories sharing the step counter.  ``mass0`` is defined as
     coeffs[0]/sqrt(pi) at construction, a float for a vector and the (L,)
     row for a stack; because the step never touches mode 0, the identity
-    mass0 == coeffs[0]/sqrt(pi) holds exactly forever.
+    mass0 == coeffs[0]/sqrt(pi) holds exactly forever.  ``nodal`` is None
+    or the nodal values ``basis.from_spectral(coeffs)``, bit for bit; a
+    state returned by ``step`` carries them.
     """
 
     step_index: int
     coeffs: np.ndarray = field(repr=False)
     mass0: float | np.ndarray
+    nodal: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.step_index < 0:
@@ -207,8 +212,11 @@ def state_from_coeffs(step_index: int, coeffs: np.ndarray) -> SchemeState:
     return SchemeState(int(step_index), coeffs, float(coeffs[0]) / math.sqrt(math.pi))
 
 
-def _advance(params: SchemeParams, coeffs: np.ndarray, dw: np.ndarray) -> np.ndarray:
+def _advance(params: SchemeParams, coeffs: np.ndarray, dw: np.ndarray,
+             nodal: np.ndarray | None = None) -> np.ndarray:
     """Core update; ``coeffs`` and ``dw`` may be (N,) vectors or (N, L) stacks.
+    ``nodal``, if given, must equal ``from_spectral(coeffs)`` bit for bit;
+    it saves the synthesis and is not modified.
 
     The per-mode constants tau * lambda, 1 + lambda and the semigroup come
     precomputed from ``params`` and the temporaries are updated in place,
@@ -219,7 +227,7 @@ def _advance(params: SchemeParams, coeffs: np.ndarray, dw: np.ndarray) -> np.nda
     """
     basis = params.basis
     tau_lam, one_lam, sem = params._kernel_constants[coeffs.ndim]
-    f = params.drift.evaluate(basis.from_spectral(coeffs))
+    f = params.drift.evaluate(basis.from_spectral(coeffs) if nodal is None else nodal)
     new = basis.to_spectral(f)
     tmp = np.multiply(one_lam, coeffs, out=f)  # f is spent
     tmp *= coeffs
@@ -239,7 +247,9 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
     ``noise_coeffs`` has the shape of ``state.coeffs``, (N,) or (N, L), and
     its mode-0 entries must be exactly zero (the mean carries no noise).
     Raises :class:`TrajectoryBlowUpError` if the update is non-finite; for a
-    stack its ``column`` names the first failing trajectory.
+    stack its ``column`` names the first failing trajectory.  The drift
+    reads ``state.nodal`` when it is set, and the returned state carries
+    the nodal values of its coefficients.
     """
     noise_coeffs = np.asarray(noise_coeffs, dtype=np.float64)
     if noise_coeffs.shape != state.coeffs.shape:
@@ -248,19 +258,21 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
     mode0 = noise_coeffs[0]
     if mode0.any() if mode0.ndim else mode0 != 0.0:
         raise ValueError("noise increment for mode 0 must be exactly zero")
-    new = _advance(params, state.coeffs, noise_coeffs)
+    new = _advance(params, state.coeffs, noise_coeffs, state.nodal)
     if not np.isfinite(new).all():
         m = state.step_index + 1
         exc = TrajectoryBlowUpError(f"non-finite state at step {m}", m)
         if new.ndim == 2:
             exc.column = int(np.argmax(~np.isfinite(new).all(axis=0)))
         raise exc
-    return SchemeState(state.step_index + 1, new, state.mass0)
+    return SchemeState(state.step_index + 1, new, state.mass0,
+                       params.basis.from_spectral(new))
 
 
 class HorizonError(ValueError):
-    """A configured duration that is not a whole number of steps; ``key``
-    names its config key."""
+    """A configured value that does not fit another one: a duration or step
+    that is not a whole number of steps, or a ladder entry beyond its
+    reference; ``key`` names its config key."""
 
     def __init__(self, message: str, key: str):
         super().__init__(message)
@@ -291,14 +303,18 @@ def _ratio(params: SchemeParams, sources) -> int:
 def _noise_blocks(basis: SpectralBasis, sources, ratio: int, m0: int, m1: int):
     """Yield (m, block) covering steps m0 <= m < m1, block[i] being the
     (N, L) increments of step m + i for the L sources.  A block holds at
-    most 512 steps and, beyond one step, at most 4M floats."""
+    most 512 steps and, beyond one step, at most 4M floats.  Every block is
+    a view of one buffer that the next block overwrites, and each source
+    writes its slot ``block[:, :, l]`` in place, so only one block is ever
+    resident: a consumer must be done with a block before it asks for the
+    next."""
     n = basis.n_modes
     steps = max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // (n * len(sources))))
+    buffer = np.empty((min(steps, m1 - m0), n, len(sources)))
     for m in range(m0, m1, steps):
-        m_next = min(m + steps, m1)
-        block = np.empty((m_next - m, n, len(sources)))
+        block = buffer[:min(steps, m1 - m)]
         for l, src in enumerate(sources):
-            block[:, :, l] = src.increment_matrix(basis, m, m_next, ratio)
+            src.increment_matrix(basis, m, m + len(block), ratio, block[:, :, l])
         yield m, block
 
 
@@ -311,6 +327,8 @@ def _run(params: SchemeParams, state: SchemeState, sources, n_steps: int,
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     ratio = _ratio(params, sources)
+    if n_steps and state.nodal is None:  # shared by the observers and the first step
+        state = replace(state, nodal=params.basis.from_spectral(state.coeffs))
     for obs in observers:
         obs(state.step_index, state)
     m0 = state.step_index
@@ -343,12 +361,14 @@ def run_trajectory(params: SchemeParams, state: SchemeState, source: NoiseSource
 
 
 def run_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources, n_steps: int,
-                 observer=None, start_index: int = 0) -> np.ndarray:
+                 observer=None, start_index: int = 0, *, observers=()) -> np.ndarray:
     """Advance L coupled trajectories in lockstep; returns final (N, L) coeffs.
 
     ``coeffs0`` is either a single (N,) start state shared by all trajectories
     or an (N, L) stack.  ``observer``, if given, is called as
     ``observer(m, coeffs_matrix)`` at the initial state and after every step.
+    ``observers``, called after it as in ``run_trajectory``, see the stacked
+    state ``obs(m, state)``, which carries the (N, L) nodal values.
     Trajectory l draws from ``sources[l]``; all sources must share tau_fine.
     """
     sources = list(sources)
@@ -361,7 +381,8 @@ def run_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources, n_steps: in
     if coeffs.shape != (n, len(sources)):
         raise ValueError(f"coeffs0 must have shape ({n},) or ({n}, {len(sources)})")
     state = SchemeState(start_index, coeffs, coeffs[0] / math.sqrt(math.pi))
-    observers = () if observer is None else (lambda m, s: observer(m, s.coeffs),)
+    if observer is not None:
+        observers = (lambda m, s: observer(m, s.coeffs), *observers)
     return _run(params, state, sources, n_steps, observers).coeffs
 
 

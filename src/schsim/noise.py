@@ -34,15 +34,19 @@ Generation: every public method goes through one producer, which fills a
 (modes, words) array from Philox (one counter reset and one ``random_raw``
 per mode and 2048-word block) and quantizes it in one vectorized pass, at
 most 64 modes and 32 768 words at a time, so that a pass stays in cache and
-its temporaries stay below the size of the output.  The order of operations
-is part of the values and must not be rewritten algebraically: x >> 11,
-conversion to float64, + 0.5, * 2^-53, ndtri, * (sqrt(tau_fine) / q), rint,
-and for a coarse step an int64 sum of its fine steps, then * q.  For
-example k + 0.5 rounds once k >= 2^52, so folding the two constants into
-one changes bits.  The floor is ndtri (~20 ns per word) plus Philox
-(~7 ns); the producer costs ~35 ns per word at 63 modes x 512 steps, where
-the per-mode loop it replaced cost ~55-60 ns (2-vCPU Xeon VM, numpy 2.4,
-scipy 1.17).
+its temporaries stay below the size of the output.  The pass writes straight
+into its destination, which may be a strided view: ``increment_matrix``
+takes an optional ``out``, so an ensemble fills each trajectory's slot of
+its (steps, N, L) noise block in place, with no per-source temporary.
+
+The order of operations is part of the values and must not be rewritten
+algebraically: x >> 11, conversion to float64, + 0.5, * 2^-53, ndtri,
+* (sqrt(tau_fine) / q), rint, and for a coarse step an int64 sum of its fine
+steps, then * q.  For example k + 0.5 rounds once k >= 2^52, so folding the
+two constants into one changes bits.  The floor is ndtri (~20 ns per word)
+plus Philox (~7 ns); the producer costs ~35 ns per word at 63 modes x 512
+steps, where the per-mode loop it replaced cost ~55-60 ns (2-vCPU Xeon VM,
+numpy 2.4, scipy 1.17).
 """
 
 from __future__ import annotations
@@ -101,9 +105,16 @@ class NoiseSource:
         key = np.array([self.seed, _KEY_CONST], dtype=np.uint64)
         # looked up through the module name so a substituted Philox is used
         self._philox = Philox(key=key)
-        self._state = self._philox.state
-        self._counter = self._state["state"]["counter"]
-        self._counter[3] = self.trajectory_id
+        # plain ints and lists: the ``state`` setter reads them about twice
+        # as fast as the arrays the getter returns.  The name comes from the
+        # generator, so a substituted Philox subclass accepts the dict.
+        state = self._philox.state
+        self._counter = [0, 0, 0, self.trajectory_id]
+        self._state = {"bit_generator": state["bit_generator"],
+                       "state": {"counter": self._counter,
+                                 "key": [int(word) for word in key]},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
 
     def __repr__(self) -> str:
         return (f"NoiseSource(seed={self.seed}, trajectory_id={self.trajectory_id}, "
@@ -121,7 +132,7 @@ class NoiseSource:
                 base = k - k % _BLOCK  # first word of k's block
                 start = k - k % 4      # Philox emits four words per counter value
                 stop = min(k1, base + _BLOCK)
-                self._counter[:3] = ((start - base) // 4, base // _BLOCK, mode)
+                self._counter[:3] = (start - base) // 4, base // _BLOCK, mode
                 self._philox.state = self._state
                 row[k - k0:stop - k0] = self._philox.random_raw(stop - start)[k - start:]
                 k = stop
@@ -214,16 +225,26 @@ class NoiseSource:
         self._fill(out[:, 1:], 1, m, ratio)
         return out[0]
 
-    def increment_matrix(self, basis, m0: int, m1: int, ratio: int = 1) -> np.ndarray:
+    def increment_matrix(self, basis, m0: int, m1: int, ratio: int = 1,
+                         out: np.ndarray | None = None) -> np.ndarray:
         """Spectral increments for coarse steps m0 <= m < m1, shape (m1-m0, N).
 
         Row m - m0 is bit-for-bit equal to ``increment_field(basis, m, ratio)``.
+        ``out``, if given, is a float64 array of that shape, possibly a
+        strided view such as one trajectory's slot ``block[:, :, l]`` of a
+        (steps, N, L) block; it is filled in place (column 0 set to 0.0)
+        and returned, with the same bits as a fresh array.
         """
         n = self._check_basis(basis)
         _check_ratio(ratio)
         if not 0 <= m0 <= m1:
             raise ValueError(f"need 0 <= m0 <= m1, got ({m0}, {m1})")
-        out = np.zeros((m1 - m0, n))
+        if out is None:
+            out = np.empty((m1 - m0, n))
+        elif out.shape != (m1 - m0, n) or out.dtype != np.float64:
+            raise ValueError(f"out must be a float64 array of shape {(m1 - m0, n)}, "
+                             f"got {out.dtype} {out.shape}")
+        out[:, 0] = 0.0
         self._fill(out[:, 1:], 1, m0, ratio)
         return out
 

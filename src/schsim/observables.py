@@ -154,8 +154,10 @@ class TimeAverageObserver:
     state counts), recording (t, running average) every ``record_every``-th
     sample into ``history``.  ``sample(m, coeffs)`` takes one trajectory's
     (N,) coefficients or an (N, L) stack; a stack keeps one running average
-    per trajectory, and its history records their mean.  Recorded values are
-    Python floats.
+    per trajectory, and its history records their mean.  Called on a state,
+    the observer reads the nodal values the state carries and synthesizes
+    them only when it carries none; ``sample`` synthesizes them unless they
+    are passed.  Recorded values are Python floats.
     """
 
     def __init__(self, params: SchemeParams, spec: TestFunctionSpec,
@@ -173,13 +175,16 @@ class TimeAverageObserver:
         self._last_t = 0.0
 
     def __call__(self, m: int, state: SchemeState) -> None:
-        self.sample(m, state.coeffs)
+        self.sample(m, state.coeffs, state.nodal)
 
-    def sample(self, m: int, coeffs: np.ndarray) -> None:
+    def sample(self, m: int, coeffs: np.ndarray, nodal: np.ndarray | None = None) -> None:
+        """Sample the state with coefficients ``coeffs`` at step m; ``nodal``,
+        if given, is ``from_spectral(coeffs)`` and saves the synthesis."""
         if m < self.burn_in_steps:
             return
         basis = self.params.basis
-        self.running.update(phi_test(basis, self.spec, basis.from_spectral(coeffs)))
+        u = basis.from_spectral(coeffs) if nodal is None else nodal
+        self.running.update(phi_test(basis, self.spec, u))
         self._last_t = m * self.params.tau
         if (self.running.count - 1) % self.record_every == 0:
             self._record()
@@ -219,7 +224,10 @@ def time_average_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources,
     (grand_average, per_trajectory_averages, history, final_coeffs).
     """
     obs = TimeAverageObserver(params, spec, burn_in_steps, record_every)
-    final = run_ensemble(params, coeffs0, sources, n_steps, observer=obs.sample)
+    # the stack goes through sample, as before, so the traced __call__ count
+    # stays that of single-trajectory states; passing nodal skips a synthesis
+    final = run_ensemble(params, coeffs0, sources, n_steps,
+                         observers=(lambda m, s: obs.sample(m, s.coeffs, s.nodal),))
     obs.finalize()
     per_traj = obs.running.average
     return float(np.mean(per_traj)), per_traj, obs.history, final

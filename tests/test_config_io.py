@@ -73,6 +73,18 @@ class TestBuildConfig:
             parse_config("command = converge-time\nt_final = 1\n"
                          "tau_ref = 0.001\ninitial = 1/3\n")
 
+    def test_resumed_simulate_needs_no_tau_or_initial(self):
+        """The checkpoint supplies tau and the state; without checkpoint_in
+        both stay required."""
+        cfg = parse_config("command = simulate\ncheckpoint_in = state.ckpt\nt_final = 1\n")
+        assert (cfg.tau, cfg.initial, cfg.t_final) == (None, None, 1.0)
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config("command = simulate\nt_final = 1\n")
+        assert exc_info.value.messages == ["command 'simulate' requires key 'tau'",
+                                           "command 'simulate' requires key 'initial'"]
+        with pytest.raises(ConfigError, match="requires key 't_final'"):
+            parse_config("command = simulate\ncheckpoint_in = state.ckpt\n")
+
     def test_command_must_be_known(self):
         with pytest.raises(ConfigError, match="must be one of"):
             parse_config("command = meditate\n")
@@ -443,7 +455,8 @@ initials = 1/3; 1
         return ckpt
 
     def resume_cfg(self, tmp_path, ckpt, extra=""):
-        """A resume config; simulate requires tau, which must then match."""
+        """A resume config that repeats the checkpoint's tau unless ``extra``
+        sets it."""
         if "tau =" not in extra:
             extra += "tau = 0.0625\n"
         return self.write_cfg(tmp_path, f"command = simulate\ncheckpoint_in = {ckpt}\n"
@@ -468,6 +481,23 @@ initials = 1/3; 1
         echo_cfg = self.write_cfg(tmp_path, echo, "echo.cfg")
         assert main(["simulate", "--config", echo_cfg, "--out", str(out2)]) == 0
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+    def test_resume_without_tau_or_initial(self, tmp_path, capsys):
+        """A resume config may leave out tau and initial: the run and its
+        echo are those of a config that repeats the checkpoint's tau."""
+        ckpt = self.write_resumable(tmp_path)
+        bare = self.write_cfg(tmp_path, f"command = simulate\ncheckpoint_in = {ckpt}\n"
+                              "t_final = 0.25\n", "bare.cfg")
+        out1, out2 = tmp_path / "bare", tmp_path / "full"
+        assert main(["simulate", "--config", bare, "--out", str(out1), "--deterministic"]) == 0
+        echo = read_metadata_config(out1 / "trajectory.csv").splitlines()
+        assert "tau = 0.0625" in echo
+        assert not any(line.startswith("initial") for line in echo)
+        full = self.resume_cfg(tmp_path, ckpt)
+        assert main(["simulate", "--config", full, "--out", str(out2), "--deterministic"]) == 0
+        rows = [[line for line in (out / "trajectory.csv").read_text().splitlines()
+                 if not line.startswith("#")] for out in (out1, out2)]
+        assert len(rows[0]) == 1 + 8 and rows[0] == rows[1]
 
     @pytest.mark.parametrize("setting, key", [
         ("n_modes = 16\n", "n_modes"), ("tau = 0.125\n", "tau"), ("sigma = 0\n", "sigma"),
@@ -501,12 +531,49 @@ initials = 1/3; 1
                              "estimator = ensemble\nn_trajectories = 2\ninitials = 1/3\n")
         assert main(["ergodic", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("converge-time", "t_final = 0.25\ntau_ref = 0.0078125\ntau_ladder = 0.0625, 0.1\n",
+         "tau_ladder"),
+        ("converge-space", "t_final = 0.25\ntau = 0.0625\nn_modes_ref = 16\n"
+         "n_modes_ladder = 4, 8, 32\n", "n_modes_ladder"),
+        ("simulate", "tau = 0.0625\nt_final = 0.25\ntau_fine = 0.017\n", "tau"),
+    ])
+    def test_key_relations_exit_2(self, tmp_path, capsys, command, text, key):
+        """A ladder step that is not a whole number of reference steps, a
+        ladder mode count beyond the reference and a tau that is not a
+        whole number of tau_fine steps are config errors, found before any
+        run starts."""
+        cfg = self.write_cfg(tmp_path, f"command = {command}\nn_modes = 8\ninitial = 1/3\n"
+                             "n_trajectories = 2\n" + text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: key {key!r}: ")
+        assert not any(out.iterdir())
+
     def test_runtime_errors_exit_1(self, tmp_path, capsys):
-        # tau not a multiple of tau_fine is only caught at run time
-        cfg = self.write_cfg(tmp_path, SIM_CFG + "tau_fine = 0.017\n")
+        # a checkpoint that cannot be read is only found at run time
+        cfg = self.write_cfg(tmp_path, SIM_CFG + f"checkpoint_in = {tmp_path / 'none.ckpt'}\n")
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 1
         assert "error: runtime:" in capsys.readouterr().err
+
+    def test_blow_up_prints_only_its_error(self, tmp_path, capsys, recwarn):
+        """The overflow warnings that lead to a blow-up are dropped; the
+        run reports one error line."""
+        cfg = self.write_cfg(tmp_path, SIM_CFG + "sigma = 1e300\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: blow-up: trajectory 0: non-finite state at step 2\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_completed_run_keeps_its_warnings(self, tmp_path, capsys):
+        """A run that completes re-emits the RuntimeWarnings it raised."""
+        cfg = self.write_cfg(tmp_path, "command = ergodic\nn_modes = 8\ntau = 0.01\n"
+                             "t_final = 0.3\ninitials = 1/3\nestimator = single\n"
+                             "test_alpha2 = 1e-320\n")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["ergodic", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "estimate +0.000000" in capsys.readouterr().out
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ Oracles used here:
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from schsim import (DriftSpec, NoiseSource, SchemeParams, SchemeState,
                     TrajectoryBlowUpError, build_basis, initial_state,
                     read_checkpoint, run_ensemble, run_trajectory, solution_at,
                     state_from_coeffs, step, write_checkpoint)
-from schsim.integrator import _advance
+from schsim.integrator import _advance, _noise_blocks
 
 # double-well drift used throughout: f(x) = x^3/2 - x^2/2 + x - 1
 WELL = DriftSpec(0.5, -0.5, 1.0, -1.0)
@@ -316,6 +317,98 @@ class TestStep:
                 step(params, state, np.zeros((8, 3)))
         assert exc_info.value.step_index == 1
         assert exc_info.value.column == 1
+
+
+class TestNodalValues:
+    """``step`` synthesizes each new state once and returns the nodal values
+    with it; the next step and the observers read them instead of
+    synthesizing again, with the same bits."""
+
+    @staticmethod
+    def stack(params, width):
+        rng = np.random.default_rng(5)
+        shape = (params.basis.n_modes,) if width is None else (params.basis.n_modes, width)
+        coeffs = rng.standard_normal(shape) * 0.3
+        dw = rng.standard_normal(shape) * 0.1
+        dw[0] = 0.0
+        return coeffs, dw
+
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_step_returns_the_nodal_values_of_its_coefficients(self, width):
+        params = make_params(n=16)
+        coeffs, dw = self.stack(params, width)
+        state = SchemeState(0, coeffs, coeffs[0] / math.sqrt(math.pi))
+        assert state.nodal is None
+        new = step(params, state, dw)
+        assert new.nodal.shape == new.coeffs.shape
+        assert new.nodal.tobytes() == params.basis.from_spectral(new.coeffs).tobytes()
+        again = step(params, new, dw)
+        assert again.nodal.tobytes() == params.basis.from_spectral(again.coeffs).tobytes()
+
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_advance_with_nodal_values_gives_the_same_bits(self, width):
+        params = make_params(n=16)
+        coeffs, dw = self.stack(params, width)
+        nodal = params.basis.from_spectral(coeffs)
+        kept = nodal.copy()
+        with_nodal = _advance(params, coeffs, dw, nodal)
+        assert with_nodal.tobytes() == _advance(params, coeffs, dw).tobytes()
+        assert nodal.tobytes() == kept.tobytes()  # read, not modified
+
+    def test_observers_see_the_nodal_values(self):
+        params = make_params(n=8)
+        seen = []
+
+        def check(m, state):
+            seen.append(m)
+            assert state.nodal.tobytes() == params.basis.from_spectral(state.coeffs).tobytes()
+
+        run_trajectory(params, initial_state(params, np.cos(params.basis.grid)),
+                       make_source(params), 5, observers=(check,))
+        sources = [make_source(params, trajectory_id=l) for l in range(2)]
+        run_ensemble(params, np.zeros(8), sources, 5, observers=(check,))
+        assert seen == list(range(6)) * 2
+
+    def test_ensemble_observers_follow_the_coefficient_observer(self):
+        params = make_params(n=8)
+        sources = [make_source(params, trajectory_id=l) for l in range(2)]
+        calls = []
+        final = run_ensemble(params, np.zeros(8), sources, 3,
+                             observer=lambda m, c: calls.append(("coeffs", m)),
+                             observers=(lambda m, s: calls.append(("state", m)),))
+        assert calls == [(kind, m) for m in range(4) for kind in ("coeffs", "state")]
+        assert final.tobytes() == run_ensemble(params, np.zeros(8), sources, 3).tobytes()
+
+
+class TestNoiseBlocks:
+    def test_blocks_are_one_buffer_filled_in_place(self):
+        """Every block, the short last one included, is a view of one buffer
+        whose slot l holds source l's increments bit for bit."""
+        basis = build_basis(8)
+        sources = [NoiseSource(4, l, tau_fine=0.01, n_modes_max=7) for l in range(3)]
+        blocks = []
+        for m, block in _noise_blocks(basis, sources, 2, 100, 1300):
+            for l, src in enumerate(sources):
+                expected = src.increment_matrix(basis, m, m + len(block), 2)
+                assert block[:, :, l].tobytes() == expected.tobytes()
+            blocks.append((m, len(block), block))
+        assert [(m, steps) for m, steps, _ in blocks] == [(100, 512), (612, 512), (1124, 176)]
+        assert all(np.shares_memory(block, blocks[0][2]) for _, _, block in blocks)
+
+    def test_an_ensemble_holds_one_noise_block(self):
+        """At N = 64, L = 50 a block is 512 steps (13 MB); filling the next
+        block into the same buffer keeps the traced peak near one block."""
+        params = make_params(n=64, tau=5e-3)
+        sources = [make_source(params, seed=2, trajectory_id=l) for l in range(50)]
+        run_ensemble(params, np.zeros(64), sources, 2)  # warm up outside the trace
+        block_bytes = 512 * 64 * 50 * 8
+        tracemalloc.start()
+        try:
+            run_ensemble(params, np.zeros(64), sources, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * block_bytes
 
 
 class TestTrajectories:

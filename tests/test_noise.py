@@ -270,6 +270,47 @@ class TestOracle:
         assert [float(m3[i, j]).hex() for i, j in ((0, 1), (32, 64))] == [
             "0x1.24c6145900000p-5", "0x1.b0ad213a00000p-9"]
 
+    @pytest.mark.parametrize("ratio", [1, 3])
+    @pytest.mark.parametrize("n", [8, 65, 257])
+    def test_out_matches_a_fresh_matrix(self, n, ratio):
+        """Filled in place, into a contiguous array or one trajectory's
+        strided slot of a (steps, N, L) block, the increments are those of a
+        fresh call bit for bit, and a NaN mode 0 is overwritten with 0.0."""
+        src = make_source(seed=11, trajectory_id=7, n_modes_max=n - 1)
+        basis = build_basis(n)
+        m0, m1 = self.STEPS[ratio]
+        expected = src.increment_matrix(basis, m0, m1, ratio)
+        contiguous = np.full((m1 - m0, n), np.nan)
+        assert src.increment_matrix(basis, m0, m1, ratio, contiguous) is contiguous
+        assert_bits(contiguous, expected)
+        block = np.full((m1 - m0, n, 3), np.nan)
+        src.increment_matrix(basis, m0, m1, ratio, block[:, :, 1])
+        assert_bits(block[:, :, 1], expected)
+        assert np.isnan(block[:, :, [0, 2]]).all()  # the other slots are untouched
+
+    def test_out_of_the_wrong_shape_is_rejected(self):
+        src = make_source(n_modes_max=7)
+        with pytest.raises(ValueError, match="shape"):
+            src.increment_matrix(build_basis(8), 0, 4, 1, np.empty((4, 7)))
+        with pytest.raises(ValueError, match="shape"):
+            src.increment_matrix(build_basis(8), 0, 4, 1, np.empty((8, 4)).T[:3])
+        with pytest.raises(ValueError, match="float64"):
+            src.increment_matrix(build_basis(8), 0, 4, 1, np.empty((4, 8), np.float32))
+
+    def test_a_substituted_philox_gives_the_same_words(self, monkeypatch):
+        """The counter reset carries the generator's own class name, so a
+        Philox subclass (as a tracer installs) accepts it and draws the same
+        words."""
+        class Subclass(noise.Philox):
+            pass
+
+        expected = make_source(seed=3, n_modes_max=64).increment_matrix(
+            build_basis(65), 2001, 2103)
+        monkeypatch.setattr(noise, "Philox", Subclass)
+        src = make_source(seed=3, n_modes_max=64)
+        assert type(src._philox) is Subclass
+        assert_bits(src.increment_matrix(build_basis(65), 2001, 2103), expected)
+
     def test_temporaries_stay_below_the_output(self):
         """Modes are quantized at most 64 at a time, so the peak traced
         memory of a request stays under twice its output."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from schsim import (DriftSpec, NoiseSource, RunningAverage, SchemeParams,
-                    TestFunctionSpec, TimeAverageObserver, build_basis,
+                    SchemeState, TestFunctionSpec, TimeAverageObserver, build_basis,
                     evaluate_expression, g_functional, initial_state,
                     lyapunov_v, mass, phi_test, run_trajectory,
                     time_average_ensemble, time_average_single,
@@ -260,6 +260,24 @@ class TestTimeAverageObserver:
         assert [t for t, _ in stacked.history] == pytest.approx([0.0, 0.02, 0.04])
         assert stacked.history[-1][1] == pytest.approx(np.mean(per_column), rel=1e-13)
         assert all(type(avg) is float for _, avg in stacked.history)
+
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_states_with_and_without_nodal_values_agree(self, width):
+        """Reading the nodal values a state carries gives the same history
+        and average, bit for bit, as synthesizing them."""
+        params, carried = self.make(burn_in_steps=2, record_every=3)
+        synthesized = self.make(burn_in_steps=2, record_every=3)[1]
+        rng = np.random.default_rng(4)
+        for m in range(10):
+            coeffs = rng.standard_normal((8,) if width is None else (8, width))
+            nodal = params.basis.from_spectral(coeffs)
+            carried(m, SchemeState(m, coeffs, coeffs[0], nodal))
+            synthesized(m, SchemeState(m, coeffs, coeffs[0]))
+        carried.finalize()
+        synthesized.finalize()
+        assert carried.history == synthesized.history
+        assert np.asarray(carried.running.average).tobytes() == \
+            np.asarray(synthesized.running.average).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="burn_in_steps"):
