@@ -48,7 +48,7 @@ class CheckpointData:
         params = SchemeParams(basis, drift, self.tau, self.sigma)
         source = NoiseSource(self.seed, self.trajectory_id,
                              tau_fine=self.tau_fine, n_modes_max=self.n_modes - 1)
-        return params, source, state_from_coeffs(self.step_index, self.coeffs)
+        return params, source, state_from_coeffs(params, self.step_index, self.coeffs)
 
 
 def _f(x: float) -> str:

@@ -141,7 +141,7 @@ def _cmd_simulate(cfg: RunConfig, explicit: set[str], out_dir: Path, want_svg: b
     def observer(m, s):
         take = (cfg.snapshot_every > 0 and m % cfg.snapshot_every == 0)
         if take or m == n_total:
-            snapshots.append((m, basis.from_spectral(s.coeffs)))
+            snapshots.append((m, s.nodal))
 
     final = run_trajectory(params, state, source, n_total - state.step_index,
                            observers=(observer,))
@@ -153,7 +153,7 @@ def _cmd_simulate(cfg: RunConfig, explicit: set[str], out_dir: Path, want_svg: b
             for m, u in snapshots for x, value in zip(basis.grid, u)]
     write_csv(out_dir / "trajectory.csv", ("t", "x", "value"), rows, echo,
               {"final_step": final.step_index})
-    u_final = basis.from_spectral(final.coeffs)
+    u_final = final.nodal
     print(f"simulate: {final.step_index} steps, mean {float(np.mean(u_final))!r}, "
           f"l2 norm {float(basis.norm(u_final, 'l2'))!r}")
     if want_svg:

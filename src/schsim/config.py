@@ -18,12 +18,18 @@ import math
 from dataclasses import dataclass, fields as dataclass_fields
 
 from .expressions import validate_expression
+from .observables import MIN_ALPHA2
 
 __all__ = ["RunConfig", "ConfigError", "parse_pairs", "build_config",
            "parse_config", "serialize_config", "ENV_PREFIX", "COMMANDS"]
 
 ENV_PREFIX = "SCHSIM_"
 COMMANDS = ("simulate", "converge-time", "converge-space", "ergodic", "verify")
+
+# The dense N x N basis peaks at about 40 N^2 bytes while it is built
+# (tracemalloc: 42 MB at N = 1024, 168 MB at N = 2048), so N = 4096 needs
+# about 0.67 GB; a larger mode count is refused before any memory is asked for.
+_MAX_MODES = 4096
 
 
 class ConfigError(Exception):
@@ -237,7 +243,11 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
             errors.append(message)
 
     check(0 <= cfg.seed < 2**64, f"key 'seed': must be in [0, 2^64), got {cfg.seed}")
-    check(cfg.n_modes >= 2, f"key 'n_modes': must be at least 2, got {cfg.n_modes}")
+    modes = [("n_modes", cfg.n_modes), ("n_modes_ref", cfg.n_modes_ref),
+             *(("n_modes_ladder", n) for n in cfg.n_modes_ladder or ())]
+    for name, n in modes:
+        if n is not None:
+            check(2 <= n <= _MAX_MODES, f"key {name!r}: must lie in [2, {_MAX_MODES}], got {n}")
     check(cfg.sigma >= 0, f"key 'sigma': must be nonnegative, got {cfg.sigma}")
     check(cfg.drift_a0 >= 0, f"key 'drift_a0': must be nonnegative, got {cfg.drift_a0}")
     if cfg.drift_a0 == 0 and not cfg.validation_mode:
@@ -258,18 +268,13 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
           f"key 'n_trajectories': must be positive, got {cfg.n_trajectories}")
     check(cfg.estimator in ("single", "ensemble", "both"),
           f"key 'estimator': must be single, ensemble or both, got {cfg.estimator!r}")
-    check(cfg.test_alpha2 != 0, "key 'test_alpha2': must be nonzero")
+    check(abs(cfg.test_alpha2) >= MIN_ALPHA2, f"key 'test_alpha2': must be at least "
+          f"{MIN_ALPHA2:.3g} in magnitude, or phi's bound underflows; got {cfg.test_alpha2!r}")
     check(cfg.burn_in >= 0, f"key 'burn_in': must be nonnegative, got {cfg.burn_in}")
     check(cfg.thinning >= 1, f"key 'thinning': must be positive, got {cfg.thinning}")
     if cfg.tau_ladder is not None:
         for tau in cfg.tau_ladder:
             check(0 < tau < 1, f"key 'tau_ladder': entries must lie in (0, 1), got {tau}")
-    if cfg.n_modes_ladder is not None:
-        for n in cfg.n_modes_ladder:
-            check(n >= 2, f"key 'n_modes_ladder': entries must be at least 2, got {n}")
-    if cfg.n_modes_ref is not None:
-        check(cfg.n_modes_ref >= 2,
-              f"key 'n_modes_ref': must be at least 2, got {cfg.n_modes_ref}")
 
     if command is not None:
         required = _REQUIRED[command]

@@ -224,13 +224,15 @@ def _coupled_sums(params_ref: SchemeParams, coeffs0_ref: np.ndarray,
         coarse = [_coarse_increments(block[:, :e.params.basis.n_modes], m, e.stride, carry)
                   for e, carry in zip(entries, carries)]
         for i in range(block.shape[0]):
-            state_ref = _advance(params_ref, state_ref, block[i])
+            state_ref = _advance(params_ref, state_ref, block[i],
+                                 params_ref.basis.from_spectral(state_ref))
             s = m + i + 1
             for k, entry in enumerate(entries):
                 if s % entry.stride == 0:
                     j = s // entry.stride
                     states[k] = _advance(entry.params, states[k],
-                                         coarse[k][j - m // entry.stride - 1])
+                                         coarse[k][j - m // entry.stride - 1],
+                                         entry.params.basis.from_spectral(states[k]))
                     record(entry, states[k], j)
         _check_rows(entries, sources, m, m + block.shape[0])
 

@@ -12,19 +12,19 @@ is conserved bit-for-bit.  The taming denominator uses the Parseval form
 sum_j (1 + lambda_j) c_j^2 of the squared w12 norm, computed directly from the
 state's coefficients.
 
-The state lives in spectral space.  ``step`` synthesizes the nodal values
-of each new state once and returns them with it: the next drift evaluation
-and the observers read them from the state instead of synthesizing again.
-A state is one trajectory's (N,) vector or an (N, L) stack advanced in
-lockstep; ``step`` and the one loop behind ``run_trajectory`` and
-``run_ensemble`` take either.
+A state is its step index, its spectral coefficients and their nodal
+values.  Every state is built with its nodal values, synthesized once: the
+next drift evaluation and the observers read them from the state instead of
+synthesizing again.  A state is one trajectory's (N,) vector or an (N, L)
+stack advanced in lockstep; ``step`` and the one loop behind
+``run_trajectory`` and ``run_ensemble`` take either.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -49,6 +49,7 @@ __all__ = [
 
 _BLOCK_STEPS = 512        # most steps in one noise block
 _BLOCK_FLOATS = 4_000_000  # most floats in a noise block of more than one step
+_LF_CHECK_RADIUS = 8.0     # half-width of the interval on which L_f is estimated
 
 
 class TrajectoryBlowUpError(RuntimeError):
@@ -116,17 +117,16 @@ class DriftSpec:
 class SchemeParams:
     """Immutable bundle of discretization and model parameters.
 
-    ``lf_check_radius`` controls the interval on which the one-sided Lipschitz
-    constant of the drift is estimated at construction time; a violation of
-    the margin L_f < lambda_1 only warns (long-time statements may degrade,
-    short-time integration is unaffected).
+    The one-sided Lipschitz constant of the drift is estimated on
+    [-8, 8] at construction time; a violation of the margin L_f < lambda_1
+    only warns (long-time statements may degrade, short-time integration is
+    unaffected).
     """
 
     basis: SpectralBasis
     drift: DriftSpec
     tau: float
     sigma: float = 1.0
-    lf_check_radius: float = 8.0
 
     def __post_init__(self):
         if not isinstance(self.basis, SpectralBasis):
@@ -137,13 +137,13 @@ class SchemeParams:
         if not (isinstance(self.sigma, (int, float, np.floating))
                 and math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be a finite nonnegative real, got {self.sigma!r}")
-        lf = self.drift.one_sided_lipschitz(self.lf_check_radius)
+        lf = self.drift.one_sided_lipschitz(_LF_CHECK_RADIUS)
         lam1 = self.basis.eigenvalues[1]
         if lf >= lam1:
             warnings.warn(
                 f"drift violates the dissipativity margin: L_f = {lf:.6g} >= "
-                f"lambda_1 = {lam1:.6g} (estimated on [-{self.lf_check_radius}, "
-                f"{self.lf_check_radius}]); long-time averages may not converge",
+                f"lambda_1 = {lam1:.6g} (estimated on [-{_LF_CHECK_RADIUS}, "
+                f"{_LF_CHECK_RADIUS}]); long-time averages may not converge",
                 RuntimeWarning, stacklevel=2)
 
     @cached_property
@@ -169,25 +169,24 @@ class SchemeParams:
 
 @dataclass(frozen=True, eq=False)
 class SchemeState:
-    """Trajectory state: step counter, spectral coefficients, cached mean.
+    """Trajectory state: step counter, spectral coefficients, nodal values.
 
     ``coeffs`` is one trajectory's (N,) vector or an (N, L) stack of L
-    trajectories sharing the step counter.  ``mass0`` is defined as
-    coeffs[0]/sqrt(pi) at construction, a float for a vector and the (L,)
-    row for a stack; because the step never touches mode 0, the identity
-    mass0 == coeffs[0]/sqrt(pi) holds exactly forever.  ``nodal`` is None
-    or the nodal values ``basis.from_spectral(coeffs)``, bit for bit; a
-    state returned by ``step`` carries them.
+    trajectories sharing the step counter; ``nodal`` has the same shape and
+    holds ``basis.from_spectral(coeffs)`` bit for bit.  The spatial mean is
+    coeffs[0]/sqrt(pi), which the step never changes.
     """
 
     step_index: int
     coeffs: np.ndarray = field(repr=False)
-    mass0: float | np.ndarray
-    nodal: np.ndarray | None = field(default=None, repr=False)
+    nodal: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.step_index < 0:
             raise ValueError(f"step_index must be nonnegative, got {self.step_index}")
+        if np.shape(self.nodal) != np.shape(self.coeffs):
+            raise ValueError(f"nodal values of shape {np.shape(self.nodal)} do not match "
+                             f"coefficients of shape {np.shape(self.coeffs)}")
 
 
 def initial_state(params: SchemeParams, u0: np.ndarray) -> SchemeState:
@@ -199,24 +198,24 @@ def initial_state(params: SchemeParams, u0: np.ndarray) -> SchemeState:
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial condition contains non-finite values")
     coeffs = params.basis.to_spectral(u0)
-    return SchemeState(0, coeffs, float(coeffs[0]) / math.sqrt(math.pi))
+    return SchemeState(0, coeffs, params.basis.from_spectral(coeffs))
 
 
-def state_from_coeffs(step_index: int, coeffs: np.ndarray) -> SchemeState:
+def state_from_coeffs(params: SchemeParams, step_index: int, coeffs: np.ndarray) -> SchemeState:
     """Rebuild a state from stored coefficients (checkpoint resume)."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 1:
-        raise ValueError("coefficients must be a 1-D vector")
+    if coeffs.shape != (params.basis.n_modes,):
+        raise ValueError(f"coefficients must have shape ({params.basis.n_modes},)")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients contain non-finite values")
-    return SchemeState(int(step_index), coeffs, float(coeffs[0]) / math.sqrt(math.pi))
+    return SchemeState(int(step_index), coeffs, params.basis.from_spectral(coeffs))
 
 
 def _advance(params: SchemeParams, coeffs: np.ndarray, dw: np.ndarray,
-             nodal: np.ndarray | None = None) -> np.ndarray:
-    """Core update; ``coeffs`` and ``dw`` may be (N,) vectors or (N, L) stacks.
-    ``nodal``, if given, must equal ``from_spectral(coeffs)`` bit for bit;
-    it saves the synthesis and is not modified.
+             nodal: np.ndarray) -> np.ndarray:
+    """Core update; ``coeffs``, ``dw`` and ``nodal`` may be (N,) vectors or
+    (N, L) stacks.  ``nodal`` must equal ``from_spectral(coeffs)`` bit for
+    bit; it is read, not modified.
 
     The per-mode constants tau * lambda, 1 + lambda and the semigroup come
     precomputed from ``params`` and the temporaries are updated in place,
@@ -227,7 +226,7 @@ def _advance(params: SchemeParams, coeffs: np.ndarray, dw: np.ndarray,
     """
     basis = params.basis
     tau_lam, one_lam, sem = params._kernel_constants[coeffs.ndim]
-    f = params.drift.evaluate(basis.from_spectral(coeffs) if nodal is None else nodal)
+    f = params.drift.evaluate(nodal)
     new = basis.to_spectral(f)
     tmp = np.multiply(one_lam, coeffs, out=f)  # f is spent
     tmp *= coeffs
@@ -248,8 +247,8 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
     its mode-0 entries must be exactly zero (the mean carries no noise).
     Raises :class:`TrajectoryBlowUpError` if the update is non-finite; for a
     stack its ``column`` names the first failing trajectory.  The drift
-    reads ``state.nodal`` when it is set, and the returned state carries
-    the nodal values of its coefficients.
+    reads ``state.nodal``, and the returned state carries the nodal values
+    of its coefficients.
     """
     noise_coeffs = np.asarray(noise_coeffs, dtype=np.float64)
     if noise_coeffs.shape != state.coeffs.shape:
@@ -265,8 +264,7 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
         if new.ndim == 2:
             exc.column = int(np.argmax(~np.isfinite(new).all(axis=0)))
         raise exc
-    return SchemeState(state.step_index + 1, new, state.mass0,
-                       params.basis.from_spectral(new))
+    return SchemeState(state.step_index + 1, new, params.basis.from_spectral(new))
 
 
 class HorizonError(ValueError):
@@ -327,8 +325,6 @@ def _run(params: SchemeParams, state: SchemeState, sources, n_steps: int,
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     ratio = _ratio(params, sources)
-    if n_steps and state.nodal is None:  # shared by the observers and the first step
-        state = replace(state, nodal=params.basis.from_spectral(state.coeffs))
     for obs in observers:
         obs(state.step_index, state)
     m0 = state.step_index
@@ -361,15 +357,14 @@ def run_trajectory(params: SchemeParams, state: SchemeState, source: NoiseSource
 
 
 def run_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources, n_steps: int,
-                 observer=None, start_index: int = 0, *, observers=()) -> np.ndarray:
+                 *, start_index: int = 0, observers=()) -> np.ndarray:
     """Advance L coupled trajectories in lockstep; returns final (N, L) coeffs.
 
     ``coeffs0`` is either a single (N,) start state shared by all trajectories
-    or an (N, L) stack.  ``observer``, if given, is called as
-    ``observer(m, coeffs_matrix)`` at the initial state and after every step.
-    ``observers``, called after it as in ``run_trajectory``, see the stacked
-    state ``obs(m, state)``, which carries the (N, L) nodal values.
-    Trajectory l draws from ``sources[l]``; all sources must share tau_fine.
+    or an (N, L) stack.  ``observers`` are called as in ``run_trajectory``,
+    ``obs(m, state)`` on the stacked state, whose ``coeffs`` and ``nodal``
+    are (N, L).  Trajectory l draws from ``sources[l]``; all sources must
+    share tau_fine.
     """
     sources = list(sources)
     if not sources:
@@ -380,12 +375,10 @@ def run_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources, n_steps: in
               else coeffs0.copy())
     if coeffs.shape != (n, len(sources)):
         raise ValueError(f"coeffs0 must have shape ({n},) or ({n}, {len(sources)})")
-    state = SchemeState(start_index, coeffs, coeffs[0] / math.sqrt(math.pi))
-    if observer is not None:
-        observers = (lambda m, s: observer(m, s.coeffs), *observers)
+    state = SchemeState(start_index, coeffs, params.basis.from_spectral(coeffs))
     return _run(params, state, sources, n_steps, observers).coeffs
 
 
 def solution_at(basis: SpectralBasis, state: SchemeState, x):
     """Evaluate the piecewise-linear extension of the current state at x."""
-    return basis.interpolate(basis.from_spectral(state.coeffs), x)
+    return basis.interpolate(state.nodal, x)

@@ -21,6 +21,7 @@ All functionals accept a single field (N,) or an (N, L) stack of trajectories.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,6 +43,9 @@ __all__ = [
     "time_average_ensemble",
 ]
 
+# ~2.11e-154: below it the bound alpha2^2/2 on |phi| underflows and phi reads 0
+MIN_ALPHA2 = math.sqrt(2.0 * sys.float_info.min)
+
 
 def mass(u: np.ndarray):
     """Spatial mean (1/N) sum_i u_i; conserved exactly by the scheme."""
@@ -56,7 +60,7 @@ class TestFunctionSpec:
         v: Nodal samples of the pairing profile, shape (N,).
         alpha1: Fraction of the mean-mode pairing projected out (1.0 makes the
             functional blind to the conserved mean).
-        alpha2: Squashing scale; must be nonzero.  |phi| <= alpha2^2/2.
+        alpha2: Squashing scale; |alpha2| >= MIN_ALPHA2.  |phi| <= alpha2^2/2.
     """
 
     __test__ = False  # not a test case despite the Test* name
@@ -76,8 +80,9 @@ class TestFunctionSpec:
         if not (isinstance(self.alpha1, (int, float, np.floating)) and math.isfinite(self.alpha1)):
             raise ValueError(f"alpha1 must be a finite real, got {self.alpha1!r}")
         if not (isinstance(self.alpha2, (int, float, np.floating))
-                and math.isfinite(self.alpha2) and self.alpha2 != 0.0):
-            raise ValueError(f"alpha2 must be a nonzero finite real, got {self.alpha2!r}")
+                and math.isfinite(self.alpha2) and abs(self.alpha2) >= MIN_ALPHA2):
+            raise ValueError(f"alpha2 must be a finite real with |alpha2| >= "
+                             f"{MIN_ALPHA2:.3g}, got {self.alpha2!r}")
 
     @cached_property
     def _v_sum(self) -> float:
@@ -150,14 +155,12 @@ class RunningAverage:
 class TimeAverageObserver:
     """Trajectory observer accumulating the running time average of phi.
 
-    Samples every visited state with index >= burn_in_steps (the initial
-    state counts), recording (t, running average) every ``record_every``-th
-    sample into ``history``.  ``sample(m, coeffs)`` takes one trajectory's
-    (N,) coefficients or an (N, L) stack; a stack keeps one running average
-    per trajectory, and its history records their mean.  Called on a state,
-    the observer reads the nodal values the state carries and synthesizes
-    them only when it carries none; ``sample`` synthesizes them unless they
-    are passed.  Recorded values are Python floats.
+    Called as ``obs(m, state)``, it samples every visited state with index
+    >= burn_in_steps (the initial state counts), recording (t, running
+    average) every ``record_every``-th sample into ``history``.  It reads the
+    nodal values the state carries, one trajectory's (N,) vector or an
+    (N, L) stack; a stack keeps one running average per trajectory, and its
+    history records their mean.  Recorded values are Python floats.
     """
 
     def __init__(self, params: SchemeParams, spec: TestFunctionSpec,
@@ -175,16 +178,9 @@ class TimeAverageObserver:
         self._last_t = 0.0
 
     def __call__(self, m: int, state: SchemeState) -> None:
-        self.sample(m, state.coeffs, state.nodal)
-
-    def sample(self, m: int, coeffs: np.ndarray, nodal: np.ndarray | None = None) -> None:
-        """Sample the state with coefficients ``coeffs`` at step m; ``nodal``,
-        if given, is ``from_spectral(coeffs)`` and saves the synthesis."""
         if m < self.burn_in_steps:
             return
-        basis = self.params.basis
-        u = basis.from_spectral(coeffs) if nodal is None else nodal
-        self.running.update(phi_test(basis, self.spec, u))
+        self.running.update(phi_test(self.params.basis, self.spec, state.nodal))
         self._last_t = m * self.params.tau
         if (self.running.count - 1) % self.record_every == 0:
             self._record()
@@ -224,10 +220,7 @@ def time_average_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources,
     (grand_average, per_trajectory_averages, history, final_coeffs).
     """
     obs = TimeAverageObserver(params, spec, burn_in_steps, record_every)
-    # the stack goes through sample, as before, so the traced __call__ count
-    # stays that of single-trajectory states; passing nodal skips a synthesis
-    final = run_ensemble(params, coeffs0, sources, n_steps,
-                         observers=(lambda m, s: obs.sample(m, s.coeffs, s.nodal),))
+    final = run_ensemble(params, coeffs0, sources, n_steps, observers=(obs,))
     obs.finalize()
     per_traj = obs.running.average
     return float(np.mean(per_traj)), per_traj, obs.history, final

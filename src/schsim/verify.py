@@ -137,14 +137,13 @@ def check_stationary_variance() -> CheckResult:
     burn, total = 100, 700
     acc = {"sum": np.zeros(2), "sumsq": np.zeros(2), "n": 0}
 
-    def observer(m, coeffs):
-        if m <= burn:
-            return
-        acc["sum"] += np.sum(coeffs[1:3], axis=1)
-        acc["sumsq"] += np.sum(coeffs[1:3] ** 2, axis=1)
-        acc["n"] += coeffs.shape[1]
+    def observer(m, state):
+        if m > burn:
+            acc["sum"] += np.sum(state.coeffs[1:3], axis=1)
+            acc["sumsq"] += np.sum(state.coeffs[1:3] ** 2, axis=1)
+            acc["n"] += state.coeffs.shape[1]
 
-    run_ensemble(params, np.zeros(8), sources, total, observer=observer)
+    run_ensemble(params, np.zeros(8), sources, total, observers=(observer,))
     worst = 0.0
     for row, j in enumerate((1, 2)):
         target = stationary_variance(basis.eigenvalues[j], params.tau, params.sigma)
@@ -161,13 +160,13 @@ def check_mass_conservation() -> CheckResult:
     u0 = 1.0 / 3.0 + (1.0 / 3.0) * np.cos(basis.grid)
     state = initial_state(params, u0)
     source = NoiseSource(_SEED + 4, 0, tau_fine=0.01, n_modes_max=31)
-    mass0 = float(np.mean(basis.from_spectral(state.coeffs)))
+    mean0 = float(np.mean(state.nodal))
     worst = 0.0
 
     def observer(m, s):
         nonlocal worst
-        drift = abs(float(np.mean(basis.from_spectral(s.coeffs))) - mass0)
-        worst = max(worst, drift / (1.0 + abs(mass0)))
+        drift = abs(float(np.mean(s.nodal)) - mean0)
+        worst = max(worst, drift / (1.0 + abs(mean0)))
 
     run_trajectory(params, state, source, 2000, observers=(observer,))
     return _result("mass-conservation", worst <= 1e-12, f"max relative drift {worst:.2e}")
@@ -212,7 +211,7 @@ def check_constant_fixed_point() -> CheckResult:
     c_star = -drift.a1 / (3.0 * drift.a0)
     state = initial_state(params, np.full(24, c_star))
     after = step(params, state, np.zeros(24))
-    dev = float(np.max(np.abs(basis.from_spectral(after.coeffs) - c_star)))
+    dev = float(np.max(np.abs(after.nodal - c_star)))
     return _result("constant-fixed-point", dev <= 1e-14, f"one-step deviation {dev:.2e}")
 
 
@@ -254,10 +253,10 @@ def check_lyapunov_drift() -> CheckResult:
     coeffs0 = initial_state(params, u0).coeffs
     means = []
 
-    def observer(m, coeffs):
-        means.append(float(np.mean(lyapunov_v(basis, basis.from_spectral(coeffs)))))
+    def observer(m, state):
+        means.append(float(np.mean(lyapunov_v(basis, state.nodal))))
 
-    run_ensemble(params, coeffs0, sources, 40, observer=observer)
+    run_ensemble(params, coeffs0, sources, 40, observers=(observer,))
     x = np.array(means[:-1])
     y = np.array(means[1:])
     slope = float(np.polyfit(x, y, 1)[0])

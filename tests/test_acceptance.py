@@ -162,12 +162,12 @@ class TestAcceptance:
                    for l in range(n_traj)]
         rows = {1: [], 2: []}
 
-        def observe(m, coeffs):
+        def observe(m, state):
             if m >= burn_steps:
                 for j in rows:
-                    rows[j].append(coeffs[j].copy())
+                    rows[j].append(state.coeffs[j].copy())
 
-        run_ensemble(params, np.zeros(8), sources, n_steps, observer=observe)
+        run_ensemble(params, np.zeros(8), sources, n_steps, observers=(observe,))
         ok, parts = True, []
         for j, collected in rows.items():
             samples = np.concatenate(collected)
@@ -190,10 +190,10 @@ class TestAcceptance:
                    for l in range(n_traj)]
         linf = np.zeros(n_steps + 1)
 
-        def observe(m, coeffs):
-            linf[m] = np.max(np.abs(basis.from_spectral(coeffs)))
+        def observe(m, state):
+            linf[m] = np.max(np.abs(state.nodal))
 
-        run_ensemble(params, coeffs0, sources, n_steps, observer=observe)
+        run_ensemble(params, coeffs0, sources, n_steps, observers=(observe,))
         q = (n_steps + 1) // 4
         second, last = linf[q:2 * q].max(), linf[3 * q:].max()
         ok = bool(np.all(np.isfinite(linf))) and last <= 2.0 * second

@@ -114,6 +114,29 @@ class TestBuildConfig:
             with pytest.raises(ConfigError, match=r"'trajectory_id': must be in \[0, 2\^64\)"):
                 parse_config(base + str(bad))
 
+    def test_mode_counts_are_bounded(self):
+        """4096 modes is the largest accepted count for every mode key; the
+        dense basis is never built here."""
+        base = ("command = converge-space\nt_final = 1\ntau = 0.01\ninitial = 1/3\n"
+                "n_modes = {}\nn_modes_ref = {}\nn_modes_ladder = 8, {}\n")
+        cfg = parse_config(base.format(4096, 4096, 4096))
+        assert (cfg.n_modes, cfg.n_modes_ref, cfg.n_modes_ladder) == (4096, 4096, (8, 4096))
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(base.format(4097, 100_000_000, 4097))
+        assert [m.split(":")[0] for m in exc_info.value.messages] == \
+            ["key 'n_modes'", "key 'n_modes_ref'", "key 'n_modes_ladder'"]
+        assert all("[2, 4096]" in m for m in exc_info.value.messages)
+
+    def test_test_alpha2_whose_phi_bound_underflows_is_rejected(self):
+        """|phi| <= test_alpha2^2/2 must not underflow: 1e-150 is accepted,
+        1e-320 (and 0) are not."""
+        base = "command = verify\ntest_alpha2 = "
+        assert parse_config(base + "1e-150").test_alpha2 == 1e-150
+        assert parse_config(base + "-1e-150").test_alpha2 == -1e-150
+        for bad in ("1e-320", "-1e-160", "0"):
+            with pytest.raises(ConfigError, match="key 'test_alpha2': .*at least 2.11e-154"):
+                parse_config(base + bad)
+
     def test_zero_leading_drift_needs_validation_mode(self):
         base = "command = simulate\ntau = 0.1\nt_final = 1\ninitial = 1/3\ndrift_a0 = 0\n"
         with pytest.raises(ConfigError, match="validation_mode"):
@@ -213,7 +236,8 @@ class TestResumedConfig:
         params = SchemeParams(basis, DriftSpec(0.5, 0.25, 1.0, -1.0), 0.0625, 0.5)
         source = NoiseSource(5, 3, tau_fine=0.03125, n_modes_max=7)
         path = tmp_path / "state.ckpt"
-        write_checkpoint(path, params, state_from_coeffs(2, np.linspace(0, 1, 8)), source)
+        write_checkpoint(path, params, state_from_coeffs(params, 2, np.linspace(0, 1, 8)),
+                         source)
         return read_checkpoint(path)
 
     def test_checkpoint_values_replace_implicit_ones(self, tmp_path):
@@ -550,6 +574,20 @@ initials = 1/3; 1
         assert capsys.readouterr().err.startswith(f"error: config: key {key!r}: ")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("simulate", "tau = 0.01\nt_final = 0.1\nn_modes = 100000000\n", "n_modes"),
+        ("ergodic", "tau = 0.01\nt_final = 0.3\ninitials = 1/3\nestimator = single\n"
+                    "test_alpha2 = 1e-320\n", "test_alpha2"),
+    ])
+    def test_out_of_range_values_exit_2(self, tmp_path, capsys, command, text, key):
+        """A mode count too large for the dense basis and a test_alpha2
+        whose phi bound underflows are config errors, found before the run."""
+        cfg = self.write_cfg(tmp_path, f"command = {command}\ninitial = 1/3\n" + text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: key {key!r}: ")
+        assert not out.exists()
+
     def test_runtime_errors_exit_1(self, tmp_path, capsys):
         # a checkpoint that cannot be read is only found at run time
         cfg = self.write_cfg(tmp_path, SIM_CFG + f"checkpoint_in = {tmp_path / 'none.ckpt'}\n")
@@ -570,10 +608,10 @@ initials = 1/3; 1
         """A run that completes re-emits the RuntimeWarnings it raised."""
         cfg = self.write_cfg(tmp_path, "command = ergodic\nn_modes = 8\ntau = 0.01\n"
                              "t_final = 0.3\ninitials = 1/3\nestimator = single\n"
-                             "test_alpha2 = 1e-320\n")
-        with pytest.warns(RuntimeWarning, match="overflow"):
+                             "drift_a2 = -50\n")
+        with pytest.warns(RuntimeWarning, match="dissipativity margin"):
             assert main(["ergodic", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        assert "estimate +0.000000" in capsys.readouterr().out
+        assert "single[0]: initial '1/3' -> estimate" in capsys.readouterr().out
 
 
 if __name__ == "__main__":

@@ -102,7 +102,8 @@ class TestSchemeParams:
     def test_dissipativity_warning(self):
         """A drift steeper than -lambda_1 only warns; it is not an error."""
         steep = DriftSpec(0.0, 0.0, -50.0, 0.0, validation_mode=True)
-        with pytest.warns(RuntimeWarning, match="dissipativity"):
+        with pytest.warns(RuntimeWarning,
+                          match=r"dissipativity.*estimated on \[-8\.0, 8\.0\]"):
             SchemeParams(build_basis(8), steep, 0.1)
 
     def test_no_warning_for_double_well(self):
@@ -161,8 +162,9 @@ class TestKernelOracle:
         if width is None:
             coeffs, dw = coeffs[:, 0], dw[:, 0]
         expected = reference_advance(params, coeffs, dw)
-        assert _advance(params, coeffs, dw).tobytes() == expected.tobytes()
-        state = SchemeState(3, coeffs, coeffs[0] / math.sqrt(math.pi))
+        nodal = params.basis.from_spectral(coeffs)
+        assert _advance(params, coeffs, dw, nodal).tobytes() == expected.tobytes()
+        state = SchemeState(3, coeffs, nodal)
         assert step(params, state, dw).coeffs.tobytes() == expected.tobytes()
 
     def test_kernel_constants_are_read_only(self):
@@ -181,7 +183,7 @@ class TestStates:
         u0 = np.linspace(-1.0, 2.0, 12)
         state = initial_state(params, u0)
         assert state.step_index == 0
-        assert state.mass0 == pytest.approx(u0.mean(), rel=1e-13)
+        assert state.coeffs[0] / math.sqrt(math.pi) == pytest.approx(u0.mean(), rel=1e-13)
 
     def test_initial_state_shape_checked(self):
         params = make_params(n=12)
@@ -196,13 +198,13 @@ class TestStates:
     def test_state_from_coeffs_round_trip(self):
         params = make_params(n=6)
         state = initial_state(params, np.ones(6))
-        clone = state_from_coeffs(state.step_index, state.coeffs)
+        clone = state_from_coeffs(params, state.step_index, state.coeffs)
         np.testing.assert_array_equal(clone.coeffs, state.coeffs)
-        assert clone.mass0 == state.mass0
+        assert clone.coeffs[0] == state.coeffs[0]
 
     def test_state_rejects_negative_index(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            state_from_coeffs(-1, np.zeros(4))
+            state_from_coeffs(make_params(n=4), -1, np.zeros(4))
 
 
 class TestStep:
@@ -230,7 +232,6 @@ class TestStep:
         src = make_source(params)
         state = run_trajectory(params, state, src, 500)
         assert state.coeffs[0] == c0
-        assert state.mass0 == state.coeffs[0] / math.sqrt(math.pi)
 
     def test_linear_drift_matches_scalar_recursion(self):
         """Replay the update per mode with plain Python floats.
@@ -250,7 +251,7 @@ class TestStep:
         rng = np.random.default_rng(0)
         oracle = rng.standard_normal(8)
         oracle[0] = 0.4
-        state = state_from_coeffs(0, oracle.copy())
+        state = state_from_coeffs(params, 0, oracle.copy())
         n_steps = 400
         for m in range(n_steps):
             dw = src.increment_field(params.basis, m)
@@ -280,7 +281,7 @@ class TestStep:
 
     def test_overflow_raises_blow_up(self):
         params = make_params(n=8, sigma=0.0)
-        state = state_from_coeffs(0, np.full(8, 1e160))
+        state = state_from_coeffs(params, 0, np.full(8, 1e160))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrajectoryBlowUpError) as exc_info:
                 step(params, state, np.zeros(8))
@@ -293,15 +294,14 @@ class TestStep:
         params = make_params(n=8)
         coeffs = np.stack([params.basis.to_spectral(np.cos(k * params.basis.grid) + k)
                            for k in range(3)], axis=1)
-        state = SchemeState(4, coeffs, coeffs[0] / math.sqrt(math.pi))
+        state = SchemeState(4, coeffs, params.basis.from_spectral(coeffs))
         dw = np.random.default_rng(1).standard_normal((8, 3)) * 0.1
         dw[0] = 0.0
         new = step(params, state, dw)
         assert new.step_index == 5 and new.coeffs.shape == (8, 3)
         np.testing.assert_array_equal(new.coeffs[0], coeffs[0])
-        np.testing.assert_array_equal(new.mass0, new.coeffs[0] / math.sqrt(math.pi))
         for k in range(3):
-            one = step(params, state_from_coeffs(4, coeffs[:, k]), dw[:, k])
+            one = step(params, state_from_coeffs(params, 4, coeffs[:, k]), dw[:, k])
             np.testing.assert_allclose(new.coeffs[:, k], one.coeffs, rtol=0, atol=1e-13)
         dw[0, 2] = 1e-300
         with pytest.raises(ValueError, match="mode 0 must be exactly zero"):
@@ -311,7 +311,7 @@ class TestStep:
         params = make_params(n=8, sigma=0.0)
         coeffs = np.zeros((8, 3))
         coeffs[:, 1] = 1e160
-        state = SchemeState(0, coeffs, coeffs[0] / math.sqrt(math.pi))
+        state = SchemeState(0, coeffs, params.basis.from_spectral(coeffs))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrajectoryBlowUpError) as exc_info:
                 step(params, state, np.zeros((8, 3)))
@@ -333,17 +333,54 @@ class TestNodalValues:
         dw[0] = 0.0
         return coeffs, dw
 
+    @staticmethod
+    def assert_carries_nodal(params, state):
+        assert state.nodal.shape == state.coeffs.shape
+        assert state.nodal.tobytes() == params.basis.from_spectral(state.coeffs).tobytes()
+
+    def test_every_constructor_builds_the_nodal_values(self):
+        """initial_state, state_from_coeffs and run_ensemble's stacked start
+        build a state whose nodal values are from_spectral(coeffs); ``step``
+        is checked below."""
+        params = make_params(n=16)
+        self.assert_carries_nodal(params, initial_state(params, np.cos(params.basis.grid)))
+        self.assert_carries_nodal(params, state_from_coeffs(params, 4, self.stack(params, None)[0]))
+        stacked = self.stack(params, 3)[0]
+        sources = [make_source(params, trajectory_id=l) for l in range(3)]
+        seen = []
+        run_ensemble(params, stacked, sources, 2, observers=(lambda m, s: seen.append(s),))
+        assert seen[0].coeffs.tobytes() == stacked.tobytes()
+        for state in seen:
+            self.assert_carries_nodal(params, state)
+
+    def test_state_rejects_nodal_values_of_another_shape(self):
+        coeffs = np.zeros((8, 3))
+        SchemeState(0, coeffs, np.zeros((8, 3)))
+        for nodal in (np.zeros(8), np.zeros((8, 2)), np.zeros((3, 8))):
+            with pytest.raises(ValueError, match="do not match"):
+                SchemeState(0, coeffs, nodal)
+        with pytest.raises(ValueError, match="do not match"):  # a scalar where mass0 went
+            SchemeState(0, np.zeros(8), 0.0)
+
+    def test_state_from_coeffs_checks_the_mode_count(self):
+        with pytest.raises(ValueError, match=r"shape \(8,\)"):
+            state_from_coeffs(make_params(n=8), 0, np.zeros(7))
+        with pytest.raises(ValueError, match=r"shape \(8,\)"):
+            state_from_coeffs(make_params(n=8), 0, np.zeros((8, 2)))
+
+    def test_a_positional_observer_is_refused(self):
+        params = make_params(n=8)
+        with pytest.raises(TypeError):
+            run_ensemble(params, np.zeros(8), [make_source(params)], 2, lambda m, s: None)
+
     @pytest.mark.parametrize("width", [None, 3])
     def test_step_returns_the_nodal_values_of_its_coefficients(self, width):
         params = make_params(n=16)
         coeffs, dw = self.stack(params, width)
-        state = SchemeState(0, coeffs, coeffs[0] / math.sqrt(math.pi))
-        assert state.nodal is None
+        state = SchemeState(0, coeffs, params.basis.from_spectral(coeffs))
         new = step(params, state, dw)
-        assert new.nodal.shape == new.coeffs.shape
-        assert new.nodal.tobytes() == params.basis.from_spectral(new.coeffs).tobytes()
-        again = step(params, new, dw)
-        assert again.nodal.tobytes() == params.basis.from_spectral(again.coeffs).tobytes()
+        self.assert_carries_nodal(params, new)
+        self.assert_carries_nodal(params, step(params, new, dw))
 
     @pytest.mark.parametrize("width", [None, 3])
     def test_advance_with_nodal_values_gives_the_same_bits(self, width):
@@ -352,7 +389,7 @@ class TestNodalValues:
         nodal = params.basis.from_spectral(coeffs)
         kept = nodal.copy()
         with_nodal = _advance(params, coeffs, dw, nodal)
-        assert with_nodal.tobytes() == _advance(params, coeffs, dw).tobytes()
+        assert with_nodal.tobytes() == reference_advance(params, coeffs, dw).tobytes()
         assert nodal.tobytes() == kept.tobytes()  # read, not modified
 
     def test_observers_see_the_nodal_values(self):
@@ -368,16 +405,6 @@ class TestNodalValues:
         sources = [make_source(params, trajectory_id=l) for l in range(2)]
         run_ensemble(params, np.zeros(8), sources, 5, observers=(check,))
         assert seen == list(range(6)) * 2
-
-    def test_ensemble_observers_follow_the_coefficient_observer(self):
-        params = make_params(n=8)
-        sources = [make_source(params, trajectory_id=l) for l in range(2)]
-        calls = []
-        final = run_ensemble(params, np.zeros(8), sources, 3,
-                             observer=lambda m, c: calls.append(("coeffs", m)),
-                             observers=(lambda m, s: calls.append(("state", m)),))
-        assert calls == [(kind, m) for m in range(4) for kind in ("coeffs", "state")]
-        assert final.tobytes() == run_ensemble(params, np.zeros(8), sources, 3).tobytes()
 
 
 class TestNoiseBlocks:
@@ -470,7 +497,7 @@ class TestTrajectories:
 
     def test_blow_up_reports_trajectory_id(self):
         params = make_params(n=8, sigma=0.0)
-        state = state_from_coeffs(0, np.full(8, 1e160))
+        state = state_from_coeffs(params, 0, np.full(8, 1e160))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrajectoryBlowUpError) as exc_info:
                 run_trajectory(params, state, make_source(params, trajectory_id=7), 3)
@@ -513,7 +540,7 @@ class TestEnsemble:
         sources = [make_source(params)]
         seen = []
         run_ensemble(params, np.zeros(8), sources, 5,
-                     observer=lambda m, c: seen.append((m, c.shape)))
+                     observers=(lambda m, s: seen.append((m, s.coeffs.shape)),))
         assert seen == [(m, (8, 1)) for m in range(6)]
 
     def test_start_index_offsets_noise(self):
@@ -578,7 +605,7 @@ class TestCheckpointResume:
     def test_checkpoint_preserves_every_field(self, tmp_path):
         params = make_params(n=8, tau=2e-2, sigma=0.5)
         src = NoiseSource(77, 3, tau_fine=1e-2, n_modes_max=7)
-        state = state_from_coeffs(12, np.linspace(-1, 1, 8))
+        state = state_from_coeffs(params, 12, np.linspace(-1, 1, 8))
         path = tmp_path / "fields.ckpt"
         write_checkpoint(path, params, state, src)
         data = read_checkpoint(path)

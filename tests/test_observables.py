@@ -13,7 +13,7 @@ from schsim import (DriftSpec, NoiseSource, RunningAverage, SchemeParams,
                     SchemeState, TestFunctionSpec, TimeAverageObserver, build_basis,
                     evaluate_expression, g_functional, initial_state,
                     lyapunov_v, mass, phi_test, run_trajectory,
-                    time_average_ensemble, time_average_single,
+                    state_from_coeffs, time_average_ensemble, time_average_single,
                     validate_expression)
 
 WELL = DriftSpec(0.5, -0.5, 1.0, -1.0)
@@ -155,6 +155,10 @@ class TestSpecValidation:
             TestFunctionSpec(np.ones(4), float("inf"), 2.0)
         with pytest.raises(ValueError, match="alpha2"):
             TestFunctionSpec(np.ones(4), 1.0, 0.0)
+        # |phi| <= alpha2^2/2 must not underflow, or phi reads 0 for every state
+        with pytest.raises(ValueError, match="alpha2"):
+            TestFunctionSpec(np.ones(4), 1.0, 1e-320)
+        assert TestFunctionSpec(np.ones(4), 1.0, 1e-150).alpha2 == 1e-150
 
 
 class TestLyapunov:
@@ -244,40 +248,23 @@ class TestTimeAverageObserver:
         assert obs.history[-1][0] == pytest.approx(4 * params.tau)
 
     def test_stack_sample_averages_each_column(self):
-        """sample() on an (N, L) stack keeps one running average per column,
-        equal to a separate observer per column; history holds their mean."""
+        """On an (N, L) stack the observer keeps one running average per
+        column, equal to a separate observer per column; history holds their
+        mean."""
         params, stacked = self.make(record_every=2)
         columns = [self.make(record_every=2)[1] for _ in range(3)]
         rng = np.random.default_rng(3)
         for m in range(5):
             coeffs = rng.standard_normal((8, 3))
-            stacked.sample(m, coeffs)
+            stacked(m, SchemeState(m, coeffs, params.basis.from_spectral(coeffs)))
             for k, obs in enumerate(columns):
-                obs.sample(m, coeffs[:, k])
+                obs(m, state_from_coeffs(params, m, coeffs[:, k]))
         stacked.finalize()
         per_column = np.array([obs.running.average for obs in columns])
         np.testing.assert_allclose(stacked.running.average, per_column, rtol=1e-13)
         assert [t for t, _ in stacked.history] == pytest.approx([0.0, 0.02, 0.04])
         assert stacked.history[-1][1] == pytest.approx(np.mean(per_column), rel=1e-13)
         assert all(type(avg) is float for _, avg in stacked.history)
-
-    @pytest.mark.parametrize("width", [None, 3])
-    def test_states_with_and_without_nodal_values_agree(self, width):
-        """Reading the nodal values a state carries gives the same history
-        and average, bit for bit, as synthesizing them."""
-        params, carried = self.make(burn_in_steps=2, record_every=3)
-        synthesized = self.make(burn_in_steps=2, record_every=3)[1]
-        rng = np.random.default_rng(4)
-        for m in range(10):
-            coeffs = rng.standard_normal((8,) if width is None else (8, width))
-            nodal = params.basis.from_spectral(coeffs)
-            carried(m, SchemeState(m, coeffs, coeffs[0], nodal))
-            synthesized(m, SchemeState(m, coeffs, coeffs[0]))
-        carried.finalize()
-        synthesized.finalize()
-        assert carried.history == synthesized.history
-        assert np.asarray(carried.running.average).tobytes() == \
-            np.asarray(synthesized.running.average).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="burn_in_steps"):
