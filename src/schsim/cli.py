@@ -7,8 +7,9 @@ runtime flags ``--seed``, ``--out``, ``--threads``, ``--deterministic`` and
 A ``simulate`` run resumed from ``checkpoint_in`` runs with the checkpoint's
 scheme, drift and noise values and echoes them; setting one of those keys
 to another value is a config error.
-Deterministic mode pins threads to 1 and writes timing fields as NA, so output
-files are byte-reproducible from their own embedded config echo.
+Deterministic mode writes timing fields as NA, so output files are
+byte-reproducible from their own embedded config echo; ``--threads`` changes
+no result in any mode and must be at least 1.
 
 Failures are reported as single machine-readable lines ``error: <kind>: ...``
 on stderr; exit code 2 flags config/usage problems, 1 runtime failures.
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--threads", type=int, default=1,
                          help="thread pool for convergence studies; changes no result (default: 1)")
         cmd.add_argument("--deterministic", action="store_true",
-                         help="one thread and NA timings, for byte-reproducible outputs")
+                         help="NA timings, for byte-reproducible outputs")
         cmd.add_argument("--svg", action="store_true", help="also emit SVG charts")
     return parser
 
@@ -253,7 +254,10 @@ def _cmd_verify() -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     with warnings.catch_warnings(record=True) as caught:
         try:
             code = _run_command(args)
@@ -274,13 +278,12 @@ def _run_command(args) -> int:
         cfg, explicit = _load_config(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        threads = 1 if cfg.deterministic else max(1, args.threads)
         if args.command == "simulate":
             return _cmd_simulate(cfg, explicit, out_dir, args.svg)
         if args.command == "converge-time":
-            return _cmd_converge_time(cfg, out_dir, args.svg, threads)
+            return _cmd_converge_time(cfg, out_dir, args.svg, args.threads)
         if args.command == "converge-space":
-            return _cmd_converge_space(cfg, out_dir, args.svg, threads)
+            return _cmd_converge_space(cfg, out_dir, args.svg, args.threads)
         if args.command == "ergodic":
             return _cmd_ergodic(cfg, out_dir, args.svg)
         return _cmd_verify()

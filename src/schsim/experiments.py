@@ -16,8 +16,13 @@ common random numbers: every trajectory owns one addressable stream per mode,
 the coarse step consumes exact sums of the reference's fine increments, and a
 coarse run with fewer modes truncates the same shared streams.
 
-Both studies advance the reference and all coarse levels in lockstep, so the
-reference is integrated once per trajectory regardless of ladder length.
+The temporal and spatial studies and ``mean_square_error`` (their one-rung
+case) all run through one core, ``_coupled_errors``, which holds every rule
+once: the trajectory count, the step counts of the horizon and the ladder,
+the mode bound and the step-size coupling warning.  The studies only build
+their ladders and tabulate the core's errors.  The core advances the
+reference and all coarse levels in lockstep, so the reference is integrated
+once per trajectory regardless of ladder length.
 Noise is generated once, in blocks at the reference step and mode count; a
 coarse level reads the first N_c modes of each block and sums each run of
 ``stride`` reference increments, which is exact (see ``noise``).
@@ -40,7 +45,7 @@ from .expressions import evaluate_expression
 from .grid import SpectralBasis
 from .integrator import (DriftSpec, HorizonError, SchemeParams,
                          TrajectoryBlowUpError, _advance, _noise_blocks, _ratio,
-                         initial_state, whole_steps)
+                         _start_coeffs, state_from_coeffs, whole_steps)
 from .noise import NoiseSource
 from .observables import (TestFunctionSpec, time_average_ensemble,
                           time_average_single)
@@ -144,14 +149,6 @@ class _CoarseEntry:
     eval_coarse: np.ndarray  # maps coarse coefficients to evaluation values
     eval_ref: np.ndarray     # maps reference coefficients to the same points
     rows: np.ndarray = field(default=None)  # max|diff|^2 per checked step and trajectory
-
-
-def _make_entry(params: SchemeParams, stride: int, coeffs0: np.ndarray,
-                params_ref: SchemeParams) -> _CoarseEntry:
-    n_c = params.basis.n_modes
-    eval_coarse = params.basis.basis_matrix[_kappa_rows(n_c, n_c)]
-    eval_ref = params_ref.basis.basis_matrix[_kappa_rows(n_c, params_ref.basis.n_modes)]
-    return _CoarseEntry(params, stride, coeffs0, eval_coarse, eval_ref)
 
 
 def _tile(coeffs0: np.ndarray, n_traj: int) -> np.ndarray:
@@ -259,17 +256,63 @@ def _run_coupled(params_ref, coeffs0_ref, entries, sources, n_ref_steps,
     return [entry.rows.sum(axis=1) for entry in entries]
 
 
-def _error_from_sums(sums: np.ndarray, n_traj: int) -> float:
-    return float(np.max(np.sqrt(sums / n_traj)))
+def _check_modes(n_modes: int, n_modes_ref: int) -> None:
+    if n_modes > n_modes_ref:
+        raise HorizonError(f"ladder mode count {n_modes} must not exceed n_modes_ref = "
+                           f"{n_modes_ref}: a coarse run may not have more modes than "
+                           f"the reference", "n_modes_ladder")
 
 
-def _warn_step_constraint(params: SchemeParams) -> None:
-    if not params.step_constraint_satisfied():
-        warnings.warn(
-            f"step-size coupling violated: tau^9 / h = "
-            f"{params.tau**9 / params.basis.h:.3g} > 1 for tau={params.tau!r}, "
-            f"n_modes={params.basis.n_modes}; the error bound may not apply",
-            RuntimeWarning, stacklevel=3)
+def _coupled_errors(params_ref: SchemeParams, coeffs0_ref: np.ndarray, levels, *,
+                    seed: int, n_trajectories: int, t_final: float,
+                    threads: int) -> list[float]:
+    """The error of each coarse level ``(params, coeffs0)`` against the
+    reference, all driven by trajectories 0 .. n_trajectories-1 of ``seed``.
+
+    The one home of the studies' rules: a level may not have more modes than
+    the reference, its tau must be a whole number of reference steps, and
+    t_final a whole number of steps of the reference and of every level;
+    each discretization breaking the step-size coupling tau^9 / h <= 1 is
+    named in a warning.
+    """
+    if n_trajectories < 1:
+        raise ValueError(f"n_trajectories must be positive, got {n_trajectories}")
+    n_ref = params_ref.basis.n_modes
+    n_ref_steps = whole_steps(t_final, params_ref.tau, "t_final in steps of tau_ref",
+                              key="t_final")
+    entries = []
+    for params, coeffs0 in levels:
+        n_c = params.basis.n_modes
+        _check_modes(n_c, n_ref)
+        stride = whole_steps(params.tau, params_ref.tau, "ladder tau in steps of tau_ref",
+                             key="tau_ladder")
+        whole_steps(t_final, params.tau, "t_final in steps of the ladder tau", key="t_final")
+        entries.append(_CoarseEntry(params, stride, coeffs0,
+                                    params.basis.basis_matrix[_kappa_rows(n_c, n_c)],
+                                    params_ref.basis.basis_matrix[_kappa_rows(n_c, n_ref)]))
+    for params in [entry.params for entry in entries] + [params_ref]:
+        if not params.step_constraint_satisfied():
+            warnings.warn(
+                f"step-size coupling violated: tau^9 / h = "
+                f"{params.tau**9 / params.basis.h:.3g} > 1 for tau={params.tau!r}, "
+                f"n_modes={params.basis.n_modes}; the error bound may not apply",
+                RuntimeWarning, stacklevel=3)
+    sources = [NoiseSource(seed, k, tau_fine=params_ref.tau, n_modes_max=n_ref - 1)
+               for k in range(n_trajectories)]
+    sums = _run_coupled(params_ref, coeffs0_ref, entries, sources, n_ref_steps, threads)
+    return [float(np.max(np.sqrt(s / n_trajectories))) for s in sums]
+
+
+def _table(kind: str, rows, step_params, errors, t0: float) -> ConvergenceTable:
+    """The table of ``(tau, n_modes)`` rows with their errors and pair rates;
+    the slope needs three rows, all with positive errors, and is NaN
+    otherwise."""
+    rates = pairwise_rates(errors)
+    slope = (rate_regression(step_params, errors)
+             if len(errors) >= 3 and all(e > 0 for e in errors) else float("nan"))
+    return ConvergenceTable(kind, tuple(ConvergenceRow(tau, n, err, rate)
+                                        for (tau, n), err, rate in zip(rows, errors, rates)),
+                            slope, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,29 +323,17 @@ def mean_square_error(params_coarse: SchemeParams, params_ref: SchemeParams,
                       u0_coarse: np.ndarray, u0_ref: np.ndarray, *,
                       seed: int, n_trajectories: int, t_final: float,
                       threads: int = 1) -> float:
-    """Common-random-number mean-square distance between two discretizations.
+    """Common-random-number mean-square distance between two discretizations:
+    the one-rung case of the temporal and spatial studies.
 
     Requires tau_ref to divide tau_coarse and the coarse mode count not to
     exceed the reference's.  With identical parameters and initial data the
     two runs coincide bit-for-bit and the distance is exactly zero.
     """
-    if params_coarse.basis.n_modes > params_ref.basis.n_modes:
-        raise ValueError("coarse run may not have more modes than the reference")
-    stride = whole_steps(params_coarse.tau, params_ref.tau, "tau_coarse in steps of tau_ref")
-    n_ref_steps = stride * whole_steps(t_final, params_coarse.tau, "t_final in coarse steps",
-                                       key="t_final")
-    if n_trajectories < 1:
-        raise ValueError(f"n_trajectories must be positive, got {n_trajectories}")
-    coeffs0_ref = initial_state(params_ref, u0_ref).coeffs
-    coeffs0_c = initial_state(params_coarse, u0_coarse).coeffs
-    sources = [NoiseSource(seed, k, tau_fine=params_ref.tau,
-                           n_modes_max=params_ref.basis.n_modes - 1)
-               for k in range(n_trajectories)]
-
-    entries = [_make_entry(params_coarse, stride, coeffs0_c, params_ref)]
-    sums = _run_coupled(params_ref, coeffs0_ref, entries, sources,
-                        n_ref_steps, threads)[0]
-    return _error_from_sums(sums, n_trajectories)
+    level = (params_coarse, _start_coeffs(params_coarse, u0_coarse))
+    return _coupled_errors(params_ref, _start_coeffs(params_ref, u0_ref), [level],
+                           seed=seed, n_trajectories=n_trajectories, t_final=t_final,
+                           threads=threads)[0]
 
 
 def run_temporal_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
@@ -321,27 +352,12 @@ def run_temporal_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
     if not taus:
         raise ValueError("tau_ladder must not be empty")
     params_ref = SchemeParams(basis, drift, tau_ref, sigma)
-    u0 = evaluate_expression(initial, basis.grid)
-    coeffs0 = initial_state(params_ref, u0).coeffs
-    n_ref_steps = whole_steps(t_final, tau_ref, "t_final in steps of tau_ref", key="t_final")
-    entries = []
-    for tau in taus:
-        stride = whole_steps(tau, tau_ref, "ladder tau in steps of tau_ref", key="tau_ladder")
-        whole_steps(t_final, tau, "t_final in steps of the ladder tau", key="t_final")
-        params = SchemeParams(basis, drift, tau, sigma)
-        _warn_step_constraint(params)
-        entries.append(_make_entry(params, stride, coeffs0, params_ref))
-    sources = [NoiseSource(seed, k, tau_fine=tau_ref, n_modes_max=basis.n_modes - 1)
-               for k in range(n_trajectories)]
-    sums = _run_coupled(params_ref, coeffs0, entries, sources, n_ref_steps, threads)
-
-    errors = [_error_from_sums(s, n_trajectories) for s in sums]
-    rates = pairwise_rates(errors)
-    rows = tuple(ConvergenceRow(tau, basis.n_modes, err, rate)
-                 for tau, err, rate in zip(taus, errors, rates))
-    slope = (rate_regression(taus, errors)
-             if len(taus) >= 3 and all(e > 0 for e in errors) else float("nan"))
-    return ConvergenceTable("time", rows, slope, time.perf_counter() - t0)
+    coeffs0 = _start_coeffs(params_ref, evaluate_expression(initial, basis.grid))
+    levels = [(SchemeParams(basis, drift, tau, sigma), coeffs0) for tau in taus]
+    errors = _coupled_errors(params_ref, coeffs0, levels, seed=seed,
+                             n_trajectories=n_trajectories, t_final=t_final,
+                             threads=threads)
+    return _table("time", [(tau, basis.n_modes) for tau in taus], taus, errors, t0)
 
 
 def run_spatial_study(*, drift: DriftSpec, sigma: float, t_final: float,
@@ -358,35 +374,18 @@ def run_spatial_study(*, drift: DriftSpec, sigma: float, t_final: float,
     ns = sorted({int(n) for n in n_modes_ladder})
     if not ns:
         raise ValueError("n_modes_ladder must not be empty")
-    if ns[-1] > n_modes_ref:
-        raise HorizonError(f"ladder mode count {ns[-1]} must not exceed "
-                           f"n_modes_ref = {n_modes_ref}", "n_modes_ladder")
-    basis_ref = SpectralBasis(n_modes_ref)
-    params_ref = SchemeParams(basis_ref, drift, tau, sigma)
-    _warn_step_constraint(params_ref)
-    u0_ref = evaluate_expression(initial, basis_ref.grid)
-    coeffs0_ref = initial_state(params_ref, u0_ref).coeffs
-    n_steps = whole_steps(t_final, tau, "t_final in steps of tau", key="t_final")
+    _check_modes(ns[-1], n_modes_ref)  # before a basis of up to 40 B x N^2 is built
 
-    entries = []
-    for n in ns:
+    def level(n: int):
         basis = SpectralBasis(n)
         params = SchemeParams(basis, drift, tau, sigma)
-        u0 = evaluate_expression(initial, basis.grid)
-        coeffs0 = initial_state(params, u0).coeffs
-        entries.append(_make_entry(params, 1, coeffs0, params_ref))
+        return params, _start_coeffs(params, evaluate_expression(initial, basis.grid))
 
-    sources = [NoiseSource(seed, k, tau_fine=tau, n_modes_max=n_modes_ref - 1)
-               for k in range(n_trajectories)]
-    sums = _run_coupled(params_ref, coeffs0_ref, entries, sources, n_steps, threads)
-
-    errors = [_error_from_sums(s, n_trajectories) for s in sums]
-    rates = pairwise_rates(errors)  # rows run coarse (small N) to fine
-    rows = tuple(ConvergenceRow(tau, n, err, rate)
-                 for n, err, rate in zip(ns, errors, rates))
-    slope = (rate_regression([np.pi / n for n in ns], errors)
-             if len(ns) >= 3 and all(e > 0 for e in errors) else float("nan"))
-    return ConvergenceTable("space", rows, slope, time.perf_counter() - t0)
+    params_ref, coeffs0_ref = level(n_modes_ref)
+    errors = _coupled_errors(params_ref, coeffs0_ref, [level(n) for n in ns], seed=seed,
+                             n_trajectories=n_trajectories, t_final=t_final,
+                             threads=threads)
+    return _table("space", [(tau, n) for n in ns], [np.pi / n for n in ns], errors, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +443,12 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
                            f"{min(n_steps, key=n_steps.get)} estimator's horizon", "burn_in")
     runs: list[ErgodicRun] = []
     for i, expr in enumerate(initials):
-        u0 = evaluate_expression(expr, basis.grid)
-        state0 = initial_state(params, u0)
+        coeffs0 = _start_coeffs(params, evaluate_expression(expr, basis.grid))
         if estimator in ("single", "both"):
             source = NoiseSource(seed, i, tau_fine=tau, n_modes_max=basis.n_modes - 1)
             t0 = time.perf_counter()
             avg, history, _ = time_average_single(
-                params, state0, source, n_steps["single"], spec,
+                params, state_from_coeffs(params, 0, coeffs0), source, n_steps["single"], spec,
                 burn_in_steps=burn_steps, record_every=thinning)
             runs.append(ErgodicRun(f"single[{i}]", "single", expr, avg,
                                    n_samples["single"],
@@ -461,7 +459,7 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
                        for l in range(n_trajectories)]
             t0 = time.perf_counter()
             grand, _, history, _ = time_average_ensemble(
-                params, state0.coeffs, sources, n_steps["ensemble"], spec,
+                params, coeffs0, sources, n_steps["ensemble"], spec,
                 burn_in_steps=burn_steps, record_every=thinning)
             runs.append(ErgodicRun(f"ensemble[{i}]", "ensemble", expr, grand,
                                    n_samples["ensemble"] * n_trajectories,

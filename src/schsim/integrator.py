@@ -189,15 +189,21 @@ class SchemeState:
                              f"coefficients of shape {np.shape(self.coeffs)}")
 
 
-def initial_state(params: SchemeParams, u0: np.ndarray) -> SchemeState:
-    """Build the m = 0 state from a nodal initial condition."""
+def _start_coeffs(params: SchemeParams, u0: np.ndarray) -> np.ndarray:
+    """The m = 0 coefficients of a nodal initial condition, for callers
+    that need no nodal values (the coupled studies, the ensemble)."""
     u0 = np.asarray(u0, dtype=np.float64)
     if u0.shape != (params.basis.n_modes,):
         raise ValueError(
             f"initial condition must have shape ({params.basis.n_modes},), got {u0.shape}")
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial condition contains non-finite values")
-    coeffs = params.basis.to_spectral(u0)
+    return params.basis.to_spectral(u0)
+
+
+def initial_state(params: SchemeParams, u0: np.ndarray) -> SchemeState:
+    """Build the m = 0 state from a nodal initial condition."""
+    coeffs = _start_coeffs(params, u0)
     return SchemeState(0, coeffs, params.basis.from_spectral(coeffs))
 
 

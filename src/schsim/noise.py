@@ -167,24 +167,11 @@ class NoiseSource:
         if not 1 <= j <= self.n_modes_max:
             raise ValueError(f"mode index must be in [1, {self.n_modes_max}], got {j}")
 
-    def _check_basis(self, basis) -> int:
-        n = basis.n_modes
-        if n - 1 > self.n_modes_max:
-            raise ValueError(
-                f"basis needs modes up to {n - 1} but this source is declared "
-                f"for at most {self.n_modes_max}")
-        return n
-
     # -- public API --------------------------------------------------------
 
     def fine_increment(self, j: int, k: int) -> float:
         """The k-th fine increment of mode j, distributed N(0, tau_fine)."""
-        self._check_mode(j)
-        if k < 0:
-            raise ValueError(f"increment index must be nonnegative, got {k}")
-        out = np.empty((1, 1))
-        self._fill(out, j, k, 1)
-        return float(out[0, 0])
+        return self.coarse_increment(j, k, 1)
 
     def fine_increments(self, j: int, k0: int, k1: int) -> np.ndarray:
         """Fine increments k0 <= k < k1 of mode j as a float array."""
@@ -217,13 +204,7 @@ class NoiseSource:
         the coarse increments of the corresponding modes.  A basis with fewer
         modes than another simply truncates the same shared streams.
         """
-        n = self._check_basis(basis)
-        _check_ratio(ratio)
-        if m < 0:
-            raise ValueError(f"coarse step index must be nonnegative, got {m}")
-        out = np.zeros((1, n))
-        self._fill(out[:, 1:], 1, m, ratio)
-        return out[0]
+        return self.increment_matrix(basis, m, m + 1, ratio)[0]
 
     def increment_matrix(self, basis, m0: int, m1: int, ratio: int = 1,
                          out: np.ndarray | None = None) -> np.ndarray:
@@ -235,7 +216,11 @@ class NoiseSource:
         (steps, N, L) block; it is filled in place (column 0 set to 0.0)
         and returned, with the same bits as a fresh array.
         """
-        n = self._check_basis(basis)
+        n = basis.n_modes
+        if n - 1 > self.n_modes_max:
+            raise ValueError(
+                f"basis needs modes up to {n - 1} but this source is declared "
+                f"for at most {self.n_modes_max}")
         _check_ratio(ratio)
         if not 0 <= m0 <= m1:
             raise ValueError(f"need 0 <= m0 <= m1, got ({m0}, {m1})")

@@ -368,6 +368,37 @@ n_trajectories = 2
         assert (out / "convergence_space.csv").exists()
         assert "space refinement" in capsys.readouterr().out
 
+    def test_deterministic_outputs_do_not_depend_on_threads(self, tmp_path):
+        """--deterministic leaves --threads in force, and the thread count
+        changes no byte of the converge-space smoke run's CSV."""
+        cfg = self.write_cfg(tmp_path, """\
+command = converge-space
+t_final = 0.0625
+tau = 0.000244140625
+n_modes_ref = 64
+n_modes_ladder = 4, 8, 16
+initial = (1/3)*cos(x)+1/3
+n_trajectories = 2
+seed = 2
+""")
+        texts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            assert main(["converge-space", "--config", cfg, "--out", str(out),
+                         "--deterministic", "--threads", threads]) == 0
+            texts.append((out / "convergence_space.csv").read_bytes())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
+        cfg = self.write_cfg(tmp_path, SIM_CFG)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"),
+                  "--threads", threads])
+        assert exc_info.value.code == 2
+        assert "--threads: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_ergodic_outputs(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, """\
 command = ergodic

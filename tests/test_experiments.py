@@ -8,15 +8,20 @@ sigma = 0 collapse where Monte Carlo averaging must change nothing.
 """
 
 import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schsim import (DriftSpec, NoiseSource, SchemeParams, TrajectoryBlowUpError,
                     build_basis, mean_square_error, pairwise_rates,
                     rate_regression, run_ergodic_study, run_spatial_study,
                     run_temporal_study)
 from schsim.experiments import _kappa_rows
+from schsim.expressions import evaluate_expression
 from schsim import integrator
 from schsim.integrator import HorizonError, initial_state, step
 
@@ -335,6 +340,94 @@ class TestSpatialStudy:
                 drift=WELL, sigma=1.0, t_final=0.125, tau=2.0**-7,
                 n_modes_ladder=[8, 64], n_modes_ref=32,
                 initial="1/3", seed=1, n_trajectories=1)
+
+
+class TestCoupledCore:
+    """Both studies and ``mean_square_error`` share one core: a study's row
+    is the one-rung error of its level, and every rule holds for all three."""
+
+    INITIAL = "(1/3)*cos(x)+1/3"
+
+    def one_rung(self, params, params_ref, **kw):
+        u0 = lambda p: evaluate_expression(self.INITIAL, p.basis.grid)
+        return mean_square_error(params, params_ref, u0(params), u0(params_ref), **kw)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(strides=st.sets(st.sampled_from([1, 2, 3, 4, 6, 8, 12]), min_size=1),
+           n_modes=st.integers(2, 12), n_traj=st.sampled_from([1, 2, 3, 6]),
+           seed=st.integers(0, 2**32))
+    def test_temporal_rows_are_one_rung_errors(self, strides, n_modes, n_traj, seed):
+        tau_ref = 2.0**-9
+        basis = build_basis(n_modes)
+        kw = dict(seed=seed, n_trajectories=n_traj, t_final=48 * tau_ref)
+        table = run_temporal_study(basis=basis, drift=WELL, sigma=1.0, tau_ref=tau_ref,
+                                   tau_ladder=[s * tau_ref for s in strides],
+                                   initial=self.INITIAL, **kw)
+        params_ref = SchemeParams(basis, WELL, tau_ref)
+        assert table.errors() == [
+            self.one_rung(SchemeParams(basis, WELL, row.tau), params_ref, **kw)
+            for row in table.rows]
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(data=st.data(), n_ref=st.integers(2, 48), n_traj=st.sampled_from([1, 2, 3, 6]),
+           seed=st.integers(0, 2**32))
+    def test_spatial_rows_are_one_rung_errors(self, data, n_ref, n_traj, seed):
+        ns = data.draw(st.sets(st.integers(2, n_ref), min_size=1, max_size=4))
+        tau = 2.0**-7
+        kw = dict(seed=seed, n_trajectories=n_traj, t_final=16 * tau)
+        table = run_spatial_study(drift=WELL, sigma=1.0, tau=tau, n_modes_ladder=ns,
+                                  n_modes_ref=n_ref, initial=self.INITIAL, **kw)
+        params_ref = SchemeParams(build_basis(n_ref), WELL, tau)
+        assert table.errors() == [
+            self.one_rung(SchemeParams(build_basis(row.n_modes), WELL, tau), params_ref, **kw)
+            for row in table.rows]
+
+    def test_studies_need_a_trajectory(self):
+        with pytest.raises(ValueError, match="n_trajectories must be positive"):
+            run_temporal_study(basis=build_basis(8), drift=WELL, sigma=1.0, t_final=0.25,
+                               tau_ref=2.0**-6, tau_ladder=[2.0**-3],
+                               initial="1/3", seed=1, n_trajectories=0)
+        with pytest.raises(ValueError, match="n_trajectories must be positive"):
+            run_spatial_study(drift=WELL, sigma=1.0, t_final=0.125, tau=2.0**-7,
+                              n_modes_ladder=[4, 8], n_modes_ref=16,
+                              initial="1/3", seed=1, n_trajectories=0)
+
+    def test_mode_bound_is_checked_before_any_basis_is_built(self):
+        """A dense basis at N = 4096 takes ~0.67 GB; the error must come first."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(HorizonError, match="must not exceed") as exc_info:
+                run_spatial_study(drift=WELL, sigma=1.0, t_final=0.125, tau=2.0**-7,
+                                  n_modes_ladder=[8, 4096], n_modes_ref=16,
+                                  initial="1/3", seed=1, n_trajectories=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc_info.value.key == "n_modes_ladder"
+        assert peak < 50 * 2**20
+
+    @staticmethod
+    def coupling_warnings(run) -> set[tuple[float, int]]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        found = [re.search(r"for tau=(\S+), n_modes=(\d+)", str(w.message))
+                 for w in caught if "step-size coupling" in str(w.message)]
+        return {(float(m[1]), int(m[2])) for m in found}
+
+    def test_coupling_warning_names_each_violating_level(self):
+        """tau^9 / h > 1 is reported for every ladder level and the reference
+        that breaks it, and for no other."""
+        temporal = lambda: run_temporal_study(
+            basis=build_basis(256), drift=WELL, sigma=1.0, t_final=3.75,
+            tau_ref=0.125, tau_ladder=[0.75, 0.625, 0.25],
+            initial="1/3", seed=1, n_trajectories=1)
+        assert self.coupling_warnings(temporal) == {(0.75, 256), (0.625, 256)}
+        spatial = lambda: run_spatial_study(
+            drift=WELL, sigma=1.0, t_final=1.5, tau=0.75,
+            n_modes_ladder=[8, 48], n_modes_ref=64,
+            initial="1/3", seed=1, n_trajectories=1)
+        assert self.coupling_warnings(spatial) == {(0.75, 48), (0.75, 64)}
 
 
 class TestErgodicStudy:
