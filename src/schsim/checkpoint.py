@@ -1,7 +1,9 @@
 """Versioned text checkpoints for exact trajectory resume.
 
-A checkpoint stores the run's defining scalars and the spectral coefficients
-as 17-significant-digit decimal text, which round-trips float64 exactly.
+A checkpoint stores the run's defining scalars as ``key = value`` lines and
+the spectral coefficients one per line, each number in the shortest
+round-trip repr of ``config.format_value``.  The header is read as strictly
+as a config file, by ``config.parse_pairs`` and the config's converters.
 Because noise is addressed by step index, a resumed run consumes precisely the
 increments the uninterrupted run would have, so resuming reproduces it
 bit-for-bit.
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import (ConfigError, _list_of, _to_bool, _to_float, _to_int,
+                     format_value, parse_pairs)
 from .grid import SpectralBasis
 from .integrator import DriftSpec, SchemeParams, SchemeState, state_from_coeffs
 from .noise import NoiseSource
@@ -20,10 +24,10 @@ from .noise import NoiseSource
 __all__ = ["CheckpointData", "write_checkpoint", "read_checkpoint"]
 
 _MAGIC = "schsim-checkpoint v1"
-_FIELDS = {"n_modes": int, "tau": float, "sigma": float,
-           "drift": lambda text: tuple(float(part) for part in text.split()),
-           "validation_mode": {"true": True, "false": False}.__getitem__,
-           "seed": int, "trajectory_id": int, "tau_fine": float, "step_index": int}
+_FIELDS = {"n_modes": _to_int, "tau": _to_float, "sigma": _to_float,
+           "drift": _list_of(_to_float, None, "space-separated list of numbers"),
+           "validation_mode": _to_bool, "seed": _to_int, "trajectory_id": _to_int,
+           "tau_fine": _to_float, "step_index": _to_int}
 
 
 @dataclass(frozen=True)
@@ -51,27 +55,16 @@ class CheckpointData:
         return params, source, state_from_coeffs(params, self.step_index, self.coeffs)
 
 
-def _f(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_checkpoint(path, params: SchemeParams, state: SchemeState,
                      source: NoiseSource) -> None:
     drift = params.drift
-    lines = [
-        _MAGIC,
-        f"n_modes = {params.basis.n_modes}",
-        f"tau = {_f(params.tau)}",
-        f"sigma = {_f(params.sigma)}",
-        f"drift = {_f(drift.a0)} {_f(drift.a1)} {_f(drift.a2)} {_f(drift.a3)}",
-        f"validation_mode = {'true' if drift.validation_mode else 'false'}",
-        f"seed = {source.seed}",
-        f"trajectory_id = {source.trajectory_id}",
-        f"tau_fine = {_f(source.tau_fine)}",
-        f"step_index = {state.step_index}",
-        "coeffs:",
-    ]
-    lines.extend(_f(c) for c in state.coeffs)
+    header = {"n_modes": params.basis.n_modes, "tau": params.tau, "sigma": params.sigma,
+              "drift": " ".join(map(format_value, (drift.a0, drift.a1, drift.a2, drift.a3))),
+              "validation_mode": drift.validation_mode, "seed": source.seed,
+              "trajectory_id": source.trajectory_id, "tau_fine": source.tau_fine,
+              "step_index": state.step_index}
+    lines = [_MAGIC, *(f"{key} = {format_value(value)}" for key, value in header.items()),
+             "coeffs:", *map(format_value, state.coeffs)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -81,16 +74,18 @@ def read_checkpoint(path) -> CheckpointData:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a {_MAGIC!r} file")
-    fields: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i] != "coeffs:":
-        if "=" not in lines[i]:
-            raise ValueError(f"{path}: malformed header line {lines[i]!r}")
-        key, _, value = lines[i].partition("=")
-        fields[key.strip()] = value.strip()
-        i += 1
-    if i == len(lines):
+    if "coeffs:" not in lines:
         raise ValueError(f"{path}: missing coefficient block")
+    end = lines.index("coeffs:")
+    try:
+        # a blank line in place of the magic line keeps the file's line numbers
+        fields = parse_pairs("\n".join(["", *lines[1:end]]))
+    except ConfigError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    unknown = [key for key in fields if key not in _FIELDS]
+    if unknown:
+        lineno = 1 + [line.partition("=")[0].strip() for line in lines].index(unknown[0])
+        raise ValueError(f"{path}: line {lineno}: unknown key {unknown[0]!r}")
     missing = [k for k in _FIELDS if k not in fields]
     if missing:
         raise ValueError(f"{path}: missing header fields {missing}")
@@ -98,10 +93,10 @@ def read_checkpoint(path) -> CheckpointData:
     for key, convert in _FIELDS.items():
         try:
             values[key] = convert(fields[key])
-        except (KeyError, ValueError):
-            raise ValueError(f"{path}: malformed field {key!r}: {fields[key]!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed field {key!r}: {exc}") from None
     # (line number, text): lines[k] is line k + 1 of the file
-    coeff_lines = [(k + 1, line) for k, line in enumerate(lines) if k > i and line]
+    coeff_lines = [(k + 1, line) for k, line in enumerate(lines) if k > end and line]
     if len(coeff_lines) != values["n_modes"]:
         raise ValueError(
             f"{path}: expected {values['n_modes']} coefficients, found {len(coeff_lines)}")

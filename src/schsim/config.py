@@ -6,7 +6,9 @@ errors and domain violations are all collected and reported together rather
 than one at a time.  ``serialize_config`` emits a canonical echo (every
 defaulted value made explicit, floats via shortest round-trip repr) whose
 re-parse reproduces the configuration exactly; output files embed this echo in
-their metadata header.
+their metadata header.  ``format_value`` and ``parse_pairs`` are the package's
+only writer of values as text and only reader of ``key = value`` lines: CSV
+cells and checkpoint headers go through them too.
 
 Environment variables with the ``SCHSIM_`` prefix override file values (e.g.
 ``SCHSIM_SEED=7`` overrides ``seed``); command-line flags override both.
@@ -17,11 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 
+import numpy as np
+
 from .expressions import validate_expression
 from .observables import MIN_ALPHA2
 
 __all__ = ["RunConfig", "ConfigError", "parse_pairs", "build_config",
-           "parse_config", "serialize_config", "ENV_PREFIX", "COMMANDS"]
+           "parse_config", "serialize_config", "format_value", "ENV_PREFIX",
+           "COMMANDS"]
 
 ENV_PREFIX = "SCHSIM_"
 COMMANDS = ("simulate", "converge-time", "converge-space", "ergodic", "verify")
@@ -104,25 +109,14 @@ def _to_expr(text: str) -> str:
     return text.strip()
 
 
-def _to_float_list(text: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of numbers")
-    return tuple(_to_float(p) for p in parts)
-
-
-def _to_int_list(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of integers")
-    return tuple(_to_int(p) for p in parts)
-
-
-def _to_expr_list(text: str) -> tuple[str, ...]:
-    parts = [p.strip() for p in text.split(";") if p.strip()]
-    if not parts:
-        raise ValueError("expected a semicolon-separated list of expressions")
-    return tuple(_to_expr(p) for p in parts)
+def _list_of(convert, sep: str | None, what: str):
+    """A converter for a ``sep``-separated (None: blank-separated) list."""
+    def to_list(text: str) -> tuple:
+        parts = [p.strip() for p in text.split(sep) if p.strip()]
+        if not parts:
+            raise ValueError(f"expected a {what}")
+        return tuple(convert(p) for p in parts)
+    return to_list
 
 
 def _to_str(text: str) -> str:
@@ -149,13 +143,13 @@ _CONVERTERS = {
     "checkpoint_in": _to_str,
     "checkpoint_out": _to_str,
     "tau_ref": _to_float,
-    "tau_ladder": _to_float_list,
+    "tau_ladder": _list_of(_to_float, ",", "comma-separated list of numbers"),
     "n_modes_ref": _to_int,
-    "n_modes_ladder": _to_int_list,
+    "n_modes_ladder": _list_of(_to_int, ",", "comma-separated list of integers"),
     "n_trajectories": _to_int,
     "estimator": _to_str,
     "t_final_ensemble": _to_float,
-    "initials": _to_expr_list,
+    "initials": _list_of(_to_expr, ";", "semicolon-separated list of expressions"),
     "test_v": _to_expr,
     "test_alpha1": _to_float,
     "test_alpha2": _to_float,
@@ -294,15 +288,19 @@ def parse_config(text: str) -> RunConfig:
     return build_config(parse_pairs(text))
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    """A setting or result value as text: None empty, bools true/false, real
+    floats (numpy's too) by shortest round-trip repr, tuples as config lists."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, tuple):
         if value and isinstance(value[0], str):
             return "; ".join(value)
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
+        return ",".join(map(format_value, value))
     return str(value)
 
 
@@ -313,5 +311,5 @@ def serialize_config(cfg: RunConfig) -> str:
         value = getattr(cfg, field.name)
         if value is None:
             continue
-        lines.append(f"{field.name} = {_format_value(value)}")
+        lines.append(f"{field.name} = {format_value(value)}")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ reference).
 Design notes on exact refinement:
 
 * Raw 64-bit cipher output is mapped to a uniform via u = ((x >> 11) + 0.5) *
-  2^-53 and then to a standard normal via the inverse CDF
+  2^-53, clamped below 1, and then to a standard normal via the inverse CDF
   (``scipy.special.ndtri``); the whole pipeline is deterministic and
   platform-stable.
 * Each draw is then snapped to the lattice q * Z, where q is the power of two
@@ -40,13 +40,15 @@ takes an optional ``out``, so an ensemble fills each trajectory's slot of
 its (steps, N, L) noise block in place, with no per-source temporary.
 
 The order of operations is part of the values and must not be rewritten
-algebraically: x >> 11, conversion to float64, + 0.5, * 2^-53, ndtri,
-* (sqrt(tau_fine) / q), rint, and for a coarse step an int64 sum of its fine
-steps, then * q.  For example k + 0.5 rounds once k >= 2^52, so folding the
-two constants into one changes bits.  The floor is ndtri (~20 ns per word)
-plus Philox (~7 ns); the producer costs ~35 ns per word at 63 modes x 512
-steps, where the per-mode loop it replaced cost ~55-60 ns (2-vCPU Xeon VM,
-numpy 2.4, scipy 1.17).
+algebraically: x >> 11, conversion to float64, + 0.5, * 2^-53, min with
+1 - 2^-53, ndtri, * (sqrt(tau_fine) / q), rint, and for a coarse step an
+int64 sum of its fine steps, then * q.  For example k + 0.5 rounds once
+k >= 2^52, so folding the two constants into one changes bits.  The min
+moves only the top word (x >> 11 = 2^53 - 1), whose u rounds to 1.0 and
+whose ndtri is +inf; every other u is at most 1 - 2^-52.  The floor is
+ndtri (~20 ns per word) plus Philox (~7 ns); the producer costs ~35 ns per
+word at 63 modes x 512 steps, where the per-mode loop it replaced cost
+~55-60 ns (2-vCPU Xeon VM, numpy 2.4, scipy 1.17).
 """
 
 from __future__ import annotations
@@ -156,6 +158,7 @@ class NoiseSource:
             x = raw.view(np.float64)
             np.add(raw.view(np.int64), 0.5, out=x)
             x *= 2.0**-53
+            np.minimum(x, 1.0 - 2.0**-53, out=x)  # the top word gives 1.0
             ndtri(x, out=x)
             x *= self._scale
             np.rint(x, out=x)

@@ -7,8 +7,9 @@ wallclock).  The echo can be extracted with :func:`read_metadata_config` and
 re-fed as a config file; in deterministic mode the re-run reproduces the file
 byte for byte.
 
-Dialect: comma separator, ``.`` decimal point, LF line endings, and floats
-formatted by shortest round-trip ``repr``.
+Dialect: comma separator, ``.`` decimal point, LF line endings, and every
+value formatted by ``config.format_value``: floats, numpy scalars included,
+as plain shortest round-trip numbers.
 
 Charts are emitted as minimal hand-rolled SVG line plots (no plotting
 dependency).
@@ -19,7 +20,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from xml.sax.saxutils import escape
+
+from .config import format_value
 
 __all__ = ["FORMAT_VERSION", "git_blob_sha1", "metadata_lines", "write_csv",
            "read_metadata_config", "write_svg_line_chart"]
@@ -41,18 +43,8 @@ def metadata_lines(config_text: str, extra: dict | None = None) -> list[str]:
     lines.extend(f"# {line}" for line in config_text.splitlines())
     lines.append("# config end")
     for key, value in (extra or {}).items():
-        lines.append(f"# {key} = {_fmt(value)}")
+        lines.append(f"# {key} = {format_value(value)}")
     return lines
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def write_csv(path, columns, rows, config_text: str, extra: dict | None = None) -> None:
@@ -63,7 +55,7 @@ def write_csv(path, columns, rows, config_text: str, extra: dict | None = None) 
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(value) for value in row])
+            writer.writerow(map(format_value, row))
 
 
 def read_metadata_config(path) -> str:
@@ -90,6 +82,11 @@ def read_metadata_config(path) -> str:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 40, 48
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text content."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -149,7 +146,7 @@ def write_svg_line_chart(path, series, title: str, xlabel: str, ylabel: str,
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" font-size="15" '
-        f'font-family="sans-serif">{escape(title)}</text>',
+        f'font-family="sans-serif">{_escape(title)}</text>',
     ]
     axis_y = _MARGIN_T + plot_h
     parts.append(f'<line x1="{_MARGIN_L}" y1="{axis_y}" x2="{_MARGIN_L + plot_w}" '
@@ -162,21 +159,21 @@ def write_svg_line_chart(path, series, title: str, xlabel: str, ylabel: str,
                      f'y2="{axis_y + 5}" stroke="black"/>')
         parts.append(f'<text x="{x:.2f}" y="{axis_y + 20}" text-anchor="middle" '
                      f'font-size="11" font-family="sans-serif">'
-                     f'{escape(tick_label(v, logx))}</text>')
+                     f'{_escape(tick_label(v, logx))}</text>')
     for v in _ticks(y_lo, y_hi):
         y = py(v)
         parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{y:.2f}" x2="{_MARGIN_L}" '
                      f'y2="{y:.2f}" stroke="black"/>')
         parts.append(f'<text x="{_MARGIN_L - 9}" y="{y + 4:.2f}" text-anchor="end" '
                      f'font-size="11" font-family="sans-serif">'
-                     f'{escape(tick_label(v, logy))}</text>')
+                     f'{_escape(tick_label(v, logy))}</text>')
     parts.append(f'<text x="{_MARGIN_L + plot_w / 2}" y="{_HEIGHT - 10}" '
                  f'text-anchor="middle" font-size="13" font-family="sans-serif">'
-                 f'{escape(xlabel)}</text>')
+                 f'{_escape(xlabel)}</text>')
     parts.append(f'<text x="18" y="{_MARGIN_T + plot_h / 2}" text-anchor="middle" '
                  f'font-size="13" font-family="sans-serif" '
                  f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2})">'
-                 f'{escape(ylabel)}</text>')
+                 f'{_escape(ylabel)}</text>')
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         points = " ".join(f"{px(tx(x)):.2f},{py(ty(y)):.2f}" for x, y in zip(xs, ys))
@@ -187,7 +184,7 @@ def write_svg_line_chart(path, series, title: str, xlabel: str, ylabel: str,
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="11" '
-                     f'font-family="sans-serif">{escape(str(label))}</text>')
+                     f'font-family="sans-serif">{_escape(str(label))}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

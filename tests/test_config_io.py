@@ -6,16 +6,28 @@ that echo, so a file is a complete, executable record of the run that made
 it.  The CLI tests run main() in-process and assert on files and exit codes.
 """
 
+import csv
+import os
+import subprocess
+import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from schsim import (ConfigError, DriftSpec, NoiseSource, RunConfig, SchemeParams,
-                    SpectralBasis, parse_config, read_checkpoint, serialize_config,
+                    SpectralBasis, evaluate_expression, initial_state, parse_config,
+                    read_checkpoint, run_trajectory, serialize_config,
                     state_from_coeffs, write_checkpoint)
+from schsim import output
 from schsim.cli import _resumed_config, main
-from schsim.config import apply_env_overrides, build_config, parse_pairs
+from schsim.config import (_REQUIRED, COMMANDS, apply_env_overrides, build_config,
+                           format_value, parse_pairs)
+from schsim.observables import MIN_ALPHA2
 from schsim.output import (FORMAT_VERSION, git_blob_sha1, metadata_lines,
                            read_metadata_config, write_csv,
                            write_svg_line_chart)
@@ -174,6 +186,83 @@ class TestSerializeConfig:
         assert build_config(merged).seed == 99
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                     allow_infinity=False)
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+EXPRESSIONS = st.sampled_from(("1/3", "(1/3)*cos(x)+1/3", "2*cos(2x)+cos(x)+1/3",
+                               "exp(-x)", "exp(x)", "0.5*cos(3x)"))
+MODES = st.integers(2, 4096)
+WORD = st.integers(0, 2**64 - 1)
+# the keys that may be unset, with the strategy for a set value
+OPTIONAL = {
+    "tau": UNIT, "initial": EXPRESSIONS, "t_final": POSITIVE, "tau_fine": UNIT,
+    "tau_ref": UNIT, "tau_ladder": st.lists(UNIT, min_size=1, max_size=4).map(tuple),
+    "n_modes_ref": MODES,
+    "n_modes_ladder": st.lists(MODES, min_size=1, max_size=4).map(tuple),
+    "t_final_ensemble": POSITIVE,
+    "initials": st.lists(EXPRESSIONS, min_size=1, max_size=3).map(tuple),
+}
+
+
+@st.composite
+def run_configs(draw):
+    """Any config the parser accepts: every key drawn from its domain and
+    every key the command requires set."""
+    command = draw(st.sampled_from(COMMANDS))
+    validation = draw(st.booleans())
+    path = st.from_regex(r"[A-Za-z0-9_./-]{0,12}", fullmatch=True)
+    optional = {key: draw(strategy if key in _REQUIRED[command] else st.none() | strategy)
+                for key, strategy in OPTIONAL.items()}
+    return RunConfig(
+        command=command, seed=draw(WORD), deterministic=draw(st.booleans()),
+        n_modes=draw(MODES), sigma=draw(NONNEGATIVE),
+        drift_a0=draw(NONNEGATIVE if validation else POSITIVE),
+        drift_a1=draw(FINITE), drift_a2=draw(FINITE), drift_a3=draw(FINITE),
+        validation_mode=validation, trajectory_id=draw(WORD),
+        snapshot_every=draw(st.integers(0, 10**6)),
+        checkpoint_in=draw(path), checkpoint_out=draw(path),
+        n_trajectories=draw(st.integers(1, 10**6)),
+        estimator=draw(st.sampled_from(("single", "ensemble", "both"))),
+        test_v=draw(EXPRESSIONS), test_alpha1=draw(FINITE),
+        test_alpha2=draw(FINITE.filter(lambda a: abs(a) >= MIN_ALPHA2)),
+        burn_in=draw(NONNEGATIVE), thinning=draw(st.integers(1, 10**6)), **optional)
+
+
+class TestFormatValue:
+    """``format_value`` is the one text form of a value: configs, CSV cells
+    and checkpoints all read back exactly what was written."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(FINITE)
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.2250738585072009e-308)
+    @example(1e308)
+    @example(-1e308)
+    def test_floats_read_back_bit_for_bit(self, x):
+        for value in (x, np.float64(x)):
+            text = format_value(value)
+            assert float(text).hex() == x.hex()
+            assert text == repr(x)
+
+    def test_the_other_kinds(self):
+        assert format_value(None) == ""
+        assert format_value(True) == "true" and format_value(False) == "false"
+        assert format_value(np.float32(0.1)) == repr(float(np.float32(0.1)))
+        assert format_value(np.int64(7)) == "7"
+        assert format_value((0.5, 0.25)) == "0.5,0.25"
+        assert format_value((8, 16)) == "8,16"
+        assert format_value(("1/3", "exp(x)")) == "1/3; exp(x)"
+        assert format_value("NA") == "NA"
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(run_configs())
+    def test_config_echo_round_trips(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
 class TestOutputFiles:
     def test_git_blob_sha1_known_value(self):
         # same object id git itself assigns to a file containing "hello\n"
@@ -218,6 +307,30 @@ class TestOutputFiles:
         polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
         assert len(polylines) == 1
 
+    def test_svg_text_is_escaped_as_before(self, tmp_path, monkeypatch):
+        """Titles and labels with ``&<>`` are escaped byte for byte as
+        ``xml.sax.saxutils.escape`` escapes them."""
+        args = ([("a<b> & c", [1.0, 2.0], [3.0, 4.0])], "t & <u>", "x&y", "<y>")
+        write_svg_line_chart(tmp_path / "local.svg", *args)
+        monkeypatch.setattr(output, "_escape", escape)
+        write_svg_line_chart(tmp_path / "saxutils.svg", *args)
+        local = (tmp_path / "local.svg").read_bytes()
+        assert local == (tmp_path / "saxutils.svg").read_bytes()
+        assert b">t &amp; &lt;u&gt;</text>" in local
+        assert b">a&lt;b&gt; &amp; c</text>" in local
+        ET.parse(tmp_path / "local.svg")
+
+    def test_cli_import_loads_no_network_modules(self):
+        """Importing the CLI pulls in neither XML nor the network stack."""
+        src = str(Path(output.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = ("import sys, schsim.cli; print(' '.join(m for m in ('xml.sax', "
+                "'urllib.request', 'http.client', 'ssl') if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == ""
+
     def test_svg_rejects_nonpositive_on_log_axes(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):
             write_svg_line_chart(tmp_path / "bad.svg", [("e", [0.0, 1.0], [1, 2])],
@@ -259,6 +372,106 @@ class TestResumedConfig:
         with pytest.raises(ConfigError) as info:
             _resumed_config(cfg, set(parse_pairs(text)), data)
         assert [m.split(":")[0] for m in info.value.messages] == ["key 'tau'", "key 'seed'"]
+
+
+# A checkpoint as written before numbers took their shortest repr: 17
+# significant digits, "-0" and "1e+308".
+CHECKPOINT_17G = """\
+schsim-checkpoint v1
+n_modes = 8
+tau = 0.10000000000000001
+sigma = 0.33333333333333331
+drift = 0.5 -0.33333333333333331 1 -1
+validation_mode = false
+seed = 7
+trajectory_id = 2
+tau_fine = 0.050000000000000003
+step_index = 12
+coeffs:
+0.33333333333333331
+-0
+4.9406564584124654e-324
+1e+308
+-2.2250738585072014e-308
+0.30000000000000004
+3.1415926535897931
+-1e-300
+"""
+
+
+def write_sample_checkpoint(path):
+    params = SchemeParams(SpectralBasis(8), DriftSpec(0.5, -0.5, 1.0, -1.0), 0.01, 1.0)
+    write_checkpoint(path, params, state_from_coeffs(params, 2, np.linspace(0, 1, 8)),
+                     NoiseSource(5, 0, tau_fine=0.01, n_modes_max=7))
+
+
+def insert_after_tau(path, *new_lines):
+    """Insert header lines after ``tau`` (line 3), so the first is line 4."""
+    lines = path.read_text().splitlines()
+    assert lines[2].startswith("tau = ")
+    path.write_text("\n".join(lines[:3] + list(new_lines) + lines[3:]) + "\n")
+
+
+BAD_HEADERS = [
+    (("tau = 0.5", "tua = 0.02"), "line 4: duplicate key 'tau'"),
+    (("tua = 0.02",), "line 4: unknown key 'tua'"),
+    (("just words",), "line 4: expected 'key = value', got 'just words'"),
+]
+
+
+class TestCheckpointText:
+    """Checkpoints write numbers with ``format_value`` and read their header
+    with ``parse_pairs``, as strictly as a config file."""
+
+    BASES = {}
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(coeffs=st.lists(FINITE, min_size=2, max_size=9), tau=UNIT, sigma=NONNEGATIVE,
+           seed=WORD, step_index=st.integers(0, 2**40))
+    def test_round_trip_is_bit_exact(self, coeffs, tau, sigma, seed, step_index):
+        n = len(coeffs)
+        basis = self.BASES.setdefault(n, SpectralBasis(n))
+        params = SchemeParams(basis, DriftSpec(0.5, -1 / 3, 1.0, -1.0), tau, sigma)
+        with np.errstate(all="ignore"):  # huge coefficients overflow the nodal values
+            state = state_from_coeffs(params, step_index, np.array(coeffs))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.ckpt"
+            write_checkpoint(path, params, state,
+                             NoiseSource(seed, 1, tau_fine=tau, n_modes_max=n - 1))
+            data = read_checkpoint(path)
+        assert data.coeffs.tobytes() == np.array(coeffs).tobytes()
+        assert (data.tau.hex(), data.sigma.hex(), data.tau_fine.hex()) == \
+            (tau.hex(), sigma.hex(), tau.hex())
+        assert (data.seed, data.step_index, data.drift) == (seed, step_index,
+                                                            (0.5, -1 / 3, 1.0, -1.0))
+
+    def test_seventeen_digit_checkpoint_still_loads(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        path.write_text(CHECKPOINT_17G)
+        data = read_checkpoint(path)
+        expected = np.array([1 / 3, -0.0, 5e-324, 1e308, -2.2250738585072014e-308,
+                             0.1 + 0.2, np.pi, -1e-300])
+        assert data.coeffs.tobytes() == expected.tobytes()
+        assert (data.tau, data.sigma, data.tau_fine) == (0.1, 1 / 3, 0.05)
+        assert data.drift == (0.5, -1 / 3, 1.0, -1.0)
+        assert (data.n_modes, data.seed, data.trajectory_id, data.step_index) == (8, 7, 2, 12)
+        assert not data.validation_mode
+
+    def test_numbers_are_shortest_repr(self, tmp_path):
+        path = tmp_path / "state.ckpt"
+        write_sample_checkpoint(path)
+        lines = path.read_text().splitlines()
+        assert lines[2:5] == ["tau = 0.01", "sigma = 1.0", "drift = 0.5 -0.5 1.0 -1.0"]
+        assert lines[-1] == "1.0"
+
+    @pytest.mark.parametrize("new_lines, message", BAD_HEADERS)
+    def test_bad_header_line_names_file_and_line(self, tmp_path, new_lines, message):
+        path = tmp_path / "bad.ckpt"
+        write_sample_checkpoint(path)
+        insert_after_tau(path, *new_lines)
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: {message}")
 
 
 class TestCli:
@@ -474,6 +687,38 @@ initials = 1/3; 1
         cfg = self.write_cfg(tmp_path, SIM_CFG + f"trajectory_id = {2**64}\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "error: config: key 'trajectory_id'" in capsys.readouterr().err
+
+    def test_trajectory_csv_holds_plain_numbers(self, tmp_path, capsys):
+        """Every x and value reads back with float() as the grid point and
+        the snapshot's nodal value, bit for bit."""
+        cfg = self.write_cfg(tmp_path, "command = simulate\nn_modes = 4\ntau = 0.01\n"
+                             "t_final = 0.02\ninitial = 1/3\nsnapshot_every = 1\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "trajectory.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        basis = SpectralBasis(4)
+        params = SchemeParams(basis, DriftSpec(0.5, -0.5, 1.0, -1.0), 0.01, 1.0)
+        snapshots = []
+        run_trajectory(params, initial_state(params, evaluate_expression("1/3", basis.grid)),
+                       NoiseSource(0, 0, tau_fine=0.01, n_modes_max=3), 2,
+                       observers=(lambda m, s: snapshots.append(s.nodal),))
+        assert len(rows) == 3 * 4 == 4 * len(snapshots)
+        for i, row in enumerate(rows):
+            assert float(row["x"]).hex() == float(basis.grid[i % 4]).hex()
+            assert float(row["value"]).hex() == float(snapshots[i // 4][i % 4]).hex()
+
+    @pytest.mark.parametrize("new_lines, message", BAD_HEADERS)
+    def test_bad_checkpoint_header_exit_1(self, tmp_path, capsys, new_lines, message):
+        ckpt = tmp_path / "state.ckpt"
+        cfg1 = self.write_cfg(tmp_path, SIM_CFG + f"checkpoint_out = {ckpt}\n", "first.cfg")
+        assert main(["simulate", "--config", cfg1, "--out", str(tmp_path / "o1")]) == 0
+        insert_after_tau(ckpt, *new_lines)
+        cfg2 = self.write_cfg(tmp_path, f"command = simulate\ncheckpoint_in = {ckpt}\n"
+                              "t_final = 0.5\n", "resume.cfg")
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: runtime: {ckpt}: {message}")
 
     def test_malformed_checkpoint_exit_1(self, tmp_path, capsys):
         ckpt = tmp_path / "state.ckpt"

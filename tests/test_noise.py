@@ -131,7 +131,8 @@ class TestRefinement:
 def reference_ints(src, mode, k0, k1):
     """Fine increments k0 <= k < k1 of one mode as int64 multiples of the
     quantum, by the per-mode formula the vectorized producer replaced: a
-    fresh Philox per 2048-word block, then uniform, ndtri, rint and int64."""
+    fresh Philox per 2048-word block, then uniform (clamped below 1), ndtri,
+    rint and int64."""
     key = np.array([src.seed, noise._KEY_CONST], dtype=np.uint64)
     parts = []
     k = k0
@@ -143,7 +144,8 @@ def reference_ints(src, mode, k0, k1):
         parts.append(Philox(key=key, counter=counter).random_raw(stop - start)[k - start:])
         k = stop
     raw = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
-    uniform = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    uniform = np.minimum(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53,
+                         1.0 - 2.0**-53)
     scale = math.sqrt(src.tau_fine) / src.quantum
     return np.rint(ndtri(uniform) * scale).astype(np.int64)
 
@@ -310,6 +312,22 @@ class TestOracle:
         src = make_source(seed=3, n_modes_max=64)
         assert type(src._philox) is Subclass
         assert_bits(src.increment_matrix(build_basis(65), 2001, 2103), expected)
+
+    def test_the_top_word_gives_a_finite_increment(self, monkeypatch):
+        """A word whose top 53 bits are all ones rounds to u = 1.0, whose
+        ndtri is +inf; the clamp to 1 - 2^-53 keeps its increment finite,
+        equal to the one that uniform gives."""
+        class AllOnes(noise.Philox):
+            def random_raw(self, size=None, output=True):
+                return np.full(size, 2**64 - 1, dtype=np.uint64)
+
+        monkeypatch.setattr(noise, "Philox", AllOnes)
+        src = make_source()
+        top = src.fine_increments(1, 0, 4)
+        expected = np.rint(ndtri(1.0 - 2.0**-53) * math.sqrt(src.tau_fine)
+                           / src.quantum) * src.quantum
+        assert np.isfinite(top).all() and (top > 0).all()
+        assert top.tolist() == [expected] * 4
 
     def test_temporaries_stay_below_the_output(self):
         """Modes are quantized at most 64 at a time, so the peak traced
