@@ -3,7 +3,7 @@
 A checkpoint stores the run's defining scalars as ``key = value`` lines and
 the spectral coefficients one per line, each number in the shortest
 round-trip repr of ``config.format_value``.  The header is read as strictly
-as a config file, by ``config.parse_pairs`` and the config's converters.
+as a config file, by ``config.parse_pairs`` and the config's readers.
 Because noise is addressed by step index, a resumed run consumes precisely the
 increments the uninterrupted run would have, so resuming reproduces it
 bit-for-bit.
@@ -11,12 +11,11 @@ bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import (ConfigError, _list_of, _to_bool, _to_float, _to_int,
-                     format_value, parse_pairs)
+from .config import _READERS, ConfigError, _list_of, _to_float, _to_int, format_value, parse_pairs
 from .grid import SpectralBasis
 from .integrator import DriftSpec, SchemeParams, SchemeState, state_from_coeffs
 from .noise import NoiseSource
@@ -24,10 +23,6 @@ from .noise import NoiseSource
 __all__ = ["CheckpointData", "write_checkpoint", "read_checkpoint"]
 
 _MAGIC = "schsim-checkpoint v1"
-_FIELDS = {"n_modes": _to_int, "tau": _to_float, "sigma": _to_float,
-           "drift": _list_of(_to_float, None, "space-separated list of numbers"),
-           "validation_mode": _to_bool, "seed": _to_int, "trajectory_id": _to_int,
-           "tau_fine": _to_float, "step_index": _to_int}
 
 
 @dataclass(frozen=True)
@@ -53,6 +48,12 @@ class CheckpointData:
         source = NoiseSource(self.seed, self.trajectory_id,
                              tau_fine=self.tau_fine, n_modes_max=self.n_modes - 1)
         return params, source, state_from_coeffs(params, self.step_index, self.coeffs)
+
+
+# header key -> reader: a config key's own reader, else the checkpoint's
+_FIELDS = {f.name: _READERS.get(f.name) for f in fields(CheckpointData) if f.name != "coeffs"}
+_FIELDS.update(drift=_list_of(_to_float, None, "space-separated list of numbers"),
+               step_index=_to_int)
 
 
 def write_checkpoint(path, params: SchemeParams, state: SchemeState,

@@ -24,13 +24,13 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import CheckpointData, read_checkpoint, write_checkpoint
-from .config import (COMMANDS, ConfigError, RunConfig, apply_env_overrides,
+from .config import (_READERS, COMMANDS, ConfigError, RunConfig, apply_env_overrides,
                      build_config, parse_pairs, serialize_config)
 from .expressions import evaluate_expression
 from .experiments import (ConvergenceTable, run_ergodic_study,
@@ -101,11 +101,15 @@ def _scheme_pieces(cfg: RunConfig):
 def _resumed_config(cfg: RunConfig, explicit: set[str], data: CheckpointData) -> RunConfig:
     """The config of a run resumed from ``data``: the checkpoint's scheme,
     drift and noise values are the ones that run, so they replace the
-    config's in the echo.  A key set explicitly to another value is an error."""
-    stored = {"n_modes": data.n_modes, "tau": data.tau, "sigma": data.sigma,
-              **dict(zip(("drift_a0", "drift_a1", "drift_a2", "drift_a3"), data.drift)),
-              "validation_mode": data.validation_mode, "seed": data.seed,
-              "trajectory_id": data.trajectory_id, "tau_fine": data.tau_fine}
+    config's in the echo: every checkpoint field that is a config key, and
+    ``drift`` as its four keys.  A key set explicitly to another value is an
+    error."""
+    stored = {}
+    for f in fields(data):
+        if f.name == "drift":
+            stored.update(zip(("drift_a0", "drift_a1", "drift_a2", "drift_a3"), data.drift))
+        elif f.name in _READERS:
+            stored[f.name] = getattr(data, f.name)
     clashes = [f"key {key!r}: set to {getattr(cfg, key)!r}, but the checkpoint "
                f"{cfg.checkpoint_in!r} was written with {value!r}"
                for key, value in stored.items()
@@ -129,7 +133,6 @@ def _cmd_simulate(cfg: RunConfig, explicit: set[str], out_dir: Path, want_svg: b
         basis, drift = _scheme_pieces(cfg)
         params = SchemeParams(basis, drift, cfg.tau, cfg.sigma)
         tau_fine = cfg.tau_fine if cfg.tau_fine is not None else cfg.tau
-        whole_steps(cfg.tau, tau_fine, "tau in steps of tau_fine", key="tau")
         source = NoiseSource(cfg.seed, cfg.trajectory_id,
                              tau_fine=tau_fine, n_modes_max=cfg.n_modes - 1)
         state = initial_state(params, evaluate_expression(cfg.initial, basis.grid))
@@ -167,9 +170,7 @@ def _cmd_simulate(cfg: RunConfig, explicit: set[str], out_dir: Path, want_svg: b
 def _convergence_outputs(cfg: RunConfig, table: ConvergenceTable, out_dir: Path,
                          want_svg: bool, stem: str, param_label: str) -> None:
     echo = serialize_config(cfg)
-    rows = [(row.tau, row.n_modes, row.error,
-             None if row.pair_rate is None else row.pair_rate)
-            for row in table.rows]
+    rows = [(row.tau, row.n_modes, row.error, row.pair_rate) for row in table.rows]
     extra = {"slope": table.slope,
              "wallclock_s": _maybe_na(cfg, table.wallclock_s)}
     write_csv(out_dir / f"{stem}.csv", ("tau", "n_modes", "error", "pair_rate"),

@@ -1,5 +1,8 @@
 """Flat key=value run configuration: strict parsing, canonical serialization.
 
+Each ``RunConfig`` field is the one declaration of its key: type, default,
+reader and, where it has one, its own range.
+
 The format is one ``key = value`` pair per line; blank lines and ``#``
 comments are ignored.  Parsing is strict -- unknown keys, duplicates, type
 errors and domain violations are all collected and reported together rather
@@ -17,7 +20,7 @@ Environment variables with the ``SCHSIM_`` prefix override file values (e.g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
@@ -35,6 +38,11 @@ COMMANDS = ("simulate", "converge-time", "converge-space", "ergodic", "verify")
 # (tracemalloc: 42 MB at N = 1024, 168 MB at N = 2048), so N = 4096 needs
 # about 0.67 GB; a larger mode count is refused before any memory is asked for.
 _MAX_MODES = 4096
+# A batch of L trajectories of N modes holds about 125 (N + 64) L bytes: a
+# noise source per trajectory and N x L state, noise and difference arrays
+# (max RSS over the import: 13.6 KB per trajectory at N = 64 and 39.5 KB at
+# N = 256 in converge-time), so L (N + 64) <= 2^22 keeps a run near 0.5 GB.
+_MAX_TRAJECTORY_WORK = 2**22
 
 
 class ConfigError(Exception):
@@ -43,41 +51,6 @@ class ConfigError(Exception):
     def __init__(self, messages):
         self.messages = list(messages)
         super().__init__("; ".join(self.messages))
-
-
-@dataclass
-class RunConfig:
-    command: str
-    seed: int = 0
-    deterministic: bool = False
-    n_modes: int = 64
-    tau: float | None = None
-    sigma: float = 1.0
-    drift_a0: float = 0.5
-    drift_a1: float = -0.5
-    drift_a2: float = 1.0
-    drift_a3: float = -1.0
-    validation_mode: bool = False
-    initial: str | None = None
-    t_final: float | None = None
-    trajectory_id: int = 0
-    tau_fine: float | None = None
-    snapshot_every: int = 0
-    checkpoint_in: str = ""
-    checkpoint_out: str = ""
-    tau_ref: float | None = None
-    tau_ladder: tuple[float, ...] | None = None
-    n_modes_ref: int | None = None
-    n_modes_ladder: tuple[int, ...] | None = None
-    n_trajectories: int = 50
-    estimator: str = "both"
-    t_final_ensemble: float | None = None
-    initials: tuple[str, ...] | None = None
-    test_v: str = "exp(x)"
-    test_alpha1: float = 1.0
-    test_alpha2: float = 2.0
-    burn_in: float = 0.0
-    thinning: int = 1
 
 
 def _to_int(text: str) -> int:
@@ -123,39 +96,58 @@ def _to_str(text: str) -> str:
     return text.strip()
 
 
-_CONVERTERS = {
-    "command": _to_str,
-    "seed": _to_int,
-    "deterministic": _to_bool,
-    "n_modes": _to_int,
-    "tau": _to_float,
-    "sigma": _to_float,
-    "drift_a0": _to_float,
-    "drift_a1": _to_float,
-    "drift_a2": _to_float,
-    "drift_a3": _to_float,
-    "validation_mode": _to_bool,
-    "initial": _to_expr,
-    "t_final": _to_float,
-    "trajectory_id": _to_int,
-    "tau_fine": _to_float,
-    "snapshot_every": _to_int,
-    "checkpoint_in": _to_str,
-    "checkpoint_out": _to_str,
-    "tau_ref": _to_float,
-    "tau_ladder": _list_of(_to_float, ",", "comma-separated list of numbers"),
-    "n_modes_ref": _to_int,
-    "n_modes_ladder": _list_of(_to_int, ",", "comma-separated list of integers"),
-    "n_trajectories": _to_int,
-    "estimator": _to_str,
-    "t_final_ensemble": _to_float,
-    "initials": _list_of(_to_expr, ";", "semicolon-separated list of expressions"),
-    "test_v": _to_expr,
-    "test_alpha1": _to_float,
-    "test_alpha2": _to_float,
-    "burn_in": _to_float,
-    "thinning": _to_int,
-}
+# single-key ranges: (predicate, phrase)
+_WORD = (lambda v: 0 <= v < 2**64, "must be in [0, 2^64)")
+_MODES = (lambda v: 2 <= v <= _MAX_MODES, f"must lie in [2, {_MAX_MODES}]")
+_STEP = (lambda v: 0 < v < 1, "must lie in (0, 1)")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+
+
+def _key(default, read, valid=None):
+    """A config key: its default, its reader and its own range, if any."""
+    return field(default=default, metadata={"read": read, "valid": valid})
+
+
+@dataclass
+class RunConfig:
+    command: str = _key(MISSING, _to_str)
+    seed: int = _key(0, _to_int, _WORD)
+    deterministic: bool = _key(False, _to_bool)
+    n_modes: int = _key(64, _to_int, _MODES)
+    tau: float | None = _key(None, _to_float, _STEP)
+    sigma: float = _key(1.0, _to_float, _NONNEGATIVE)
+    drift_a0: float = _key(0.5, _to_float, _NONNEGATIVE)
+    drift_a1: float = _key(-0.5, _to_float)
+    drift_a2: float = _key(1.0, _to_float)
+    drift_a3: float = _key(-1.0, _to_float)
+    validation_mode: bool = _key(False, _to_bool)
+    initial: str | None = _key(None, _to_expr)
+    t_final: float | None = _key(None, _to_float, _POSITIVE)
+    trajectory_id: int = _key(0, _to_int, _WORD)
+    tau_fine: float | None = _key(None, _to_float, _STEP)
+    snapshot_every: int = _key(0, _to_int, _NONNEGATIVE)
+    checkpoint_in: str = _key("", _to_str)
+    checkpoint_out: str = _key("", _to_str)
+    tau_ref: float | None = _key(None, _to_float, _STEP)
+    tau_ladder: tuple[float, ...] | None = _key(
+        None, _list_of(_to_float, ",", "comma-separated list of numbers"))
+    n_modes_ref: int | None = _key(None, _to_int, _MODES)
+    n_modes_ladder: tuple[int, ...] | None = _key(
+        None, _list_of(_to_int, ",", "comma-separated list of integers"))
+    n_trajectories: int = _key(50, _to_int, _POSITIVE)
+    estimator: str = _key("both", _to_str)
+    t_final_ensemble: float | None = _key(None, _to_float, _POSITIVE)
+    initials: tuple[str, ...] | None = _key(
+        None, _list_of(_to_expr, ";", "semicolon-separated list of expressions"))
+    test_v: str = _key("exp(x)", _to_expr)
+    test_alpha1: float = _key(1.0, _to_float)
+    test_alpha2: float = _key(2.0, _to_float)
+    burn_in: float = _key(0.0, _to_float, _NONNEGATIVE)
+    thinning: int = _key(1, _to_int, _POSITIVE)
+
+
+_READERS = {f.name: f.metadata["read"] for f in dataclass_fields(RunConfig)}  # key -> reader
 
 _REQUIRED = {
     "simulate": ("tau", "t_final", "initial"),
@@ -196,7 +188,7 @@ def parse_pairs(text: str) -> dict[str, str]:
 def apply_env_overrides(pairs: dict[str, str], environ) -> dict[str, str]:
     """Overlay SCHSIM_<KEY> environment variables onto raw pairs."""
     merged = dict(pairs)
-    for key in _CONVERTERS:
+    for key in _READERS:
         env_name = ENV_PREFIX + key.upper()
         if env_name in environ:
             merged[key] = environ[env_name]
@@ -208,12 +200,12 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
     errors = []
     values: dict[str, object] = {}
     for key, raw in pairs.items():
-        converter = _CONVERTERS.get(key)
-        if converter is None:
+        read = _READERS.get(key)
+        if read is None:
             errors.append(f"unknown key {key!r}")
             continue
         try:
-            values[key] = converter(raw)
+            values[key] = read(raw)
         except ValueError as exc:
             errors.append(f"key {key!r}: {exc}")
 
@@ -231,44 +223,32 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
     if command is not None:
         cfg.command = command
 
-    # domain checks (collected, not short-circuited)
-    def check(cond: bool, message: str) -> None:
-        if not cond:
-            errors.append(message)
+    def check(key: str, valid, value) -> None:
+        holds, phrase = valid
+        if not holds(value):
+            errors.append(f"key {key!r}: {phrase}, got {value}")
 
-    check(0 <= cfg.seed < 2**64, f"key 'seed': must be in [0, 2^64), got {cfg.seed}")
-    modes = [("n_modes", cfg.n_modes), ("n_modes_ref", cfg.n_modes_ref),
-             *(("n_modes_ladder", n) for n in cfg.n_modes_ladder or ())]
-    for name, n in modes:
-        if n is not None:
-            check(2 <= n <= _MAX_MODES, f"key {name!r}: must lie in [2, {_MAX_MODES}], got {n}")
-    check(cfg.sigma >= 0, f"key 'sigma': must be nonnegative, got {cfg.sigma}")
-    check(cfg.drift_a0 >= 0, f"key 'drift_a0': must be nonnegative, got {cfg.drift_a0}")
+    for f in dataclass_fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if f.metadata["valid"] is not None and value is not None:
+            check(f.name, f.metadata["valid"], value)
+    for n in cfg.n_modes_ladder or ():
+        check("n_modes_ladder", _MODES, n)
+    for tau in cfg.tau_ladder or ():
+        check("tau_ladder", (_STEP[0], "entries must lie in (0, 1)"), tau)
     if cfg.drift_a0 == 0 and not cfg.validation_mode:
         errors.append("key 'drift_a0': zero leading coefficient requires validation_mode = true")
-    for name in ("tau", "tau_ref", "tau_fine"):
-        value = getattr(cfg, name)
-        if value is not None:
-            check(0 < value < 1, f"key {name!r}: must lie in (0, 1), got {value}")
-    for name in ("t_final", "t_final_ensemble"):
-        value = getattr(cfg, name)
-        if value is not None:
-            check(value > 0, f"key {name!r}: must be positive, got {value}")
-    check(0 <= cfg.trajectory_id < 2**64,
-          f"key 'trajectory_id': must be in [0, 2^64), got {cfg.trajectory_id}")
-    check(cfg.snapshot_every >= 0,
-          f"key 'snapshot_every': must be nonnegative, got {cfg.snapshot_every}")
-    check(cfg.n_trajectories >= 1,
-          f"key 'n_trajectories': must be positive, got {cfg.n_trajectories}")
-    check(cfg.estimator in ("single", "ensemble", "both"),
-          f"key 'estimator': must be single, ensemble or both, got {cfg.estimator!r}")
-    check(abs(cfg.test_alpha2) >= MIN_ALPHA2, f"key 'test_alpha2': must be at least "
-          f"{MIN_ALPHA2:.3g} in magnitude, or phi's bound underflows; got {cfg.test_alpha2!r}")
-    check(cfg.burn_in >= 0, f"key 'burn_in': must be nonnegative, got {cfg.burn_in}")
-    check(cfg.thinning >= 1, f"key 'thinning': must be positive, got {cfg.thinning}")
-    if cfg.tau_ladder is not None:
-        for tau in cfg.tau_ladder:
-            check(0 < tau < 1, f"key 'tau_ladder': entries must lie in (0, 1), got {tau}")
+    n = max(cfg.n_modes, cfg.n_modes_ref or 0)  # a mode count above the cap is reported
+    if cfg.n_trajectories * (n + 64) > _MAX_TRAJECTORY_WORK and n <= _MAX_MODES:
+        errors.append(f"key 'n_trajectories': must be at most "
+                      f"{_MAX_TRAJECTORY_WORK // (n + 64)} at {n} modes, "
+                      f"got {cfg.n_trajectories}")
+    if cfg.estimator not in ("single", "ensemble", "both"):
+        errors.append(f"key 'estimator': must be single, ensemble or both, "
+                      f"got {cfg.estimator!r}")
+    if abs(cfg.test_alpha2) < MIN_ALPHA2:
+        errors.append(f"key 'test_alpha2': must be at least {MIN_ALPHA2:.3g} in magnitude, "
+                      f"or phi's bound underflows; got {cfg.test_alpha2!r}")
 
     if command is not None:
         required = _REQUIRED[command]

@@ -60,9 +60,8 @@ def _split_terms(text: str) -> list[tuple[float, str]]:
 
 
 def _coefficient(text: str) -> float:
+    """The value of a coef matched by ``_TERM_RE``, which ``_COEF_RE`` repeats."""
     match = _COEF_RE.fullmatch(text)
-    if match is None:
-        raise ValueError(f"cannot parse coefficient {text!r}")
     value = float(match.group("num"))
     if match.group("den") is not None:
         den = float(match.group("den"))

@@ -284,21 +284,22 @@ class HorizonError(ValueError):
 
 
 def whole_steps(value: float, base: float, what: str, minimum: int = 1, *,
-                key: str | None = None) -> int:
+                key: str) -> int:
     """The integer k >= ``minimum`` with value == k * base up to 1e-12 relative.
     The one rule for horizons, burn-in and step ratios: never rounds.  A
-    failure raises ``HorizonError`` when ``key`` names a config duration."""
+    failure raises ``HorizonError`` naming ``key``, the config key of ``value``."""
     k = round(value / base)
     if k < minimum or abs(value - k * base) > 1e-12 * abs(value):
         kind = "positive" if minimum >= 1 else "nonnegative"
-        message = f"{what}: {value!r} must be a {kind} integer multiple of {base!r}"
-        raise ValueError(message) if key is None else HorizonError(message, key)
+        raise HorizonError(f"{what}: {value!r} must be a {kind} integer multiple of {base!r}",
+                           key)
     return k
 
 
 def _ratio(params: SchemeParams, sources) -> int:
     """Fine increments per scheme step, shared by every source."""
-    ratios = {whole_steps(params.tau, src.tau_fine, "tau in steps of tau_fine") for src in sources}
+    ratios = {whole_steps(params.tau, src.tau_fine, "tau in steps of tau_fine", key="tau")
+              for src in sources}
     if len(ratios) != 1:
         raise ValueError("all sources in an ensemble must share tau_fine")
     return ratios.pop()

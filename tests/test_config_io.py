@@ -7,10 +7,13 @@ it.  The CLI tests run main() in-process and assert on files and exit codes.
 """
 
 import csv
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -25,8 +28,8 @@ from schsim import (ConfigError, DriftSpec, NoiseSource, RunConfig, SchemeParams
                     state_from_coeffs, write_checkpoint)
 from schsim import output
 from schsim.cli import _resumed_config, main
-from schsim.config import (_REQUIRED, COMMANDS, apply_env_overrides, build_config,
-                           format_value, parse_pairs)
+from schsim.config import (_MAX_TRAJECTORY_WORK, _REQUIRED, COMMANDS,
+                           apply_env_overrides, build_config, format_value, parse_pairs)
 from schsim.observables import MIN_ALPHA2
 from schsim.output import (FORMAT_VERSION, git_blob_sha1, metadata_lines,
                            read_metadata_config, write_csv,
@@ -160,6 +163,50 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="expected true or false"):
             parse_config(SIM_CFG + "deterministic = yes\n")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_numbers_are_rejected(self, text):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(f"command = verify\ntau = {text}\n")
+        assert exc_info.value.messages == [f"key 'tau': expected a finite number, got {text!r}"]
+
+    def test_empty_list_is_rejected(self):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config("command = verify\ntau_ladder = ,\n")
+        assert exc_info.value.messages == \
+            ["key 'tau_ladder': expected a comma-separated list of numbers"]
+
+    def test_trailing_operator_is_an_empty_term(self):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config("command = verify\ntest_v = exp(x)+\n")
+        assert exc_info.value.messages == \
+            ["key 'test_v': empty term in expression 'exp(x)+'"]
+
+    def test_trajectory_count_is_bounded(self):
+        """n_trajectories * (modes + 64) is at most 2^22, checked before any
+        noise source is built: 10^9 trajectories are refused with a tiny
+        peak, acceptance-scale studies and the bound itself are accepted."""
+        base = ("command = converge-space\nt_final = 0.25\ntau = 0.01\ninitial = 1/3\n"
+                "n_modes_ref = 256\nn_modes_ladder = 8, 16, 32, 64\nn_trajectories = ")
+        assert parse_config(base + "100").n_trajectories == 100
+        cap = 2**22 // (256 + 64)
+        assert parse_config(base + str(cap)).n_trajectories == cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as exc_info:
+                parse_config(base + str(10**9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc_info.value.messages == \
+            [f"key 'n_trajectories': must be at most {cap} at 256 modes, got 1000000000"]
+        assert peak < 1_000_000
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(base + str(cap + 1))
+        assert exc_info.value.messages[0].startswith("key 'n_trajectories': must be at most")
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(base + "-5")
+        assert exc_info.value.messages == ["key 'n_trajectories': must be positive, got -5"]
+
 
 class TestSerializeConfig:
     def test_round_trip_is_exact(self):
@@ -215,15 +262,17 @@ def run_configs(draw):
     path = st.from_regex(r"[A-Za-z0-9_./-]{0,12}", fullmatch=True)
     optional = {key: draw(strategy if key in _REQUIRED[command] else st.none() | strategy)
                 for key, strategy in OPTIONAL.items()}
+    n_modes = draw(MODES)
+    widest = max(n_modes, optional["n_modes_ref"] or 0)
     return RunConfig(
         command=command, seed=draw(WORD), deterministic=draw(st.booleans()),
-        n_modes=draw(MODES), sigma=draw(NONNEGATIVE),
+        n_modes=n_modes, sigma=draw(NONNEGATIVE),
         drift_a0=draw(NONNEGATIVE if validation else POSITIVE),
         drift_a1=draw(FINITE), drift_a2=draw(FINITE), drift_a3=draw(FINITE),
         validation_mode=validation, trajectory_id=draw(WORD),
         snapshot_every=draw(st.integers(0, 10**6)),
         checkpoint_in=draw(path), checkpoint_out=draw(path),
-        n_trajectories=draw(st.integers(1, 10**6)),
+        n_trajectories=draw(st.integers(1, _MAX_TRAJECTORY_WORK // (widest + 64))),
         estimator=draw(st.sampled_from(("single", "ensemble", "both"))),
         test_v=draw(EXPRESSIONS), test_alpha1=draw(FINITE),
         test_alpha2=draw(FINITE.filter(lambda a: abs(a) >= MIN_ALPHA2)),
@@ -472,6 +521,37 @@ class TestCheckpointText:
         with pytest.raises(ValueError) as info:
             read_checkpoint(path)
         assert str(info.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:lines.index("coeffs:")], "missing coefficient block"),
+        (lambda lines: [line for line in lines if not line.startswith("sigma")],
+         "missing header fields ['sigma']"),
+        (lambda lines: [line.replace(" -1.0", "") if line.startswith("drift") else line
+                        for line in lines], "drift must have 4 coefficients"),
+    ])
+    def test_incomplete_checkpoint_is_refused(self, tmp_path, edit, message):
+        path = tmp_path / "bad.ckpt"
+        write_sample_checkpoint(path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(path)
+        assert str(info.value) == f"{path}: {message}"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# README rows that name several keys at once
+README_SHORTHANDS = {"drift_a0..a3": ("drift_a0", "drift_a1", "drift_a2", "drift_a3"),
+                     "checkpoint_in/out": ("checkpoint_in", "checkpoint_out")}
+
+
+def test_readme_documents_every_config_key():
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| Key | Default | Meaning |"):].split("\n\n")[0]
+    documented = set()
+    for row in table.splitlines()[2:]:
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            documented.update(README_SHORTHANDS.get(name, (name,)))
+    assert [f.name for f in dataclasses.fields(RunConfig) if f.name not in documented] == []
 
 
 class TestCli:
@@ -863,6 +943,59 @@ initials = 1/3; 1
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: config: key {key!r}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("seed = -1", "key 'seed': must be in [0, 2^64), got -1"),
+        ("trajectory_id = 18446744073709551616",
+         "key 'trajectory_id': must be in [0, 2^64), got 18446744073709551616"),
+        ("n_modes = 1", "key 'n_modes': must lie in [2, 4096], got 1"),
+        ("n_modes_ref = 4097", "key 'n_modes_ref': must lie in [2, 4096], got 4097"),
+        ("sigma = -0.5", "key 'sigma': must be nonnegative, got -0.5"),
+        ("drift_a0 = -1", "key 'drift_a0': must be nonnegative, got -1.0"),
+        ("tau = 1", "key 'tau': must lie in (0, 1), got 1.0"),
+        ("tau_ref = 0", "key 'tau_ref': must lie in (0, 1), got 0.0"),
+        ("tau_fine = 1.5", "key 'tau_fine': must lie in (0, 1), got 1.5"),
+        ("t_final = -1", "key 't_final': must be positive, got -1.0"),
+        ("t_final_ensemble = 0", "key 't_final_ensemble': must be positive, got 0.0"),
+        ("snapshot_every = -1", "key 'snapshot_every': must be nonnegative, got -1"),
+        ("n_trajectories = 0", "key 'n_trajectories': must be positive, got 0"),
+        ("burn_in = -0.5", "key 'burn_in': must be nonnegative, got -0.5"),
+        ("thinning = 0", "key 'thinning': must be positive, got 0"),
+    ])
+    def test_single_key_range_message(self, tmp_path, capsys, setting, message):
+        """Each key's own range is one exit-2 line, pinned byte for byte."""
+        text = "".join(line + "\n" for line in SIM_CFG.splitlines()
+                       if line.split(" = ")[0] != setting.split(" = ")[0])
+        cfg = self.write_cfg(tmp_path, text + setting + "\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: config: {message}\n")
+
+    def test_verify_through_main(self, tmp_path, capsys):
+        assert main(["verify", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verify: 13/13 checks passed"
+
+    def test_resume_before_the_checkpoint_step_exit_2(self, tmp_path, capsys):
+        ckpt = self.write_resumable(tmp_path)  # at step 2 of tau = 0.0625
+        cfg = self.write_cfg(tmp_path, f"command = simulate\ncheckpoint_in = {ckpt}\n"
+                             "t_final = 0.0625\n", "resume.cfg")
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: config: t_final corresponds to step 1, "
+                                           "but the checkpoint is already at step 2\n")
+
+    def test_checkpoint_tau_off_its_tau_fine_exit_2(self, tmp_path, capsys):
+        """The tau / tau_fine rule names tau for a checkpoint as for a config."""
+        ckpt = self.write_resumable(tmp_path)
+        ckpt.write_text(ckpt.read_text().replace("tau_fine = 0.03125", "tau_fine = 0.05"))
+        cfg = self.write_cfg(tmp_path, f"command = simulate\ncheckpoint_in = {ckpt}\n"
+                             "t_final = 0.25\n", "resume.cfg")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: key 'tau': tau in steps of tau_fine: 0.0625 must be a "
+            "positive integer multiple of 0.05\n")
+        assert not any(out.iterdir())
 
     def test_runtime_errors_exit_1(self, tmp_path, capsys):
         # a checkpoint that cannot be read is only found at run time

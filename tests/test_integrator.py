@@ -15,12 +15,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schsim import (DriftSpec, NoiseSource, SchemeParams, SchemeState,
                     TrajectoryBlowUpError, build_basis, initial_state,
                     read_checkpoint, run_ensemble, run_trajectory, solution_at,
                     state_from_coeffs, step, write_checkpoint)
-from schsim.integrator import _advance, _noise_blocks
+from schsim.integrator import HorizonError, _advance, _noise_blocks, whole_steps
 
 # double-well drift used throughout: f(x) = x^3/2 - x^2/2 + x - 1
 WELL = DriftSpec(0.5, -0.5, 1.0, -1.0)
@@ -436,6 +437,42 @@ class TestNoiseBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * block_bytes
+
+
+class TestAcceptedInputs:
+    """Invariants for every drift, tau and mode count the config accepts."""
+
+    BASES = {}
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(n=st.integers(2, 40), tau=st.floats(1e-4, 0.999), sigma=st.floats(0.0, 4.0),
+           drift=st.tuples(st.floats(0.0, 4.0), *[st.floats(-4.0, 4.0)] * 3),
+           seed=st.integers(0, 2**64 - 1))
+    def test_mass_is_exact(self, n, tau, sigma, drift, seed):
+        basis = self.BASES.setdefault(n, build_basis(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # dissipativity margin
+            params = SchemeParams(basis, DriftSpec(*drift, validation_mode=drift[0] == 0),
+                                  tau, sigma)
+        state = initial_state(params, np.cos(basis.grid) + 1 / 3)
+        final = run_trajectory(params, state, make_source(params, seed), 6)
+        assert final.coeffs[0] == state.coeffs[0]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(k=st.integers(0, 10**5), base=st.floats(1e-6, 1.0),
+           frac=st.floats(1e-6, 1 - 1e-6))
+    def test_whole_steps_never_rounds(self, k, base, frac):
+        assert whole_steps(k * base, base, "t", minimum=0, key="burn_in") == k
+        with pytest.raises(HorizonError) as info:
+            whole_steps((k + frac) * base, base, "t", minimum=0, key="burn_in")
+        assert info.value.key == "burn_in"
+
+    def test_whole_steps_names_its_key(self):
+        with pytest.raises(TypeError):
+            whole_steps(1.0, 0.5, "t")
+        with pytest.raises(HorizonError, match="positive integer multiple") as info:
+            whole_steps(0.0, 0.5, "t_final in steps of tau", key="t_final")
+        assert info.value.key == "t_final"
 
 
 class TestTrajectories:

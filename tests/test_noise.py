@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
@@ -126,6 +127,47 @@ class TestRefinement:
         small = src.increment_field(build_basis(8), m=11)
         large = src.increment_field(build_basis(64), m=11)
         np.testing.assert_array_equal(small, large[:8])
+
+
+BASES = {}
+
+
+def cached_basis(n):
+    return BASES.setdefault(n, build_basis(n))
+
+
+class TestRefinementProperties:
+    """Refinement and mode sharing for any ratio, range and mode count the
+    config accepts, not only the pinned ones."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(r1=st.integers(1, 6), r2=st.integers(1, 6), m0=st.integers(0, 3000),
+           length=st.integers(0, 24), n=st.integers(2, 20),
+           seed=st.integers(0, 2**64 - 1), tau_fine=st.floats(1e-6, 0.5))
+    def test_coarse_increments_are_sums_for_any_factorisation(self, r1, r2, m0, length, n,
+                                                              seed, tau_fine):
+        src = NoiseSource(seed, 1, tau_fine=tau_fine, n_modes_max=n - 1)
+        basis = cached_basis(n)
+        m1 = m0 + length
+        coarse = src.increment_matrix(basis, m0, m1, r1 * r2)
+        staged = src.increment_matrix(basis, m0 * r2, m1 * r2, r1)
+        assert coarse.tobytes() == staged.reshape(length, r2, n).sum(axis=1).tobytes()
+        r = r1 * r2
+        fine = np.stack([src.fine_increments(j, m0 * r, m1 * r) for j in range(1, n)])
+        assert coarse[:, 1:].tobytes() == fine.reshape(n - 1, length, r).sum(axis=2).T.tobytes()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(n_small=st.integers(2, 40), extra=st.integers(0, 40), m0=st.integers(0, 5000),
+           length=st.integers(0, 12), ratio=st.integers(1, 4),
+           seed=st.integers(0, 2**64 - 1), trajectory_id=st.integers(0, 2**64 - 1))
+    def test_modes_are_shared_for_any_pair_of_mode_counts(self, n_small, extra, m0, length,
+                                                          ratio, seed, trajectory_id):
+        n_big = n_small + extra
+        small = NoiseSource(seed, trajectory_id, tau_fine=0.01, n_modes_max=n_small - 1)
+        big = NoiseSource(seed, trajectory_id, tau_fine=0.01, n_modes_max=n_big - 1)
+        blocks = [src.increment_matrix(cached_basis(n), m0, m0 + length, ratio)
+                  for src, n in ((small, n_small), (big, n_big))]
+        assert blocks[0].tobytes() == np.ascontiguousarray(blocks[1][:, :n_small]).tobytes()
 
 
 def reference_ints(src, mode, k0, k1):
