@@ -76,7 +76,12 @@ def _load_config(args) -> tuple[RunConfig, set[str]]:
     """The run's config and the keys set explicitly (file, environment or flag)."""
     text = ""
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError([f"--config {args.config}: {exc.strerror or exc}"]) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"--config {args.config}: not UTF-8 text: {exc}"]) from None
     pairs = parse_pairs(text)
     pairs = apply_env_overrides(pairs, os.environ)
     if args.seed is not None:

@@ -12,8 +12,11 @@ Design notes on exact refinement:
 
 * Raw 64-bit cipher output is mapped to a uniform via u = ((x >> 11) + 0.5) *
   2^-53, clamped below 1, and then to a standard normal via the inverse CDF
-  (``scipy.special.ndtri``); the whole pipeline is deterministic and
-  platform-stable.
+  (scipy's ``ndtri`` ufunc); the whole pipeline is deterministic and
+  platform-stable.  ``_load_ndtri`` imports that ufunc from the
+  ``scipy.special._ufuncs`` extension alone, because ``scipy.special``'s
+  package init would double the package's import time; it is the very
+  object ``scipy.special.ndtri`` names, so no value depends on the route.
 * Each draw is then snapped to the lattice q * Z, where q is the power of two
   nearest sqrt(tau_fine) * 2^-36, and summed as an int64 multiple of q.
   Sums of these integers are exact, and every partial sum of practical
@@ -53,11 +56,14 @@ word at 63 modes x 512 steps, where the per-mode loop it replaced cost
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import math
+import sys
+import types
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 __all__ = ["NoiseSource", "stationary_variance"]
 
@@ -67,6 +73,48 @@ _BLOCK = 2048  # words per counter value of word 1
 # its buffer stays in cache and its temporaries below the request's output.
 _CHUNK_MODES = 64
 _CHUNK_WORDS = 32768
+
+
+def _load_ndtri():
+    """scipy's ``ndtri`` ufunc, without running ``scipy.special``'s package
+    init, which imports ``scipy._lib.array_api_compat`` and through it
+    ``numpy.f2py`` and ``charset_normalizer``.
+
+    A stub package with the real package's ``__path__`` stands in for
+    ``scipy.special`` while only the ``_ufuncs`` extension is imported, and
+    is removed before this returns.  The extension stays in ``sys.modules``,
+    so a later ``import scipy.special`` reuses it and hands out this very
+    object.  The public import serves when ``scipy.special`` is already
+    loaded or the private path fails.  Conditions: the extensions that
+    ``_ufuncs`` imports (``_ufuncs_cxx`` and others) are not bound as
+    attributes of the later package, only in ``sys.modules``; and another
+    thread's first ``import scipy.special`` must not run while this module
+    is first imported.
+    """
+    if "scipy.special" in sys.modules:
+        from scipy.special import ndtri
+        return ndtri
+    try:
+        import scipy
+        spec = importlib.util.find_spec("scipy.special")
+        stub = types.ModuleType("scipy.special")
+        stub.__path__ = list(spec.submodule_search_locations)
+        sys.modules["scipy.special"] = stub
+        try:
+            return importlib.import_module("scipy.special._ufuncs").ndtri
+        finally:
+            if sys.modules.get("scipy.special") is stub:
+                del sys.modules["scipy.special"]
+            # vars(), not getattr(): scipy's module __getattr__ would import
+            # the whole of scipy.special to answer a missing attribute.
+            if vars(scipy).get("special") is stub:
+                del scipy.special
+    except (ImportError, AttributeError):
+        from scipy.special import ndtri
+        return ndtri
+
+
+ndtri = _load_ndtri()
 
 
 class NoiseSource:

@@ -6,7 +6,12 @@ printed as a block after the run so a plain ``pytest`` invocation ends with
 one PASS/FAIL line per acceptance criterion.
 """
 
+import os
+from pathlib import Path
+
 import pytest
+
+import schsim
 
 
 def pytest_configure(config):
@@ -23,6 +28,15 @@ def criterion(request):
         assert passed, f"criterion {number} ({name}): {detail}"
 
     return record
+
+
+@pytest.fixture
+def src_env():
+    """Environment for a fresh interpreter that imports the ``schsim`` under
+    test."""
+    src = str(Path(schsim.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

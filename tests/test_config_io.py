@@ -8,7 +8,6 @@ it.  The CLI tests run main() in-process and assert on files and exit codes.
 
 import csv
 import dataclasses
-import os
 import re
 import subprocess
 import sys
@@ -369,14 +368,11 @@ class TestOutputFiles:
         assert b">a&lt;b&gt; &amp; c</text>" in local
         ET.parse(tmp_path / "local.svg")
 
-    def test_cli_import_loads_no_network_modules(self):
+    def test_cli_import_loads_no_network_modules(self, src_env):
         """Importing the CLI pulls in neither XML nor the network stack."""
-        src = str(Path(output.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         code = ("import sys, schsim.cli; print(' '.join(m for m in ('xml.sax', "
                 "'urllib.request', 'http.client', 'ssl') if m in sys.modules))")
-        done = subprocess.run([sys.executable, "-c", code], env=env,
+        done = subprocess.run([sys.executable, "-c", code], env=src_env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == ""
 
@@ -996,6 +992,30 @@ initials = 1/3; 1
             "error: config: key 'tau': tau in steps of tau_fine: 0.0625 must be a "
             "positive integer multiple of 0.05\n")
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("case, reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("not-utf8", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 7"),
+    ])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, case, reason):
+        """A --config that cannot be read as text is a usage error."""
+        path = tmp_path / "run.cfg"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf8":
+            path.write_bytes(b"seed = \xff\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config: --config {path}: {reason}")
+        assert not out.exists()
+
+    def test_python_m_schsim(self, src_env):
+        """``python -m schsim`` runs the CLI without an installed script."""
+        done = subprocess.run([sys.executable, "-m", "schsim", "verify", "--help"],
+                              env=src_env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: schsim verify")
 
     def test_runtime_errors_exit_1(self, tmp_path, capsys):
         # a checkpoint that cannot be read is only found at run time

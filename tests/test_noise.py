@@ -6,7 +6,10 @@ sum of its fine constituents bit for bit, for any factorization of the ratio.
 That is what makes coupled coarse/reference runs and resumed runs exact.
 """
 
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -500,6 +503,75 @@ class TestValidation:
             src.increment_field(build_basis(8), 0)
         with pytest.raises(ValueError, match="at most 4"):
             src.increment_matrix(build_basis(8), 0, 2)
+
+
+_HEAVY_MODULES = ("scipy.special", "scipy._lib.array_api_compat", "numpy.f2py",
+                  "charset_normalizer")
+
+
+def run_python(code, env):
+    """Run ``code`` in a fresh interpreter and return what it printed as JSON."""
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+class TestNdtriLoading:
+    """``noise.ndtri`` is scipy's own ufunc, loaded without ``scipy.special``'s
+    package init; each case runs in a fresh interpreter, since what matters
+    is which modules an import leaves in ``sys.modules``."""
+
+    @pytest.mark.parametrize("reach", ["import scipy.special as special",
+                                       "special = scipy.special"])
+    def test_cli_import_skips_the_package_init(self, reach, src_env):
+        """After ``import schsim.cli`` the heavy modules are absent and no
+        stub is left; ``scipy.special`` then still loads, by import or by
+        scipy's lazy attribute, and hands out the same ``ndtri``."""
+        result = run_python(
+            "import json, sys, scipy, schsim.cli\n"
+            "from schsim import noise\n"
+            f"loaded = [m for m in {_HEAVY_MODULES!r} if m in sys.modules]\n"
+            "stub = 'special' in vars(scipy)\n"
+            f"{reach}\n"
+            "print(json.dumps([loaded, stub, special.ndtri is noise.ndtri,\n"
+            "                  sys.modules['scipy.special'] is special is scipy.special,\n"
+            "                  float(special.erf(1.0))]))\n", src_env)
+        assert result == [[], False, True, True, pytest.approx(math.erf(1.0), rel=1e-15)]
+
+    def test_loaded_scipy_special_takes_the_public_path(self, src_env):
+        """An already imported ``scipy.special`` stays the one in
+        ``sys.modules`` and gives ``noise`` its ``ndtri``."""
+        result = run_python(
+            "import json, sys, scipy.special\n"
+            "special = sys.modules['scipy.special']\n"
+            "from schsim import noise\n"
+            "print(json.dumps([sys.modules['scipy.special'] is special is scipy.special,\n"
+            "                  noise.ndtri is special.ndtri]))\n", src_env)
+        assert result == [True, True]
+
+    def test_failed_private_path_falls_back(self, src_env):
+        """If the private import fails, the public one serves, no stub is
+        left behind, and the increments are the pinned ones."""
+        result = run_python(
+            "import importlib, json, sys, scipy\n"
+            "real = importlib.import_module\n"
+            "def failing(name, package=None):\n"
+            "    if name == 'scipy.special._ufuncs':\n"
+            "        importlib.import_module = real\n"
+            "        raise ImportError('private path disabled')\n"
+            "    return real(name, package)\n"
+            "importlib.import_module = failing\n"
+            "from schsim import noise\n"
+            "public = 'scipy.special' in sys.modules and noise.ndtri is scipy.special.ndtri\n"
+            "special = sys.modules['scipy.special']\n"
+            "stub = special.__spec__ is None or vars(scipy).get('special') is not special\n"
+            "from schsim import build_basis\n"
+            "src = noise.NoiseSource(2024, 5, tau_fine=2.0**-10, n_modes_max=256)\n"
+            "m1 = src.increment_matrix(build_basis(257), 2001, 2101, 1)\n"
+            "print(json.dumps([importlib.import_module is real, public, stub,\n"
+            "                  float(m1[0, 1]).hex(), float(m1[99, 256]).hex()]))\n", src_env)
+        # the values test_pinned_values pins
+        assert result == [True, True, False, "-0x1.d71d70a700000p-8", "0x1.507e5b9800000p-10"]
 
 
 if __name__ == "__main__":
