@@ -17,9 +17,9 @@ from .integrator import (DriftSpec, SchemeParams, SchemeState,
                          TrajectoryBlowUpError, initial_state, run_ensemble,
                          run_trajectory, solution_at, state_from_coeffs, step)
 from .noise import NoiseSource, stationary_variance
-from .observables import (RunningAverage, TestFunctionSpec, TimeAverageObserver,
-                          g_functional, lyapunov_v, mass, phi_test,
-                          time_average_ensemble, time_average_single)
+from .observables import (TestFunctionSpec, TimeAverageObserver, g_functional,
+                          lyapunov_v, mass, phi_test, time_average_ensemble,
+                          time_average_single)
 from .verify import CheckResult, run_all_checks
 
 __version__ = "0.1.0"
@@ -36,7 +36,7 @@ __all__ = [
     "initial_state", "run_ensemble", "run_trajectory", "solution_at",
     "state_from_coeffs", "step",
     "NoiseSource", "stationary_variance",
-    "RunningAverage", "TestFunctionSpec", "TimeAverageObserver",
+    "TestFunctionSpec", "TimeAverageObserver",
     "g_functional", "lyapunov_v", "mass", "phi_test",
     "time_average_ensemble", "time_average_single",
     "CheckResult", "run_all_checks",

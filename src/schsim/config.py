@@ -25,6 +25,7 @@ from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 import numpy as np
 
 from .expressions import validate_expression
+from .experiments import _ENSEMBLE_ID_BASE as _MAX_INITIALS
 from .observables import MIN_ALPHA2
 
 __all__ = ["RunConfig", "ConfigError", "parse_pairs", "build_config",
@@ -243,6 +244,10 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
         errors.append(f"key 'n_trajectories': must be at most "
                       f"{_MAX_TRAJECTORY_WORK // (n + 64)} at {n} modes, "
                       f"got {cfg.n_trajectories}")
+    if cfg.initials is not None and len(cfg.initials) > _MAX_INITIALS:
+        errors.append(f"key 'initials': must hold at most {_MAX_INITIALS} expressions "
+                      f"(single run i draws trajectory id i, below the ensemble ids), "
+                      f"got {len(cfg.initials)}")
     if cfg.estimator not in ("single", "ensemble", "both"):
         errors.append(f"key 'estimator': must be single, ensemble or both, "
                       f"got {cfg.estimator!r}")

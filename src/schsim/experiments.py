@@ -45,7 +45,7 @@ from .expressions import evaluate_expression
 from .grid import SpectralBasis
 from .integrator import (DriftSpec, HorizonError, SchemeParams,
                          TrajectoryBlowUpError, _advance, _noise_blocks, _ratio,
-                         _start_coeffs, state_from_coeffs, whole_steps)
+                         initial_state, whole_steps)
 from .noise import NoiseSource
 from .observables import (TestFunctionSpec, time_average_ensemble,
                           time_average_single)
@@ -63,7 +63,9 @@ __all__ = [
     "run_ergodic_study",
 ]
 
-_ENSEMBLE_ID_BASE = 10_000  # trajectory-id offset separating ensemble streams
+# Trajectory-id offset separating ensemble streams.  Single run i draws id i,
+# so a study takes at most this many initial conditions.
+_ENSEMBLE_ID_BASE = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +332,8 @@ def mean_square_error(params_coarse: SchemeParams, params_ref: SchemeParams,
     exceed the reference's.  With identical parameters and initial data the
     two runs coincide bit-for-bit and the distance is exactly zero.
     """
-    level = (params_coarse, _start_coeffs(params_coarse, u0_coarse))
-    return _coupled_errors(params_ref, _start_coeffs(params_ref, u0_ref), [level],
+    level = (params_coarse, initial_state(params_coarse, u0_coarse).coeffs)
+    return _coupled_errors(params_ref, initial_state(params_ref, u0_ref).coeffs, [level],
                            seed=seed, n_trajectories=n_trajectories, t_final=t_final,
                            threads=threads)[0]
 
@@ -352,7 +354,7 @@ def run_temporal_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
     if not taus:
         raise ValueError("tau_ladder must not be empty")
     params_ref = SchemeParams(basis, drift, tau_ref, sigma)
-    coeffs0 = _start_coeffs(params_ref, evaluate_expression(initial, basis.grid))
+    coeffs0 = initial_state(params_ref, evaluate_expression(initial, basis.grid)).coeffs
     levels = [(SchemeParams(basis, drift, tau, sigma), coeffs0) for tau in taus]
     errors = _coupled_errors(params_ref, coeffs0, levels, seed=seed,
                              n_trajectories=n_trajectories, t_final=t_final,
@@ -379,7 +381,7 @@ def run_spatial_study(*, drift: DriftSpec, sigma: float, t_final: float,
     def level(n: int):
         basis = SpectralBasis(n)
         params = SchemeParams(basis, drift, tau, sigma)
-        return params, _start_coeffs(params, evaluate_expression(initial, basis.grid))
+        return params, initial_state(params, evaluate_expression(initial, basis.grid)).coeffs
 
     params_ref, coeffs0_ref = level(n_modes_ref)
     errors = _coupled_errors(params_ref, coeffs0_ref, [level(n) for n in ns], seed=seed,
@@ -420,13 +422,19 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
     additionally averages over ``n_trajectories`` independent shorter
     trajectories (horizon ``t_final_ensemble``, defaulting to ``t_final``).
     Streams are partitioned by trajectory id: single runs use ids 0, 1, ...,
-    ensemble run i uses ids 10000 + i*n_trajectories + l.
+    ensemble run i uses ids 10000 + i*n_trajectories + l, so at most 10000
+    initial conditions are accepted.  Runs come single, then ensemble, for
+    each initial condition.
     """
     if estimator not in ("single", "ensemble", "both"):
         raise ValueError(f"estimator must be single, ensemble or both, got {estimator!r}")
     initials = list(initials)
     if not initials:
         raise ValueError("at least one initial condition is required")
+    if len(initials) > _ENSEMBLE_ID_BASE:
+        raise ValueError(f"at most {_ENSEMBLE_ID_BASE} initial conditions, got "
+                         f"{len(initials)}: single run i draws trajectory id i, "
+                         f"below the ensemble ids")
     params = SchemeParams(basis, drift, tau, sigma)
     spec = TestFunctionSpec.from_expression(basis, v_expr, alpha1, alpha2)
     burn_steps = whole_steps(burn_in, tau, "burn_in in steps of tau", minimum=0,
@@ -443,25 +451,19 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
                            f"{min(n_steps, key=n_steps.get)} estimator's horizon", "burn_in")
     runs: list[ErgodicRun] = []
     for i, expr in enumerate(initials):
-        coeffs0 = _start_coeffs(params, evaluate_expression(expr, basis.grid))
-        if estimator in ("single", "both"):
-            source = NoiseSource(seed, i, tau_fine=tau, n_modes_max=basis.n_modes - 1)
+        state0 = initial_state(params, evaluate_expression(expr, basis.grid))
+        for kind in n_steps:
+            first, count = ((i, 1) if kind == "single"
+                            else (_ENSEMBLE_ID_BASE + i * n_trajectories, n_trajectories))
+            sources = [NoiseSource(seed, first + l, tau_fine=tau, n_modes_max=basis.n_modes - 1)
+                       for l in range(count)]
             t0 = time.perf_counter()
-            avg, history, _ = time_average_single(
-                params, state_from_coeffs(params, 0, coeffs0), source, n_steps["single"], spec,
-                burn_in_steps=burn_steps, record_every=thinning)
-            runs.append(ErgodicRun(f"single[{i}]", "single", expr, avg,
-                                   n_samples["single"],
-                                   time.perf_counter() - t0, tuple(history)))
-        if estimator in ("ensemble", "both"):
-            sources = [NoiseSource(seed, _ENSEMBLE_ID_BASE + i * n_trajectories + l,
-                                   tau_fine=tau, n_modes_max=basis.n_modes - 1)
-                       for l in range(n_trajectories)]
-            t0 = time.perf_counter()
-            grand, _, history, _ = time_average_ensemble(
-                params, coeffs0, sources, n_steps["ensemble"], spec,
-                burn_in_steps=burn_steps, record_every=thinning)
-            runs.append(ErgodicRun(f"ensemble[{i}]", "ensemble", expr, grand,
-                                   n_samples["ensemble"] * n_trajectories,
+            if kind == "single":
+                estimate, history, _ = time_average_single(
+                    params, state0, sources[0], n_steps[kind], spec, burn_steps, thinning)
+            else:
+                estimate, _, history, _ = time_average_ensemble(
+                    params, state0.coeffs, sources, n_steps[kind], spec, burn_steps, thinning)
+            runs.append(ErgodicRun(f"{kind}[{i}]", kind, expr, estimate, n_samples[kind] * count,
                                    time.perf_counter() - t0, tuple(history)))
     return ErgodicStudyResult(tuple(runs))

@@ -157,16 +157,6 @@ class SpectralBasis:
             return float(out)
         return out
 
-    def smoothing_energy(self, coeffs: np.ndarray, gamma: float, t: float) -> float:
-        """Weighted semigroup energy sum_j lambda^(2 gamma) e^(-2 lambda^2 t) c_j^2.
-
-        Nonincreasing in t; used as a smoothing diagnostic for mean-zero fields.
-        """
-        coeffs = self._check_field(coeffs, name="coefficients")
-        lam = self.eigenvalues
-        weights = lam ** (2.0 * gamma) * np.exp(-2.0 * lam**2 * t)
-        return float(np.sum(weights * coeffs * coeffs, axis=0))
-
 
 def build_basis(n_modes: int) -> SpectralBasis:
     """Construct a :class:`SpectralBasis` with ``n_modes`` grid points."""

@@ -189,29 +189,25 @@ class SchemeState:
                              f"coefficients of shape {np.shape(self.coeffs)}")
 
 
-def _start_coeffs(params: SchemeParams, u0: np.ndarray) -> np.ndarray:
-    """The m = 0 coefficients of a nodal initial condition, for callers
-    that need no nodal values (the coupled studies, the ensemble)."""
+def initial_state(params: SchemeParams, u0: np.ndarray) -> SchemeState:
+    """Build the m = 0 state from a nodal initial condition."""
     u0 = np.asarray(u0, dtype=np.float64)
     if u0.shape != (params.basis.n_modes,):
         raise ValueError(
             f"initial condition must have shape ({params.basis.n_modes},), got {u0.shape}")
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial condition contains non-finite values")
-    return params.basis.to_spectral(u0)
-
-
-def initial_state(params: SchemeParams, u0: np.ndarray) -> SchemeState:
-    """Build the m = 0 state from a nodal initial condition."""
-    coeffs = _start_coeffs(params, u0)
+    coeffs = params.basis.to_spectral(u0)
     return SchemeState(0, coeffs, params.basis.from_spectral(coeffs))
 
 
 def state_from_coeffs(params: SchemeParams, step_index: int, coeffs: np.ndarray) -> SchemeState:
-    """Rebuild a state from stored coefficients (checkpoint resume)."""
+    """Rebuild a state from coefficients, one trajectory's (N,) vector or an
+    (N, L) stack (checkpoint resume, ensemble start)."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (params.basis.n_modes,):
-        raise ValueError(f"coefficients must have shape ({params.basis.n_modes},)")
+    n = params.basis.n_modes
+    if coeffs.ndim not in (1, 2) or coeffs.shape[0] != n:
+        raise ValueError(f"coefficients must have shape ({n},) or ({n}, L)")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients contain non-finite values")
     return SchemeState(int(step_index), coeffs, params.basis.from_spectral(coeffs))
@@ -382,7 +378,7 @@ def run_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources, n_steps: in
               else coeffs0.copy())
     if coeffs.shape != (n, len(sources)):
         raise ValueError(f"coeffs0 must have shape ({n},) or ({n}, {len(sources)})")
-    state = SchemeState(start_index, coeffs, params.basis.from_spectral(coeffs))
+    state = state_from_coeffs(params, start_index, coeffs)
     return _run(params, state, sources, n_steps, observers).coeffs
 
 

@@ -16,6 +16,9 @@ symmetric and the long-run average of phi is exactly zero, which is the
 closed-form reference the ergodic experiments converge to.
 
 All functionals accept a single field (N,) or an (N, L) stack of trajectories.
+Both long-run estimators run through one accumulator, ``TimeAverageObserver``,
+which keeps its own sample count and sum of phi: the single estimator on one
+trajectory, the ensemble estimator on the (N, L) stack.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .integrator import SchemeParams, SchemeState, run_ensemble, run_trajectory
 
 __all__ = [
     "TestFunctionSpec",
-    "RunningAverage",
     "TimeAverageObserver",
     "mass",
     "g_functional",
@@ -128,30 +130,6 @@ def lyapunov_v(basis: SpectralBasis, u: np.ndarray):
     return np.sum(inv * coeffs * coeffs, axis=0) + coeffs[0] ** 2 + 1.0
 
 
-class RunningAverage:
-    """Incremental equal-weight mean of scalars or of per-column rows.
-
-    Maintains (count, total) so the average can be read out at any time
-    without storing samples.  Scalar samples keep a Python float total; an
-    (L,) row of samples keeps an (L,) total, one average per column.
-    """
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-
-    def update(self, value):
-        self.count += 1
-        self.total += value if isinstance(value, np.ndarray) and value.ndim else float(value)
-        return self.total / self.count
-
-    @property
-    def average(self):
-        if self.count == 0:
-            raise ValueError("running average has no samples yet")
-        return self.total / self.count
-
-
 class TimeAverageObserver:
     """Trajectory observer accumulating the running time average of phi.
 
@@ -159,8 +137,10 @@ class TimeAverageObserver:
     >= burn_in_steps (the initial state counts), recording (t, running
     average) every ``record_every``-th sample into ``history``.  It reads the
     nodal values the state carries, one trajectory's (N,) vector or an
-    (N, L) stack; a stack keeps one running average per trajectory, and its
-    history records their mean.  Recorded values are Python floats.
+    (N, L) stack.  ``count`` is the number of samples, ``total`` their sum
+    and ``average`` total / count: a scalar for one trajectory, an (L,) row
+    for a stack, whose history records the row's mean.  Recorded values are
+    Python floats.
     """
 
     def __init__(self, params: SchemeParams, spec: TestFunctionSpec,
@@ -173,25 +153,34 @@ class TimeAverageObserver:
         self.spec = spec
         self.burn_in_steps = burn_in_steps
         self.record_every = record_every
-        self.running = RunningAverage()
+        self.count = 0
+        self.total = 0.0
         self.history: list[tuple[float, float]] = []
         self._last_t = 0.0
 
     def __call__(self, m: int, state: SchemeState) -> None:
         if m < self.burn_in_steps:
             return
-        self.running.update(phi_test(self.params.basis, self.spec, state.nodal))
+        self.count += 1
+        self.total += phi_test(self.params.basis, self.spec, state.nodal)
         self._last_t = m * self.params.tau
-        if (self.running.count - 1) % self.record_every == 0:
+        if (self.count - 1) % self.record_every == 0:
             self._record()
+
+    @property
+    def average(self):
+        """total / count; a ValueError before the first sample."""
+        if self.count == 0:
+            raise ValueError("time average has no samples yet")
+        return self.total / self.count
 
     def _record(self) -> None:
         # the mean is taken here, not per sample; for a scalar it is exact
-        self.history.append((self._last_t, float(np.mean(self.running.average))))
+        self.history.append((self._last_t, float(np.mean(self.average))))
 
     def finalize(self) -> None:
         """Ensure the last sample is present in the history."""
-        if self.running.count and (self.running.count - 1) % self.record_every:
+        if self.count and (self.count - 1) % self.record_every:
             self._record()
 
 
@@ -206,7 +195,7 @@ def time_average_single(params: SchemeParams, state0: SchemeState, source,
     obs = TimeAverageObserver(params, spec, burn_in_steps, record_every)
     final = run_trajectory(params, state0, source, n_steps, observers=(obs,))
     obs.finalize()
-    return obs.running.average, obs.history, final
+    return float(obs.average), obs.history, final
 
 
 def time_average_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources,
@@ -222,5 +211,5 @@ def time_average_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources,
     obs = TimeAverageObserver(params, spec, burn_in_steps, record_every)
     final = run_ensemble(params, coeffs0, sources, n_steps, observers=(obs,))
     obs.finalize()
-    per_traj = obs.running.average
+    per_traj = obs.average
     return float(np.mean(per_traj)), per_traj, obs.history, final

@@ -6,8 +6,10 @@ that echo, so a file is a complete, executable record of the run that made
 it.  The CLI tests run main() in-process and assert on files and exit codes.
 """
 
+import contextlib
 import csv
 import dataclasses
+import io
 import re
 import subprocess
 import sys
@@ -205,6 +207,17 @@ class TestBuildConfig:
         with pytest.raises(ConfigError) as exc_info:
             parse_config(base + "-5")
         assert exc_info.value.messages == ["key 'n_trajectories': must be positive, got -5"]
+
+    def test_initial_condition_count_is_bounded(self):
+        """At most 10 000 initials: single run i draws trajectory id i, and
+        ensemble ids start at 10 000."""
+        base = "command = ergodic\ntau = 0.01\nt_final = 0.1\ninitials = "
+        assert len(parse_config(base + "; ".join(["1/3"] * 10_000)).initials) == 10_000
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(base + "; ".join(["1/3"] * 10_001))
+        assert exc_info.value.messages == [
+            "key 'initials': must hold at most 10000 expressions (single run i draws "
+            "trajectory id i, below the ensemble ids), got 10001"]
 
 
 class TestSerializeConfig:
@@ -548,6 +561,60 @@ def test_readme_documents_every_config_key():
         for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
             documented.update(README_SHORTHANDS.get(name, (name,)))
     assert [f.name for f in dataclasses.fields(RunConfig) if f.name not in documented] == []
+
+
+def mostly(valid, invalid):
+    """``valid`` nine times in ten, ``invalid`` otherwise."""
+    return st.integers(0, 9).flatmap(lambda r: valid if r else invalid)
+
+
+@st.composite
+def ergodic_settings(draw):
+    """An ergodic config at n_modes <= 8, accepted or not: horizons and
+    burn-in on and off the tau grid, out-of-range counts and estimators."""
+    tau = draw(st.sampled_from((0.0625, 0.1, 0.25)))
+    on_grid = st.integers(1, 12).map(lambda k: k * tau)
+    horizon = mostly(on_grid, st.floats(1e-3, 2.0) | st.sampled_from((0.0, -0.5)))
+    settings = {
+        "n_modes": draw(st.integers(2, 8)), "tau": tau,
+        "estimator": draw(mostly(st.sampled_from(("single", "ensemble", "both")),
+                                 st.just("median"))),
+        "t_final": draw(horizon),
+        "t_final_ensemble": draw(st.none() | horizon),
+        "burn_in": draw(st.none() | mostly(st.just(0.0) | on_grid, st.floats(-0.5, 2.0))),
+        "thinning": draw(mostly(st.integers(1, 5), st.integers(-1, 0))),
+        "n_trajectories": draw(mostly(st.integers(1, 3), st.just(0))),
+        "initials": draw(st.lists(EXPRESSIONS, min_size=1, max_size=3).map(tuple)),
+    }
+    return {key: value for key, value in settings.items() if value is not None}
+
+
+class TestErgodicConfigs:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(settings_=ergodic_settings())
+    def test_every_config_runs_or_is_a_config_error(self, settings_):
+        """Exit 0 writes one summary row per run; exit 2 prints only
+        ``error: config:`` lines; nothing else happens."""
+        text = "".join(f"{key} = {format_value(value)}\n" for key, value in settings_.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text("command = ergodic\n" + text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["ergodic", "--config", str(cfg), "--out", str(Path(tmp) / "out"),
+                             "--deterministic"])
+            assert code in (0, 2), err.getvalue()
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert lines and all(line.startswith("error: config: ") for line in lines)
+                return
+            assert err.getvalue() == ""
+            kinds = (("single", "ensemble") if settings_["estimator"] == "both"
+                     else (settings_["estimator"],))
+            with open(Path(tmp) / "out" / "ergodic_summary.csv", newline="") as fh:
+                rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+            assert [row["label"] for row in rows] == [
+                f"{kind}[{i}]" for i in range(len(settings_["initials"])) for kind in kinds]
 
 
 class TestCli:

@@ -526,6 +526,14 @@ class TestErgodicStudy:
         with pytest.raises(ValueError, match="at least one initial"):
             run_ergodic_study(initials=(), estimator="single", **kw)
 
+    def test_initials_beyond_the_ensemble_id_base_are_refused(self):
+        """Single run i draws trajectory id i and ensemble ids start at
+        10 000, so the 10 001st initial would reuse ensemble[0]'s noise."""
+        kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2,
+                  t_final=0.3, v_expr="exp(x)", alpha1=1.0, alpha2=2.0, seed=0)
+        with pytest.raises(ValueError, match="at most 10000 initial conditions, got 10001"):
+            run_ergodic_study(initials=("1/3",) * 10_001, **kw)
+
     def test_horizons_must_be_whole_steps(self):
         kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2,
                   initials=("1/3",), v_expr="exp(x)", alpha1=1.0, alpha2=2.0, seed=0)

@@ -262,20 +262,6 @@ class TestSemigroupAndSmoothing:
         with pytest.raises(ValueError):
             basis.semigroup_factor(float("nan"))
 
-    def test_smoothing_energy_single_mode(self):
-        # one-hot coefficient on mode 2: energy = lam^(2 gamma) e^(-2 lam^2 t)
-        basis = build_basis(10)
-        lam = basis.eigenvalues[2]
-        got = basis.smoothing_energy(np.eye(10)[2], 0.5, 0.3)
-        assert got == pytest.approx(lam * np.exp(-2 * lam**2 * 0.3), rel=1e-13)
-
-    def test_smoothing_energy_nonincreasing_in_time(self):
-        rng = np.random.default_rng(12)
-        basis = build_basis(10)
-        c = rng.standard_normal(10)
-        values = [basis.smoothing_energy(c, 1.0, t) for t in (0.0, 0.05, 0.2)]
-        assert values[0] >= values[1] >= values[2]
-
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schsim import (DriftSpec, NoiseSource, SchemeParams, SchemeState,
-                    TrajectoryBlowUpError, build_basis, initial_state,
-                    read_checkpoint, run_ensemble, run_trajectory, solution_at,
+                    TestFunctionSpec, TrajectoryBlowUpError, build_basis, initial_state,
+                    phi_test, read_checkpoint, run_ensemble, run_trajectory, solution_at,
                     state_from_coeffs, step, write_checkpoint)
 from schsim.integrator import HorizonError, _advance, _noise_blocks, whole_steps
 
@@ -366,8 +366,11 @@ class TestNodalValues:
     def test_state_from_coeffs_checks_the_mode_count(self):
         with pytest.raises(ValueError, match=r"shape \(8,\)"):
             state_from_coeffs(make_params(n=8), 0, np.zeros(7))
+        with pytest.raises(ValueError, match=r"shape \(8,\) or \(8, L\)"):
+            state_from_coeffs(make_params(n=8), 0, np.zeros((7, 2)))
         with pytest.raises(ValueError, match=r"shape \(8,\)"):
-            state_from_coeffs(make_params(n=8), 0, np.zeros((8, 2)))
+            state_from_coeffs(make_params(n=8), 0, np.zeros((8, 2, 1)))
+        assert state_from_coeffs(make_params(n=8), 0, np.zeros((8, 2))).nodal.shape == (8, 2)
 
     def test_a_positional_observer_is_refused(self):
         params = make_params(n=8)
@@ -466,6 +469,27 @@ class TestAcceptedInputs:
         with pytest.raises(HorizonError) as info:
             whole_steps((k + frac) * base, base, "t", minimum=0, key="burn_in")
         assert info.value.key == "burn_in"
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.integers(2, 256), tau=st.floats(1e-4, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_a_single_trajectory_is_the_one_column_stack(self, n, tau, seed):
+        """The kernel, both transforms and phi give an (N,) vector exactly
+        the bits of column 0 of the same (N, 1) stack."""
+        basis = self.BASES.setdefault(n, build_basis(n))
+        params = SchemeParams(basis, WELL, tau)
+        spec = TestFunctionSpec.from_expression(basis, "exp(x)", 1.0, 2.0)
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(n)
+        dw = rng.standard_normal(n) * math.sqrt(tau)
+        dw[0] = 0.0
+        nodal = basis.from_spectral(coeffs)
+        column = basis.from_spectral(coeffs[:, None])
+        assert nodal.tobytes() == column[:, 0].tobytes()
+        assert (basis.to_spectral(nodal).tobytes()
+                == basis.to_spectral(column)[:, 0].tobytes())
+        assert (_advance(params, coeffs, dw, nodal).tobytes()
+                == _advance(params, coeffs[:, None], dw[:, None], column)[:, 0].tobytes())
+        assert phi_test(basis, spec, nodal) == phi_test(basis, spec, column)[0]
 
     def test_whole_steps_names_its_key(self):
         with pytest.raises(TypeError):
@@ -601,6 +625,19 @@ class TestEnsemble:
                 run_ensemble(params, coeffs0, sources, 3, start_index=5)
         assert exc_info.value.trajectory_id == 22
         assert exc_info.value.step_index == 6
+
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_non_finite_start_is_refused_before_any_step(self, width):
+        """A non-finite start is a ValueError, as for a single trajectory,
+        not a blow-up at step 1; no observer sees it."""
+        params = make_params(n=8)
+        sources = [make_source(params, trajectory_id=l) for l in range(3)]
+        coeffs0 = np.zeros(8) if width is None else np.zeros((8, width))
+        coeffs0[1] = np.nan
+        seen = []
+        with pytest.raises(ValueError, match="non-finite"):
+            run_ensemble(params, coeffs0, sources, 5, observers=(lambda m, s: seen.append(m),))
+        assert seen == []
 
     def test_requires_sources(self):
         params = make_params(n=8)

@@ -1,4 +1,4 @@
-"""Tests for solution functionals, running averages and field expressions.
+"""Tests for solution functionals, time averages and field expressions.
 
 The centered pairing has one hand-computable anchor: with v = u = 1 it equals
 pi (1 - alpha1), because <1, 1>_N = pi on any midpoint grid.  The squashing
@@ -9,7 +9,7 @@ exactly at |g| = |alpha2|; those two facts pin the sign conventions.
 import numpy as np
 import pytest
 
-from schsim import (DriftSpec, NoiseSource, RunningAverage, SchemeParams,
+from schsim import (DriftSpec, NoiseSource, SchemeParams,
                     SchemeState, TestFunctionSpec, TimeAverageObserver, build_basis,
                     evaluate_expression, g_functional, initial_state,
                     lyapunov_v, mass, phi_test, run_trajectory,
@@ -183,32 +183,6 @@ class TestLyapunov:
         assert np.all(values >= 1.0)
 
 
-class TestRunningAverage:
-    def test_matches_numpy_mean(self):
-        rng = np.random.default_rng(5)
-        xs = rng.standard_normal(100)
-        acc = RunningAverage()
-        for x in xs:
-            acc.update(x)
-        assert acc.average == pytest.approx(np.mean(xs), rel=1e-13)
-        assert acc.count == 100
-
-    def test_update_returns_current_average(self):
-        acc = RunningAverage()
-        assert acc.update(2.0) == 2.0
-        assert acc.update(4.0) == 3.0
-
-    def test_rows_keep_one_average_per_column(self):
-        acc = RunningAverage()
-        acc.update(np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(acc.update(np.array([3.0, 6.0])), [2.0, 4.0])
-        assert acc.count == 2
-
-    def test_empty_average_raises(self):
-        with pytest.raises(ValueError, match="no samples"):
-            RunningAverage().average
-
-
 class TestTimeAverageObserver:
     def make(self, n=8, tau=1e-2, **kw):
         params = SchemeParams(build_basis(n), WELL, tau)
@@ -219,7 +193,7 @@ class TestTimeAverageObserver:
         params, obs = self.make()
         state = initial_state(params, np.ones(8))
         obs(0, state)
-        assert obs.running.count == 1
+        assert obs.count == 1
         assert obs.history[0][0] == 0.0
 
     def test_burn_in_skips_early_states(self):
@@ -227,7 +201,7 @@ class TestTimeAverageObserver:
         state = initial_state(params, np.ones(8))
         for m in range(10):
             obs(m, state)
-        assert obs.running.count == 5  # samples at m = 5..9
+        assert obs.count == 5  # samples at m = 5..9
 
     def test_record_every_thins_history_not_average(self):
         params, obs = self.make(record_every=4)
@@ -235,7 +209,7 @@ class TestTimeAverageObserver:
         for m in range(9):
             obs(m, state)
         obs.finalize()
-        assert obs.running.count == 9
+        assert obs.count == 9
         assert [t for t, _ in obs.history] == pytest.approx(
             [0.0, 4 * params.tau, 8 * params.tau])
 
@@ -260,11 +234,38 @@ class TestTimeAverageObserver:
             for k, obs in enumerate(columns):
                 obs(m, state_from_coeffs(params, m, coeffs[:, k]))
         stacked.finalize()
-        per_column = np.array([obs.running.average for obs in columns])
-        np.testing.assert_allclose(stacked.running.average, per_column, rtol=1e-13)
+        per_column = np.array([obs.average for obs in columns])
+        np.testing.assert_allclose(stacked.average, per_column, rtol=1e-13)
         assert [t for t, _ in stacked.history] == pytest.approx([0.0, 0.02, 0.04])
         assert stacked.history[-1][1] == pytest.approx(np.mean(per_column), rel=1e-13)
         assert all(type(avg) is float for _, avg in stacked.history)
+
+    def test_average_matches_numpy_mean(self):
+        params, obs = self.make()
+        rng = np.random.default_rng(5)
+        nodal = rng.standard_normal((100, 8))
+        for m, u in enumerate(nodal):
+            obs(m, SchemeState(m, params.basis.to_spectral(u), u))
+        samples = [phi_test(params.basis, obs.spec, u) for u in nodal]
+        assert obs.average == pytest.approx(np.mean(samples), rel=1e-13)
+        assert obs.count == 100
+
+    def test_rows_keep_one_average_per_column(self):
+        params, obs = self.make()
+        stacks = [np.array([[1.0, 2.0]] * 8), np.array([[3.0, 6.0]] * 8)]
+        for m, u in enumerate(stacks):
+            obs(m, SchemeState(m, params.basis.to_spectral(u), u))
+        first, second = (phi_test(params.basis, obs.spec, u) for u in stacks)
+        np.testing.assert_array_equal(obs.average, (first + second) / 2)
+        assert obs.average.shape == (2,)
+        assert obs.count == 2
+
+    def test_empty_average_raises(self):
+        params, obs = self.make(burn_in_steps=3)
+        obs(0, initial_state(params, np.ones(8)))
+        assert obs.count == 0
+        with pytest.raises(ValueError, match="no samples"):
+            obs.average
 
     def test_validation(self):
         with pytest.raises(ValueError, match="burn_in_steps"):
