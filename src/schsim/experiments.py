@@ -213,7 +213,8 @@ def _coupled_sums(params_ref: SchemeParams, coeffs0_ref: np.ndarray,
 
     def record(entry: _CoarseEntry, state_c: np.ndarray, i: int) -> None:
         diff = entry.eval_coarse @ state_c - entry.eval_ref @ state_ref
-        entry.rows[i] = np.max(diff * diff, axis=0)
+        diff *= diff
+        np.maximum.reduce(diff, axis=0, out=entry.rows[i])
 
     for entry, state_c in zip(entries, states):
         record(entry, state_c, 0)

@@ -24,6 +24,8 @@ import numpy as np
 
 __all__ = ["SpectralBasis", "build_basis"]
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 class SpectralBasis:
     """Midpoint grid, eigenvalues and sampled-cosine transform matrix.
@@ -68,7 +70,10 @@ class SpectralBasis:
     # -- helpers -----------------------------------------------------------
 
     def _check_field(self, u: np.ndarray, name: str = "field") -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
+        """``u`` as a float64 ndarray of shape (N,) or (N, L); one that is
+        already so is returned as it is, without conversion."""
+        if type(u) is not np.ndarray or u.dtype is not _FLOAT64:
+            u = np.asarray(u, dtype=np.float64)
         if u.ndim not in (1, 2) or u.shape[0] != self.n_modes:
             raise ValueError(
                 f"{name} must have leading dimension {self.n_modes}, got shape {u.shape}"

@@ -266,7 +266,12 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
         if new.ndim == 2:
             exc.column = int(np.argmax(~np.isfinite(new).all(axis=0)))
         raise exc
-    return SchemeState(state.step_index + 1, new, params.basis.from_spectral(new))
+    # built without __post_init__: the index is positive and the shapes are
+    # equal by construction
+    result = object.__new__(SchemeState)
+    result.__dict__.update(step_index=state.step_index + 1, coeffs=new,
+                           nodal=params.basis.from_spectral(new))
+    return result
 
 
 class HorizonError(ValueError):
@@ -283,9 +288,12 @@ def whole_steps(value: float, base: float, what: str, minimum: int = 1, *,
                 key: str) -> int:
     """The integer k >= ``minimum`` with value == k * base up to 1e-12 relative.
     The one rule for horizons, burn-in and step ratios: never rounds.  A
-    failure raises ``HorizonError`` naming ``key``, the config key of ``value``."""
-    k = round(value / base)
-    if k < minimum or abs(value - k * base) > 1e-12 * abs(value):
+    failure, including a non-finite ``value`` or a ``base`` that is not a
+    finite positive step, raises ``HorizonError`` naming ``key``, the config
+    key of ``value``."""
+    quotient = value / base if 0.0 < base < math.inf else math.nan
+    k = round(quotient) if math.isfinite(quotient) else None
+    if k is None or k < minimum or abs(value - k * base) > 1e-12 * abs(value):
         kind = "positive" if minimum >= 1 else "nonnegative"
         raise HorizonError(f"{what}: {value!r} must be a {kind} integer multiple of {base!r}",
                            key)
@@ -308,10 +316,21 @@ def _noise_blocks(basis: SpectralBasis, sources, ratio: int, m0: int, m1: int):
     a view of one buffer that the next block overwrites, and each source
     writes its slot ``block[:, :, l]`` in place, so only one block is ever
     resident: a consumer must be done with a block before it asks for the
-    next."""
-    n = basis.n_modes
-    steps = max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // (n * len(sources))))
-    buffer = np.empty((min(steps, m1 - m0), n, len(sources)))
+    next.
+
+    Storage order follows the width L alone.  From L = 8 on, the buffer is
+    stored source-major, as (steps, L, N) seen through a transposed view:
+    eight float64 fill a 64-byte cache line, so a slot strided by L floats
+    would put each of its elements on a line of its own, and every source
+    would touch every line of the block.  Narrower blocks keep the (steps,
+    N, L) order, in which the step's mixed-order ``sigma * dw`` would cost
+    more than the strided writes save.  The order changes no value.
+    """
+    n, width = basis.n_modes, len(sources)
+    steps = max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // (n * width)))
+    rows = min(steps, m1 - m0)
+    buffer = (np.empty((rows, width, n)).transpose(0, 2, 1) if width >= 8
+              else np.empty((rows, n, width)))
     for m in range(m0, m1, steps):
         block = buffer[:min(steps, m1 - m)]
         for l, src in enumerate(sources):

@@ -40,7 +40,11 @@ most 64 modes and 32 768 words at a time, so that a pass stays in cache and
 its temporaries stay below the size of the output.  The pass writes straight
 into its destination, which may be a strided view: ``increment_matrix``
 takes an optional ``out``, so an ensemble fills each trajectory's slot of
-its (steps, N, L) noise block in place, with no per-source temporary.
+its (steps, N, L) noise block in place, with no per-source temporary; from
+L = 8 on the block is stored source-major, so that each slot is contiguous
+rows.  Counter-based words may be produced in any grouping (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11), so no layout changes
+a value.
 
 The order of operations is part of the values and must not be rewritten
 algebraically: x >> 11, conversion to float64, + 0.5, * 2^-53, min with
@@ -49,9 +53,12 @@ int64 sum of its fine steps, then * q.  For example k + 0.5 rounds once
 k >= 2^52, so folding the two constants into one changes bits.  The min
 moves only the top word (x >> 11 = 2^53 - 1), whose u rounds to 1.0 and
 whose ndtri is +inf; every other u is at most 1 - 2^-52.  The floor is
-ndtri (~20 ns per word) plus Philox (~7 ns); the producer costs ~35 ns per
-word at 63 modes x 512 steps, where the per-mode loop it replaced cost
-~55-60 ns (2-vCPU Xeon VM, numpy 2.4, scipy 1.17).
+ndtri (~17-25 ns per word) plus Philox (~5-13 ns).  At 63 modes x 512
+steps, filling a noise block in place costs ~35-50 ns per word at L = 1
+and ~40-50 ns at L = 50.  With the (steps, N, L) order at L = 50 it cost
+~50-60 ns: the final write into a slot strided by L floats takes ~10 ns
+per word, against ~6 ns source-major (2-vCPU Xeon VM whose speed varies
+by up to 2x, numpy 2.4, scipy 1.17).
 """
 
 from __future__ import annotations
@@ -174,18 +181,24 @@ class NoiseSource:
 
     def _words(self, raw: np.ndarray, j0: int, k0: int) -> None:
         """Fill ``raw[i, k - k0]`` with word k of mode j0 + i: one counter
-        reset and one ``random_raw`` per (mode, 2048-word block)."""
+        reset and one ``random_raw`` per (mode, 2048-word block).  The
+        segments of [k0, k1) are the same for every mode, so they are worked
+        out once per request."""
         k1 = k0 + raw.shape[1]
+        segments = []
+        k = k0
+        while k < k1:
+            base = k - k % _BLOCK  # first word of k's block
+            start = k - k % 4      # Philox emits four words per counter value
+            stop = min(k1, base + _BLOCK)
+            segments.append(((start - base) // 4, base // _BLOCK, stop - start,
+                             k - start, slice(k - k0, stop - k0)))
+            k = stop
         for row, mode in zip(raw, range(j0, j0 + raw.shape[0])):
-            k = k0
-            while k < k1:
-                base = k - k % _BLOCK  # first word of k's block
-                start = k - k % 4      # Philox emits four words per counter value
-                stop = min(k1, base + _BLOCK)
-                self._counter[:3] = (start - base) // 4, base // _BLOCK, mode
+            for word0, word1, count, skip, dest in segments:
+                self._counter[:3] = word0, word1, mode
                 self._philox.state = self._state
-                row[k - k0:stop - k0] = self._philox.random_raw(stop - start)[k - start:]
-                k = stop
+                row[dest] = self._philox.random_raw(count)[skip:]
 
     def _fill(self, out: np.ndarray, j0: int, m0: int, ratio: int) -> None:
         """The producer behind every public method: write the increments of

@@ -89,7 +89,7 @@ class TestFunctionSpec:
     @cached_property
     def _v_sum(self) -> float:
         """sum_i v_i, taken once per spec; ``g_functional`` reads it every call."""
-        return self.v.sum()
+        return float(self.v.sum())
 
     @classmethod
     def from_expression(cls, basis: SpectralBasis, expr: str,
@@ -99,14 +99,21 @@ class TestFunctionSpec:
 
 
 def g_functional(basis: SpectralBasis, spec: TestFunctionSpec, u: np.ndarray):
-    """Centered pairing g(u) = <v,u>_N - alpha1 <v,phi_0>_N <u,phi_0>_N."""
+    """Centered pairing g(u) = <v,u>_N - alpha1 <v,phi_0>_N <u,phi_0>_N.
+
+    A float for one field, an (L,) row for a stack.  For one field the
+    scalar arithmetic runs on Python floats, the same IEEE operations as on
+    numpy scalars without their per-operation overhead.
+    """
     u = np.asarray(u, dtype=np.float64)
     if spec.v.shape[0] != basis.n_modes:
         raise ValueError(
             f"test profile has {spec.v.shape[0]} nodes but basis has {basis.n_modes}")
-    pairing = basis.h * (spec.v @ u)
-    mean_part = (spec.alpha1 / np.pi) * (basis.h * spec._v_sum) * (basis.h * u.sum(axis=0))
-    return pairing - mean_part
+    dot, total = spec.v @ u, np.add.reduce(u, axis=0)
+    if u.ndim == 1:
+        dot, total = float(dot), float(total)
+    mean_part = (spec.alpha1 / np.pi) * (basis.h * spec._v_sum) * (basis.h * total)
+    return basis.h * dot - mean_part
 
 
 def phi_test(basis: SpectralBasis, spec: TestFunctionSpec, u: np.ndarray):

@@ -293,6 +293,10 @@ class TestTemporalStudy:
             run_temporal_study(t_final=0.25 + 2.0**-8, tau_ladder=[2.0**-3], **kw)
         with pytest.raises(ValueError, match="t_final in steps of the ladder tau"):
             run_temporal_study(t_final=2.0**-6 * 9, tau_ladder=[2.0**-3], **kw)
+        for t_final in (math.inf, math.nan):
+            with pytest.raises(HorizonError, match="t_final in steps of tau_ref") as exc_info:
+                run_temporal_study(t_final=t_final, tau_ladder=[2.0**-3], **kw)
+            assert exc_info.value.key == "t_final"
 
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -544,6 +548,22 @@ class TestErgodicStudy:
                               estimator="ensemble", n_trajectories=2, **kw)
         with pytest.raises(ValueError, match="burn_in in steps of tau"):
             run_ergodic_study(t_final=0.3, burn_in=0.015, estimator="single", **kw)
+
+    @pytest.mark.parametrize("override, key", [
+        ({"t_final": math.inf}, "t_final"),
+        ({"t_final": math.nan}, "t_final"),
+        ({"burn_in": math.inf}, "burn_in"),
+        ({"t_final_ensemble": math.inf}, "t_final_ensemble"),
+    ])
+    def test_non_finite_horizons_name_their_key(self, override, key):
+        """An infinite or NaN horizon or burn-in is a HorizonError naming its
+        key, not an OverflowError or a bare ValueError from rounding it."""
+        kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.3,
+                  initials=("1/3",), v_expr="exp(x)", alpha1=1.0, alpha2=2.0,
+                  estimator="both", n_trajectories=2, seed=0)
+        with pytest.raises(HorizonError, match="must be a") as exc_info:
+            run_ergodic_study(**{**kw, **override})
+        assert exc_info.value.key == key
 
 
 if __name__ == "__main__":

@@ -125,6 +125,34 @@ class TestTransforms:
         with pytest.raises(ValueError, match="leading dimension 8"):
             basis.from_spectral(np.zeros((7, 2)))
 
+    @pytest.mark.parametrize("u", [np.float64(1.0), np.zeros(()), np.zeros((8, 2, 1)),
+                                   np.zeros(7), np.zeros((0, 8)), [[1.0]] * 9],
+                             ids=["scalar", "0-d", "3-d", "short", "empty", "list"])
+    def test_every_malformed_field_is_refused_with_its_shape(self, u):
+        basis = build_basis(8)
+        shape = np.shape(u)
+        for transform, name in ((basis.to_spectral, "field"),
+                                (basis.from_spectral, "coefficients")):
+            with pytest.raises(ValueError) as info:
+                transform(u)
+            assert str(info.value) == (f"{name} must have leading dimension 8, "
+                                       f"got shape {shape}")
+
+    def test_fields_are_converted_unless_already_float64(self):
+        """Lists, float32 and non-native byte order go through float64 and
+        transform like the float64 array; a float64 array is used as it is."""
+        basis = build_basis(8)
+        u = np.random.default_rng(4).standard_normal((8, 3)).astype(np.float32)
+        exact = u.astype(np.float64)
+        for given_u in (u, u.tolist(), exact.astype(">f8"), exact[:, 1], u[:, 1].tolist()):
+            expected = exact if np.ndim(given_u) == 2 else exact[:, 1]
+            for transform in (basis.to_spectral, basis.from_spectral):
+                assert transform(given_u).tobytes() == transform(expected).tobytes()
+        assert basis._check_field(exact) is exact
+        assert basis._check_field(exact[:, 1]).base is exact
+        converted = basis._check_field(exact.astype(">f8"))
+        assert converted.dtype == np.float64 and converted.dtype.isnative
+
 
 class TestLaplacianStencil:
     def test_two_point_stencil_by_hand(self):

@@ -12,15 +12,18 @@ Oracles used here:
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from numpy.random import Philox
 
 from schsim import (DriftSpec, NoiseSource, SchemeParams, SchemeState,
                     TestFunctionSpec, TrajectoryBlowUpError, build_basis, initial_state,
                     phi_test, read_checkpoint, run_ensemble, run_trajectory, solution_at,
                     state_from_coeffs, step, write_checkpoint)
+from schsim import noise
 from schsim.integrator import HorizonError, _advance, _noise_blocks, whole_steps
 
 # double-well drift used throughout: f(x) = x^3/2 - x^2/2 + x - 1
@@ -319,6 +322,71 @@ class TestStep:
         assert exc_info.value.step_index == 1
         assert exc_info.value.column == 1
 
+    @pytest.mark.parametrize("values", [[math.inf], [math.nan], [math.inf, -math.inf]],
+                             ids=["inf", "nan", "inf-inf"])
+    @pytest.mark.parametrize("width", [None, 3, 9])
+    def test_every_non_finite_kind_is_reported_where_it_starts(self, values, width):
+        """Noise holding inf, NaN, or +inf and -inf in one column turns the
+        state non-finite at one step; the error names that step, the column
+        and, from a run, the trajectory id.  Of two columns failing at the
+        same step, the first is named."""
+        params = make_params(n=8)
+        bad, first = 4, (0 if width is None else 1)
+
+        class Poisoned(NoiseSource):
+            def increment_matrix(self, basis, m0, m1, ratio=1, out=None):
+                out = super().increment_matrix(basis, m0, m1, ratio, out)
+                if m0 <= bad < m1:
+                    out[bad - m0, 1:1 + len(values)] = values
+                return out
+
+        sources = [(Poisoned if l in (first, (width or 1) - 1) else NoiseSource)(
+                       3, 30 + l, tau_fine=params.tau, n_modes_max=7)
+                   for l in range(width or 1)]
+        u0 = np.cos(params.basis.grid)
+        with pytest.raises(TrajectoryBlowUpError,
+                           match=f"^trajectory {30 + first}: non-finite state at step 5$") as info:
+            if width is None:
+                run_trajectory(params, initial_state(params, u0), sources[0], 8)
+            else:
+                run_ensemble(params, params.basis.to_spectral(u0), sources, 8)
+        assert (info.value.trajectory_id, info.value.step_index) == (30 + first, bad + 1)
+
+        state = initial_state(params, u0)
+        dw = np.zeros(8)
+        dw[1:1 + len(values)] = values
+        if width is not None:
+            state = state_from_coeffs(params, 0, np.tile(state.coeffs[:, None], width))
+            dw = np.zeros((8, width))
+            dw[1:1 + len(values), [first, width - 1]] = np.array(values)[:, None]
+        with pytest.raises(TrajectoryBlowUpError, match="^non-finite state at step 1$") as info:
+            step(params, state, dw)
+        assert (info.value.step_index, info.value.column) == (1, None if width is None else first)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_a_finite_state_whose_sum_overflows_steps_silently(self, sign, width):
+        """Modes 1 and 2 near 1e308: every value is finite, their sum is not.
+        ``step`` raises nothing, warns nothing, and returns a frozen state
+        carrying the nodal values of its coefficients."""
+        params = make_params(n=8)
+        coeffs = np.zeros(8)
+        dw = np.zeros(8)
+        dw[1:3] = sign * 1.1e308
+        if width is not None:
+            coeffs, dw = np.zeros((8, width)), np.column_stack([np.zeros(8), dw])
+        state = state_from_coeffs(params, 6, coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = step(params, state, dw)
+        assert np.isfinite(new.coeffs).all() and np.isfinite(new.nodal).all()
+        with np.errstate(over="ignore"):
+            assert new.coeffs.sum() == sign * math.inf
+        assert type(new) is SchemeState and new.step_index == 7
+        assert new.nodal.tobytes() == params.basis.from_spectral(new.coeffs).tobytes()
+        with pytest.raises(AttributeError):
+            new.step_index = 8
+
 
 class TestNodalValues:
     """``step`` synthesizes each new state once and returns the nodal values
@@ -412,6 +480,8 @@ class TestNodalValues:
 
 
 class TestNoiseBlocks:
+    BASES = {}
+
     def test_blocks_are_one_buffer_filled_in_place(self):
         """Every block, the short last one included, is a view of one buffer
         whose slot l holds source l's increments bit for bit."""
@@ -440,6 +510,41 @@ class TestNoiseBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * block_bytes
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(width=st.sampled_from([1, 2, 7, 8, 9, 50]), n=st.integers(2, 257),
+           ratio=st.integers(2, 4), m0=st.integers(0, 1100), n_steps=st.integers(1, 700))
+    @example(width=50, n=9, ratio=2, m0=1000, n_steps=600)  # a 512-step and a Philox block
+    @example(width=7, n=2, ratio=4, m0=1020, n_steps=600)   # the same below width 8
+    @example(width=8, n=257, ratio=3, m0=680, n_steps=20)   # a Philox block, 64-mode chunks
+    def test_storage_order_never_changes_a_bit(self, width, n, ratio, m0, n_steps):
+        """Whatever the storage order the width picks, slot l of every block
+        holds a fresh ``increment_matrix`` of source l, and each source draws
+        exactly its budget of Philox words: per mode and block request, the
+        words it returns plus the alignment words below its first one."""
+        n_steps = min(n_steps, max(1, 600_000 // (width * n)))  # bounds the run time
+        basis = self.BASES.setdefault(n, build_basis(n))
+        counted = []
+
+        class CountingPhilox(Philox):
+            def random_raw(self, size=None, output=True):
+                words = super().random_raw(size, output)
+                counted.append((self, np.size(words)))
+                return words
+
+        with mock.patch.object(noise, "Philox", CountingPhilox):
+            sources = [NoiseSource(6, 40 + l, tau_fine=1e-3, n_modes_max=n - 1)
+                       for l in range(width)]
+        budget = 0
+        for m, block in _noise_blocks(basis, sources, ratio, m0, m0 + n_steps):
+            assert block.shape[1:] == (n, width)
+            for l, src in enumerate(sources):
+                fresh = NoiseSource(6, 40 + l, tau_fine=1e-3, n_modes_max=n - 1)
+                assert (block[:, :, l].tobytes()
+                        == fresh.increment_matrix(basis, m, m + len(block), ratio).tobytes())
+            budget += (n - 1) * (len(block) * ratio + m * ratio % 4)
+        for src in sources:
+            assert sum(size for gen, size in counted if gen is src._philox) == budget
 
 
 class TestAcceptedInputs:
@@ -497,6 +602,18 @@ class TestAcceptedInputs:
         with pytest.raises(HorizonError, match="positive integer multiple") as info:
             whole_steps(0.0, 0.5, "t_final in steps of tau", key="t_final")
         assert info.value.key == "t_final"
+
+    @pytest.mark.parametrize("value, base", [
+        (math.inf, 0.5), (-math.inf, 0.5), (math.nan, 0.5), (1e308, 1e-10),
+        (1.0, 0.0), (0.0, 0.0), (1.0, -0.5), (1.0, math.inf), (1.0, math.nan)])
+    def test_whole_steps_refuses_what_it_cannot_count(self, value, base):
+        """A non-finite value or quotient, or a step that is not finite and
+        positive, is a HorizonError naming the key, never an OverflowError,
+        a ZeroDivisionError or a bare ValueError."""
+        for minimum in (0, 1):
+            with pytest.raises(HorizonError, match="integer multiple") as info:
+                whole_steps(value, base, "burn_in in steps of tau", minimum, key="burn_in")
+            assert info.value.key == "burn_in"
 
 
 class TestTrajectories:
