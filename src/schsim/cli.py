@@ -38,7 +38,7 @@ from .experiments import (ConvergenceTable, run_ergodic_study,
 from .grid import SpectralBasis
 from .integrator import (DriftSpec, HorizonError, SchemeParams,
                          TrajectoryBlowUpError, initial_state, run_trajectory,
-                         whole_steps)
+                         state_from_coeffs, whole_steps)
 from .noise import NoiseSource
 from .output import write_csv, write_svg_line_chart
 from .verify import run_all_checks
@@ -129,18 +129,16 @@ def _maybe_na(cfg: RunConfig, seconds: float) -> str:
 
 
 def _cmd_simulate(cfg: RunConfig, explicit: set[str], out_dir: Path, want_svg: bool) -> int:
-    if cfg.checkpoint_in:
-        data = read_checkpoint(cfg.checkpoint_in)
+    data = read_checkpoint(cfg.checkpoint_in) if cfg.checkpoint_in else None
+    if data is not None:
         cfg = _resumed_config(cfg, explicit, data)
-        params, source, state = data.rebuild()
-        basis = params.basis
-    else:
-        basis, drift = _scheme_pieces(cfg)
-        params = SchemeParams(basis, drift, cfg.tau, cfg.sigma)
-        tau_fine = cfg.tau_fine if cfg.tau_fine is not None else cfg.tau
-        source = NoiseSource(cfg.seed, cfg.trajectory_id,
-                             tau_fine=tau_fine, n_modes_max=cfg.n_modes - 1)
-        state = initial_state(params, evaluate_expression(cfg.initial, basis.grid))
+    basis, drift = _scheme_pieces(cfg)
+    params = SchemeParams(basis, drift, cfg.tau, cfg.sigma)
+    tau_fine = cfg.tau_fine if cfg.tau_fine is not None else cfg.tau
+    source = NoiseSource(cfg.seed, cfg.trajectory_id,
+                         tau_fine=tau_fine, n_modes_max=cfg.n_modes - 1)
+    state = (state_from_coeffs(params, data.step_index, data.coeffs) if data is not None
+             else initial_state(params, evaluate_expression(cfg.initial, basis.grid)))
     n_total = whole_steps(cfg.t_final, params.tau, "t_final in steps of tau", key="t_final")
     if n_total < state.step_index:
         raise ConfigError([f"t_final corresponds to step {n_total}, but the "

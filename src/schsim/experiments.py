@@ -28,7 +28,9 @@ coarse level reads the first N_c modes of each block and sums each run of
 ``stride`` reference increments, which is exact (see ``noise``).
 All trajectories are advanced as one vectorized batch, whatever ``threads``
 is, and their per-trajectory rows are reduced once in trajectory-id order, so
-the results do not depend on ``threads``.
+the results do not depend on ``threads``.  A blow-up is reported by
+``integrator.step`` as ``trajectory k: non-finite state at step s (level
+tau=..., n_modes=...)``, s being the failing level's own step.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ import numpy as np
 from .expressions import evaluate_expression
 from .grid import SpectralBasis
 from .integrator import (DriftSpec, HorizonError, SchemeParams,
-                         TrajectoryBlowUpError, _advance, _noise_blocks, _ratio,
-                         initial_state, whole_steps)
+                         TrajectoryBlowUpError, _advance, _noise_blocks, _ratio, _run,
+                         initial_state, state_from_coeffs, whole_steps)
 from .noise import NoiseSource
 from .observables import (TestFunctionSpec, time_average_ensemble,
                           time_average_single)
@@ -143,35 +145,13 @@ def _kappa_rows(n_eval_cells: int, n_grid: int) -> np.ndarray:
     return np.minimum(j * n_grid // n_eval_cells, n_grid - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _CoarseEntry:
     params: SchemeParams
     stride: int              # reference steps per coarse step
     coeffs0: np.ndarray
     eval_coarse: np.ndarray  # maps coarse coefficients to evaluation values
     eval_ref: np.ndarray     # maps reference coefficients to the same points
-    rows: np.ndarray = field(default=None)  # max|diff|^2 per checked step and trajectory
-
-
-def _tile(coeffs0: np.ndarray, n_traj: int) -> np.ndarray:
-    return np.repeat(np.asarray(coeffs0, dtype=np.float64)[:, None], n_traj, axis=1)
-
-
-def _check_rows(entries: list[_CoarseEntry], sources, m0: int, m1: int) -> None:
-    """Raise at the earliest non-finite row checked at a reference step in
-    (m0, m1], or in [0, m1] when m0 == 0, naming its trajectory."""
-    bad = []
-    for entry in entries:
-        lo = m0 // entry.stride + 1 if m0 else 0
-        for i, l in np.argwhere(~np.isfinite(entry.rows[lo:m1 // entry.stride + 1]))[:1]:
-            bad.append(((lo + int(i)) * entry.stride, int(l), entry.params))
-    if bad:
-        s, l, params = min(bad, key=lambda b: b[:2])
-        tid = sources[l].trajectory_id
-        raise TrajectoryBlowUpError(
-            f"trajectory {tid}: non-finite error at reference step {s} "
-            f"(coarse level tau={params.tau!r}, n_modes={params.basis.n_modes})",
-            s, tid)
 
 
 def _coarse_increments(fine: np.ndarray, m: int, stride: int,
@@ -199,25 +179,32 @@ def _coarse_increments(fine: np.ndarray, m: int, stride: int,
 
 
 def _coupled_sums(params_ref: SchemeParams, coeffs0_ref: np.ndarray,
-                  entries: list[_CoarseEntry], sources, n_ref_steps: int) -> None:
+                  entries: list[_CoarseEntry], sources, n_ref_steps: int) -> list[np.ndarray]:
     """Advance reference and coarse levels in lockstep over one trajectory
-    batch, filling ``entry.rows`` with max-over-space squared differences.
-    A blow-up is raised at the end of the noise block in which it shows."""
+    batch; returns per entry the max-over-space squared differences per
+    checked step and trajectory.  After each noise block the first level
+    with a non-finite coefficient (it stays non-finite), reference first, is
+    rerun alone from t = 0 through ``_run`` with the same bits (same sources
+    and width; coarse increments are exact sums, see ``noise``), so ``step``
+    names its step and trajectory.  The loop never synthesizes the final
+    states, so a non-finite last row (an overflowing synthesis or squared
+    difference) reruns every level."""
     L = len(sources)
     ratio_ref = _ratio(params_ref, sources)
-    state_ref = _tile(coeffs0_ref, L)
-    states = [_tile(entry.coeffs0, L) for entry in entries]
+    state_ref = np.repeat(coeffs0_ref[:, None], L, axis=1)
+    states = [np.repeat(entry.coeffs0[:, None], L, axis=1) for entry in entries]
     carries = [np.zeros((entry.params.basis.n_modes, L)) for entry in entries]
-    for entry in entries:
-        entry.rows = np.empty((n_ref_steps // entry.stride + 1, L))
+    rows = [np.empty((n_ref_steps // entry.stride + 1, L)) for entry in entries]
+    levels = [(params_ref, coeffs0_ref, 1)] + [(e.params, e.coeffs0, e.stride) for e in entries]
 
-    def record(entry: _CoarseEntry, state_c: np.ndarray, i: int) -> None:
-        diff = entry.eval_coarse @ state_c - entry.eval_ref @ state_ref
+    def record(k: int, j: int) -> None:
+        entry = entries[k]
+        diff = entry.eval_coarse @ states[k] - entry.eval_ref @ state_ref
         diff *= diff
-        np.maximum.reduce(diff, axis=0, out=entry.rows[i])
+        np.maximum.reduce(diff, axis=0, out=rows[k][j])
 
-    for entry, state_c in zip(entries, states):
-        record(entry, state_c, 0)
+    for k in range(len(entries)):
+        record(k, 0)
     for m, block in _noise_blocks(params_ref.basis, sources, ratio_ref, 0, n_ref_steps):
         # a level's increments: the first N_c modes, summed over runs of
         # stride reference steps (exact, so equal to drawing them directly)
@@ -233,8 +220,19 @@ def _coupled_sums(params_ref: SchemeParams, coeffs0_ref: np.ndarray,
                     states[k] = _advance(entry.params, states[k],
                                          coarse[k][j - m // entry.stride - 1],
                                          entry.params.basis.from_spectral(states[k]))
-                    record(entry, states[k], j)
-        _check_rows(entries, sources, m, m + block.shape[0])
+                    record(k, j)
+        final = (m + len(block) == n_ref_steps
+                 and not all(np.isfinite(r[-1]).all() for r in rows))
+        for (params, coeffs0, stride), state in zip(levels, [state_ref, *states]):
+            if final or not np.isfinite(state).all():
+                start = state_from_coeffs(params, 0, np.repeat(coeffs0[:, None], L, axis=1))
+                try:
+                    _run(params, start, sources, (m + len(block)) // stride, ())
+                except TrajectoryBlowUpError as exc:
+                    raise TrajectoryBlowUpError(
+                        f"{exc} (level tau={params.tau!r}, n_modes={params.basis.n_modes})",
+                        exc.step_index, exc.trajectory_id) from None
+    return rows
 
 
 def _run_coupled(params_ref, coeffs0_ref, entries, sources, n_ref_steps,
@@ -249,14 +247,14 @@ def _run_coupled(params_ref, coeffs0_ref, entries, sources, n_ref_steps,
     The per-trajectory rows are summed once, in trajectory-id order.
     """
     def work(batch):
-        _coupled_sums(params_ref, coeffs0_ref, entries, batch, n_ref_steps)
+        return _coupled_sums(params_ref, coeffs0_ref, entries, batch, n_ref_steps)
 
     if threads <= 1:
-        work(sources)
+        rows = work(sources)
     else:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            list(pool.map(work, [sources]))
-    return [entry.rows.sum(axis=1) for entry in entries]
+            [rows] = pool.map(work, [sources])
+    return [r.sum(axis=1) for r in rows]
 
 
 def _check_modes(n_modes: int, n_modes_ref: int) -> None:

@@ -53,7 +53,7 @@ _LF_CHECK_RADIUS = 8.0     # half-width of the interval on which L_f is estimate
 
 
 class TrajectoryBlowUpError(RuntimeError):
-    """A non-finite state (drift overflow); ``column`` is the failing column of a stack."""
+    """A state with non-finite nodal values; ``column`` is the failing column of a stack."""
 
     column: int | None = None
 
@@ -103,14 +103,15 @@ class DriftSpec:
         """f'(x), elementwise."""
         return (3.0 * self.a0 * x + 2.0 * self.a1) * x + self.a2
 
-    def one_sided_lipschitz(self, radius: float = 8.0, n_points: int = 10_000) -> float:
-        """Numerical L_f = max(-f') over a grid on [-radius, radius].
+    def one_sided_lipschitz(self, radius: float = 8.0) -> float:
+        """L_f = max(-f') on [-radius, radius]: -f' is a concave quadratic or
+        a line, so the max is at an end point or at the vertex -a1 / (3 a0).
 
         The dissipativity assumption behind the scheme's ergodicity theory
         asks for L_f below the smallest nonzero Laplacian eigenvalue.
         """
-        x = np.linspace(-radius, radius, n_points)
-        return float(np.max(-self.derivative(x)))
+        vertex = min(max(-self.a1 / (3.0 * self.a0), -radius), radius) if self.a0 else 0.0
+        return float(max(-self.derivative(x) for x in (-radius, radius, vertex)))
 
 
 @dataclass(frozen=True)
@@ -247,30 +248,30 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
 
     ``noise_coeffs`` has the shape of ``state.coeffs``, (N,) or (N, L), and
     its mode-0 entries must be exactly zero (the mean carries no noise).
-    Raises :class:`TrajectoryBlowUpError` if the update is non-finite; for a
-    stack its ``column`` names the first failing trajectory.  The drift
-    reads ``state.nodal``, and the returned state carries the nodal values
-    of its coefficients.
+    Raises :class:`TrajectoryBlowUpError` if the new nodal values are not all
+    finite, as every non-finite coefficient makes them (row 0 of the basis
+    matrix is positive); for a stack its ``column`` names the first failing
+    trajectory.  The drift reads ``state.nodal``, and the returned state
+    carries the nodal values of its coefficients.
     """
     noise_coeffs = np.asarray(noise_coeffs, dtype=np.float64)
     if noise_coeffs.shape != state.coeffs.shape:
         raise ValueError(
             f"noise shape {noise_coeffs.shape} does not match state shape {state.coeffs.shape}")
-    mode0 = noise_coeffs[0]
-    if mode0.any() if mode0.ndim else mode0 != 0.0:
+    if np.count_nonzero(noise_coeffs[:1]):
         raise ValueError("noise increment for mode 0 must be exactly zero")
     new = _advance(params, state.coeffs, noise_coeffs, state.nodal)
-    if not np.isfinite(new).all():
+    nodal = params.basis.from_spectral(new)
+    if not np.isfinite(nodal).all():
         m = state.step_index + 1
         exc = TrajectoryBlowUpError(f"non-finite state at step {m}", m)
-        if new.ndim == 2:
-            exc.column = int(np.argmax(~np.isfinite(new).all(axis=0)))
+        if nodal.ndim == 2:
+            exc.column = int(np.argmax(~np.isfinite(nodal).all(axis=0)))
         raise exc
     # built without __post_init__: the index is positive and the shapes are
     # equal by construction
     result = object.__new__(SchemeState)
-    result.__dict__.update(step_index=state.step_index + 1, coeffs=new,
-                           nodal=params.basis.from_spectral(new))
+    result.__dict__.update(step_index=state.step_index + 1, coeffs=new, nodal=nodal)
     return result
 
 

@@ -169,8 +169,9 @@ class TestMeanSquareError:
     @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
     @pytest.mark.parametrize("threads", [1, 2])
     def test_blow_up_stops_at_first_noise_block(self, threads, monkeypatch):
-        """A non-finite state is reported with its trajectory and the first
-        reference step whose check saw it, before the run goes on."""
+        """A non-finite reference is reported with its trajectory, its level
+        and the step at which it turned non-finite, found by rerunning the
+        level after the first noise block, before the run goes on."""
         calls = []
         increment_matrix = NoiseSource.increment_matrix
 
@@ -186,10 +187,60 @@ class TestMeanSquareError:
         with pytest.raises(TrajectoryBlowUpError) as exc_info:
             mean_square_error(params_c, params_r, u0, u0, seed=0,
                               n_trajectories=3, t_final=64.0, threads=threads)
-        # the reference turns non-finite at step 1; the first check is step 4
-        assert exc_info.value.step_index == 4
+        assert str(exc_info.value) == ("trajectory 0: non-finite state at step 1 "
+                                       "(level tau=0.015625, n_modes=8)")
+        assert exc_info.value.step_index == 1
         assert exc_info.value.trajectory_id == 0
-        assert sorted(calls) == [0, 1, 2]  # one 512-step block of 4096
+        # one 512-step block of 4096 in lockstep, one in the reference's rerun
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_a_coarse_blow_up_names_its_level(self):
+        """A coarse level that blows up while the reference stays finite is
+        reported at its own step, with its tau."""
+        basis = build_basis(8)
+        params_c = SchemeParams(basis, WELL, 2.0**-4, 0.0)
+        params_r = SchemeParams(basis, WELL, 2.0**-6, 0.0)
+        with pytest.raises(TrajectoryBlowUpError) as exc_info:
+            mean_square_error(params_c, params_r, 1e110 * np.cos(basis.grid),
+                              np.cos(basis.grid) / 3, seed=0, n_trajectories=2, t_final=1.0)
+        assert str(exc_info.value) == ("trajectory 0: non-finite state at step 1 "
+                                       "(level tau=0.0625, n_modes=8)")
+        assert (exc_info.value.step_index, exc_info.value.trajectory_id) == (1, 0)
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    @pytest.mark.parametrize("bad, values", [(700, [math.inf]), (64, [1.5e308] * 2)],
+                             ids=["second-block", "last-step"])
+    def test_a_later_blow_up_is_reported_where_it_starts(self, bad, values, monkeypatch):
+        """A fault injected into trajectory 1's noise turns its reference
+        non-finite at step ``bad``: at 700, in the second 512-step block, by
+        an inf; at 64, the run's last step, by finite coefficients whose
+        synthesis overflows, which the lockstep loop never computes.  Either
+        is reported at that step, and the lockstep run draws only the blocks
+        up to it before the reference's rerun draws them again."""
+        calls = []
+        increment_matrix = NoiseSource.increment_matrix
+
+        def poisoned(self, basis, m0, m1, ratio=1, out=None):
+            calls.append((self.trajectory_id, m0))
+            out = increment_matrix(self, basis, m0, m1, ratio, out)
+            if self.trajectory_id == 1 and m0 < bad <= m1:
+                out[bad - 1 - m0, 1:1 + len(values)] = values
+            return out
+
+        monkeypatch.setattr(NoiseSource, "increment_matrix", poisoned)
+        basis = build_basis(8)
+        params_c = SchemeParams(basis, WELL, 2.0**-8)
+        params_r = SchemeParams(basis, WELL, 2.0**-10)
+        u0 = np.cos(basis.grid) / 3
+        with pytest.raises(TrajectoryBlowUpError) as exc_info:
+            mean_square_error(params_c, params_r, u0, u0, seed=0, n_trajectories=2,
+                              t_final=4.0 if bad == 700 else bad * 2.0**-10)
+        assert str(exc_info.value) == (f"trajectory 1: non-finite state at step {bad} "
+                                       f"(level tau={2.0**-10!r}, n_modes=8)")
+        assert (exc_info.value.step_index, exc_info.value.trajectory_id) == (bad, 1)
+        lockstep = [(l, m) for m in range(0, bad, 512) for l in (0, 1)]
+        assert calls == lockstep + lockstep
 
     def test_validation(self):
         basis8, basis16 = build_basis(8), build_basis(16)

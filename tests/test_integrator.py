@@ -59,7 +59,13 @@ class TestDriftSpec:
     def test_one_sided_lipschitz_of_double_well(self):
         # f'(x) = (3/2)(x - 1/3)^2 + 5/6 > 0, so max(-f') = -5/6: the drift
         # is monotone and sits well below the lambda_1 dissipativity margin
-        assert WELL.one_sided_lipschitz() == pytest.approx(-5.0 / 6.0, abs=2e-6)
+        assert WELL.one_sided_lipschitz() == pytest.approx(-5.0 / 6.0, rel=1e-15)
+
+    @pytest.mark.parametrize("a1, expected", [(0.0, 3.0), (100.0, 1411.0), (-100.0, 1411.0)])
+    def test_one_sided_lipschitz_vertex_is_clamped(self, a1, expected):
+        """-f' = -(3x^2 + 2 a1 x - 3) peaks at x = -a1/3: inside [-8, 8] for
+        a1 = 0, and clamped to the end point -+8 for a1 = +-100."""
+        assert DriftSpec(1.0, a1, -3.0).one_sided_lipschitz() == expected
 
     def test_one_sided_lipschitz_linear(self):
         spec = DriftSpec(0.0, 0.0, -2.0, 0.0, validation_mode=True)
@@ -276,12 +282,19 @@ class TestStep:
             step(params, state, np.zeros(7))
 
     def test_noise_on_mean_mode_rejected(self):
+        """Any mode-0 increment but +-0.0 is refused, NaN and subnormals
+        included, for one trajectory and for a stack."""
         params = make_params(n=8)
-        state = initial_state(params, np.zeros(8))
-        bad = np.zeros(8)
-        bad[0] = 1e-300
-        with pytest.raises(ValueError, match="mode 0 must be exactly zero"):
-            step(params, state, bad)
+        for shape in ((8,), (8, 3)):
+            state = state_from_coeffs(params, 0, np.zeros(shape))
+            for value in (math.nan, 5e-324, 1e-300):
+                bad = np.zeros(shape)
+                bad[0] = value
+                with pytest.raises(ValueError, match="mode 0 must be exactly zero"):
+                    step(params, state, bad)
+            zero = np.zeros(shape)
+            zero[0] = -0.0
+            assert step(params, state, zero).step_index == 1
 
     def test_overflow_raises_blow_up(self):
         params = make_params(n=8, sigma=0.0)
@@ -386,6 +399,29 @@ class TestStep:
         assert new.nodal.tobytes() == params.basis.from_spectral(new.coeffs).tobytes()
         with pytest.raises(AttributeError):
             new.step_index = 8
+
+    def test_a_synthesis_overflow_is_raised_before_any_observer_sees_it(self):
+        """Noise 1.5e308 in modes 1 and 2 leaves the coefficients finite, but
+        their synthesis overflows: the run raises at step 1, and the
+        observer sees only finite states."""
+        params = make_params(n=8)
+
+        class Huge(NoiseSource):
+            def increment_matrix(self, basis, m0, m1, ratio=1, out=None):
+                out = super().increment_matrix(basis, m0, m1, ratio, out)
+                out[0, 1:3] = 1.5e308
+                return out
+
+        seen = []
+        with np.errstate(over="ignore"):
+            with pytest.raises(TrajectoryBlowUpError,
+                               match="^trajectory 0: non-finite state at step 1$") as info:
+                run_trajectory(params, initial_state(params, np.zeros(8)),
+                               Huge(3, 0, tau_fine=params.tau, n_modes_max=7), 4,
+                               observers=(lambda m, s: seen.append((m, s.nodal)),))
+        assert info.value.step_index == 1
+        assert [m for m, _ in seen] == [0]
+        assert all(np.isfinite(u).all() for _, u in seen)
 
 
 class TestNodalValues:
