@@ -22,7 +22,15 @@ once: the trajectory count, the step counts of the horizon and the ladder,
 the mode bound and the step-size coupling warning.  The studies only build
 their ladders and tabulate the core's errors.  The core advances the
 reference and all coarse levels in lockstep, so the reference is integrated
-once per trajectory regardless of ladder length.
+once per trajectory regardless of ladder length.  Levels that share (tau,
+drift, sigma) form a group, advanced as one ``integrator._LevelStack`` with
+one ``_advance`` call per step: in a spatial study the reference and every
+coarse level, in a temporal study each level alone, apart from a rung equal
+to tau_ref, which joins the reference.  A group of one level is that level's
+own ``SchemeParams``.  The elementwise work runs once on the stack; the
+analysis and synthesis products, the w12 column sums and the error record's
+products stay per level, because their bits depend on the operand's shape,
+so each level keeps the bits of its own run.
 Noise is generated once, in blocks at the reference step and mode count; a
 coarse level reads the first N_c modes of each block and sums each run of
 ``stride`` reference increments, which is exact (see ``noise``).
@@ -30,7 +38,10 @@ All trajectories are advanced as one vectorized batch, whatever ``threads``
 is, and their per-trajectory rows are reduced once in trajectory-id order, so
 the results do not depend on ``threads``.  A blow-up is reported by
 ``integrator.step`` as ``trajectory k: non-finite state at step s (level
-tau=..., n_modes=...)``, s being the failing level's own step.
+tau=..., n_modes=...)``, s being the failing level's own step.  An error
+that is not finite although every state is (a squared difference or a sum
+over trajectories that overflows) is a ``ValueError`` naming its level and
+reference step.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ from .expressions import evaluate_expression
 from .grid import SpectralBasis
 from .integrator import (DriftSpec, HorizonError, SchemeParams,
                          TrajectoryBlowUpError, _advance, _noise_blocks, _ratio, _run,
-                         initial_state, state_from_coeffs, whole_steps)
+                         _stack_levels, initial_state, state_from_coeffs, whole_steps)
 from .noise import NoiseSource
 from .observables import (TestFunctionSpec, time_average_ensemble,
                           time_average_single)
@@ -178,61 +189,135 @@ def _coarse_increments(fine: np.ndarray, m: int, stride: int,
     return incs
 
 
+class _Group:
+    """Levels sharing (tau, drift, sigma), and so a stride, advanced as one
+    ``_LevelStack`` (a lone level as its own params); its coarse members
+    record their rows together."""
+
+    def __init__(self, members, levels, entries, width: int, n_ref_steps: int):
+        params = [levels[k][0] for k in members]
+        self.stride = levels[members[0]][2]
+        self.stack = _stack_levels(params)
+        lone = len(params) == 1
+        self.parts = ([(params[0].basis, slice(None))] if lone
+                      else list(zip(self.stack.bases, self.stack.rows)))
+        # a lone level synthesizes as ``step`` does, a stack level by level
+        self.synthesize = params[0].basis.from_spectral if lone else self._synthesize_levels
+        self.n_max = max(p.basis.n_modes for p in params)
+        self.state = np.repeat(np.concatenate([levels[k][1] for k in members])[:, None],
+                               width, axis=1)
+        self.nodal = np.empty_like(self.state)
+        self.carry = np.zeros((self.n_max, width))
+        self.members = members
+        # coarse members: level index, its state rows and its evaluation rows
+        # in the concatenated record buffers
+        self.coarse = [(k, rows) for k, (_, rows) in zip(members, self.parts) if k > 0]
+        sizes = [entries[k - 1].eval_coarse.shape[0] for k, _ in self.coarse]
+        bounds = np.cumsum([0] + sizes)
+        self.evals = [(entries[k - 1].eval_coarse, entries[k - 1].eval_ref, rows, slice(a, b))
+                      for (k, rows), a, b in zip(self.coarse, bounds[:-1], bounds[1:])]
+        self.starts = bounds[:-1]
+        self.values = np.empty((bounds[-1], width))
+        self.ref_values = np.empty_like(self.values)
+        # max-over-space squared differences per checked step, member, trajectory
+        self.errs = np.empty((n_ref_steps // self.stride + 1, len(self.coarse), width))
+        self.checked = 0  # rows of errs checked for finiteness
+
+    def _synthesize_levels(self, state: np.ndarray) -> np.ndarray:
+        for basis, rows in self.parts:
+            basis.from_spectral(state[rows], out=self.nodal[rows])
+        return self.nodal
+
+    def record(self, j: int, state_ref: np.ndarray) -> None:
+        """Row j of errs: per level, the per-level products, then one
+        subtract, square and max over the concatenated rows."""
+        for eval_coarse, eval_ref, rows, out in self.evals:
+            np.matmul(eval_coarse, self.state[rows], out=self.values[out])
+            np.matmul(eval_ref, state_ref, out=self.ref_values[out])
+        diff = np.subtract(self.values, self.ref_values, out=self.values)
+        diff *= diff
+        np.maximum.reduceat(diff, self.starts, axis=0, out=self.errs[j])
+
+
 def _coupled_sums(params_ref: SchemeParams, coeffs0_ref: np.ndarray,
                   entries: list[_CoarseEntry], sources, n_ref_steps: int) -> list[np.ndarray]:
     """Advance reference and coarse levels in lockstep over one trajectory
     batch; returns per entry the max-over-space squared differences per
-    checked step and trajectory.  After each noise block the first level
-    with a non-finite coefficient (it stays non-finite), reference first, is
-    rerun alone from t = 0 through ``_run`` with the same bits (same sources
-    and width; coarse increments are exact sums, see ``noise``), so ``step``
-    names its step and trajectory.  The loop never synthesizes the final
-    states, so a non-finite last row (an overflowing synthesis or squared
-    difference) reruns every level."""
+    checked step and trajectory.
+
+    Levels sharing (tau, drift, sigma) form a group, advanced as one
+    ``_LevelStack`` with one ``_advance`` call per step: in a spatial study
+    the reference and every coarse level, in a temporal study each level
+    alone, apart from a rung equal to tau_ref.  The transforms and w12 sums
+    stay per level (see ``_LevelStack``), and so do the record's products,
+    since one product of the stacked rows changes bits; the record's
+    subtract, square and max run once on the concatenated rows.
+
+    After each noise block every new row is checked.  The first level with a
+    non-finite coefficient (it stays non-finite), reference first, is rerun
+    alone from t = 0 through ``_run`` with the same bits (same sources and
+    width; coarse increments are exact sums, see ``noise``), so ``step``
+    names its step and trajectory.  A non-finite row reruns every level, as
+    the loop never synthesizes the final states; a non-finite row that no
+    rerun explains, every state being finite, raises ``ValueError`` naming
+    its level and reference step.
+    """
     L = len(sources)
     ratio_ref = _ratio(params_ref, sources)
-    state_ref = np.repeat(coeffs0_ref[:, None], L, axis=1)
-    states = [np.repeat(entry.coeffs0[:, None], L, axis=1) for entry in entries]
-    carries = [np.zeros((entry.params.basis.n_modes, L)) for entry in entries]
-    rows = [np.empty((n_ref_steps // entry.stride + 1, L)) for entry in entries]
+    n_ref = params_ref.basis.n_modes
     levels = [(params_ref, coeffs0_ref, 1)] + [(e.params, e.coeffs0, e.stride) for e in entries]
+    keys: dict[tuple, list[int]] = {}
+    for k, (params, _, _) in enumerate(levels):
+        keys.setdefault((params.tau, params.drift, params.sigma), []).append(k)
+    groups = [_Group(members, levels, entries, L, n_ref_steps) for members in keys.values()]
+    recorded = [g for g in groups if g.coarse]
+    where = {k: (g, rows) for g in groups for k, (_, rows) in zip(g.members, g.parts)}
 
-    def record(k: int, j: int) -> None:
-        entry = entries[k]
-        diff = entry.eval_coarse @ states[k] - entry.eval_ref @ state_ref
-        diff *= diff
-        np.maximum.reduce(diff, axis=0, out=rows[k][j])
-
-    for k in range(len(entries)):
-        record(k, 0)
+    for g in recorded:
+        g.record(0, groups[0].state[:n_ref])
     for m, block in _noise_blocks(params_ref.basis, sources, ratio_ref, 0, n_ref_steps):
-        # a level's increments: the first N_c modes, summed over runs of
+        # a group's increments: its first N_max modes, summed over runs of
         # stride reference steps (exact, so equal to drawing them directly)
-        coarse = [_coarse_increments(block[:, :e.params.basis.n_modes], m, e.stride, carry)
-                  for e, carry in zip(entries, carries)]
+        plan = [(g, block[:, :g.n_max] if g.stride == 1
+                 else _coarse_increments(block[:, :g.n_max], m, g.stride, g.carry),
+                 m // g.stride + 1)  # the coarse step of the first increment
+                for g in groups]
         for i in range(block.shape[0]):
-            state_ref = _advance(params_ref, state_ref, block[i],
-                                 params_ref.basis.from_spectral(state_ref))
             s = m + i + 1
-            for k, entry in enumerate(entries):
-                if s % entry.stride == 0:
-                    j = s // entry.stride
-                    states[k] = _advance(entry.params, states[k],
-                                         coarse[k][j - m // entry.stride - 1],
-                                         entry.params.basis.from_spectral(states[k]))
-                    record(k, j)
-        final = (m + len(block) == n_ref_steps
-                 and not all(np.isfinite(r[-1]).all() for r in rows))
-        for (params, coeffs0, stride), state in zip(levels, [state_ref, *states]):
-            if final or not np.isfinite(state).all():
+            for g, incs, first in plan:  # the reference's group first
+                if s % g.stride == 0:
+                    j = s // g.stride
+                    g.state = _advance(g.stack, g.state, incs[j - first], g.synthesize(g.state))
+                    if g.coarse:
+                        g.record(j, groups[0].state[:n_ref])
+        end = m + len(block)
+        new_rows = [g.errs[g.checked:end // g.stride + 1] for g in recorded]
+        rows_finite = all(np.isfinite(r).all() for r in new_rows)
+        for k, (params, coeffs0, stride) in enumerate(levels):
+            g, rows = where[k]
+            if not rows_finite or not np.isfinite(g.state[rows]).all():
                 start = state_from_coeffs(params, 0, np.repeat(coeffs0[:, None], L, axis=1))
                 try:
-                    _run(params, start, sources, (m + len(block)) // stride, ())
+                    _run(params, start, sources, end // stride, ())
                 except TrajectoryBlowUpError as exc:
                     raise TrajectoryBlowUpError(
                         f"{exc} (level tau={params.tau!r}, n_modes={params.basis.n_modes})",
                         exc.step_index, exc.trajectory_id) from None
-    return rows
+        if not rows_finite:
+            step, k = min(((g.checked + j) * g.stride, g.coarse[pos][0])
+                          for g, r in zip(recorded, new_rows)
+                          for j, pos in np.argwhere(~np.isfinite(r).all(axis=2))[:1])
+            raise _non_finite_error(levels[k][0], step, " although every state is finite: "
+                                    "its difference to the reference overflows")
+        for g in recorded:
+            g.checked = end // g.stride + 1
+    by_level = {k: g.errs[:, pos] for g in recorded for pos, (k, _) in enumerate(g.coarse)}
+    return [by_level[k] for k in range(1, len(levels))]
+
+
+def _non_finite_error(params: SchemeParams, step: int, reason: str) -> ValueError:
+    return ValueError(f"level tau={params.tau!r}, n_modes={params.basis.n_modes}: "
+                      f"non-finite error at reference step {step}{reason}")
 
 
 def _run_coupled(params_ref, coeffs0_ref, entries, sources, n_ref_steps,
@@ -301,6 +386,10 @@ def _coupled_errors(params_ref: SchemeParams, coeffs0_ref: np.ndarray, levels, *
     sources = [NoiseSource(seed, k, tau_fine=params_ref.tau, n_modes_max=n_ref - 1)
                for k in range(n_trajectories)]
     sums = _run_coupled(params_ref, coeffs0_ref, entries, sources, n_ref_steps, threads)
+    for entry, s in zip(entries, sums):
+        if not np.isfinite(s).all():  # finite rows whose sum overflows
+            raise _non_finite_error(entry.params, int(np.argmin(np.isfinite(s))) * entry.stride,
+                                    ": its sum over trajectories overflows")
     return [float(np.max(np.sqrt(s / n_trajectories))) for s in sums]
 
 

@@ -97,15 +97,21 @@ class SpectralBasis:
         out *= (self.n_modes / np.pi) ** 2
         return out
 
-    def to_spectral(self, u: np.ndarray) -> np.ndarray:
-        """Analysis: coefficients c_j = (pi/N) sum_i u_i phi_j(x_i)."""
+    def to_spectral(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Analysis: coefficients c_j = (pi/N) sum_i u_i phi_j(x_i), into
+        ``out`` if given (a C-contiguous array of the result's shape)."""
         u = self._check_field(u)
-        return self.h * (self.basis_matrix.T @ u)
+        if out is None:  # the operator form: a keyword argument costs ~0.4 us a call
+            return self.h * (self.basis_matrix.T @ u)
+        return np.multiply(np.matmul(self.basis_matrix.T, u, out=out), self.h, out=out)
 
-    def from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
-        """Synthesis: nodal values u_i = sum_j c_j phi_j(x_i)."""
+    def from_spectral(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Synthesis: nodal values u_i = sum_j c_j phi_j(x_i), into ``out``
+        if given (a C-contiguous array of the result's shape)."""
         coeffs = self._check_field(coeffs, name="coefficients")
-        return self.basis_matrix @ coeffs
+        if out is None:
+            return self.basis_matrix @ coeffs
+        return np.matmul(self.basis_matrix, coeffs, out=out)
 
     def semigroup_factor(self, t: float) -> np.ndarray:
         """Per-mode factors exp(-lambda_{N,j}^2 t) of the bilaplacian semigroup.

@@ -17,7 +17,10 @@ values.  Every state is built with its nodal values, synthesized once: the
 next drift evaluation and the observers read them from the state instead of
 synthesizing again.  A state is one trajectory's (N,) vector or an (N, L)
 stack advanced in lockstep; ``step`` and the one loop behind
-``run_trajectory`` and ``run_ensemble`` take either.
+``run_trajectory`` and ``run_ensemble`` take either.  The kernel
+``_advance`` also takes a ``_LevelStack``: levels of different mode counts
+that share tau, drift and sigma, advanced as one (sum N_k, L) array with the
+bits of their separate runs (the coupled studies' levels).
 """
 
 from __future__ import annotations
@@ -168,6 +171,61 @@ class SchemeParams:
         return self.tau**9 / self.basis.h <= 1.0
 
 
+class _LevelStack:
+    """Levels sharing tau, drift and sigma, advanced by ``_advance`` as one
+    (sum_k N_k, L) stack of coefficient columns, level k in rows
+    ``rows[k]``.  Elementwise operations run once on the stack.  Three
+    things run per level, on views of the stack, because their bits depend
+    on the operand's shape: the analysis product, the w12 column sums and,
+    in the caller, the synthesis product.  The noise ``dw`` of a step is the
+    (N_max, L) increment of the widest level, and level k reads its first
+    N_k modes, as a truncated level does (see ``noise``).  Build one with
+    ``_stack_levels``; the methods are ``_advance``'s per-level parts.
+    """
+
+    def __init__(self, levels):
+        first = levels[0]
+        self.tau, self.drift, self.sigma = first.tau, first.drift, first.sigma
+        self.bases = tuple(params.basis for params in levels)
+        self.sizes = [basis.n_modes for basis in self.bases]
+        bounds = np.cumsum([0] + self.sizes)
+        self.rows = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+        self.mean_rows = bounds[:-1]
+        self._kernel_constants = {2: tuple(
+            np.concatenate([params._kernel_constants[1][i] for params in levels])[:, None]
+            for i in range(3))}
+
+    def analyze(self, f: np.ndarray) -> np.ndarray:
+        new = np.empty_like(f)
+        for basis, rows in zip(self.bases, self.rows):
+            basis.to_spectral(f[rows], out=new[rows])
+        return new
+
+    def w12_sq(self, tmp: np.ndarray) -> np.ndarray:
+        sums = np.empty((len(self.rows), tmp.shape[1]))
+        for k, rows in enumerate(self.rows):
+            np.add.reduce(tmp[rows], axis=0, out=sums[k])
+        return sums
+
+    def per_row(self, tamer: np.ndarray) -> np.ndarray:
+        return np.repeat(tamer, self.sizes, axis=0)
+
+    def scaled_noise(self, dw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for n, rows in zip(self.sizes, self.rows):
+            np.multiply(dw[:n], self.sigma, out=out[rows])
+        return out
+
+
+def _stack_levels(levels):
+    """The stack of ``levels`` (``SchemeParams`` sharing tau, drift and
+    sigma, in row order); a stack of one level is that level's own params."""
+    if len(levels) == 1:
+        return levels[0]
+    if len({(params.tau, params.drift, params.sigma) for params in levels}) != 1:
+        raise ValueError("stacked levels must share tau, drift and sigma")
+    return _LevelStack(levels)
+
+
 @dataclass(frozen=True, eq=False)
 class SchemeState:
     """Trajectory state: step counter, spectral coefficients, nodal values.
@@ -214,32 +272,35 @@ def state_from_coeffs(params: SchemeParams, step_index: int, coeffs: np.ndarray)
     return SchemeState(int(step_index), coeffs, params.basis.from_spectral(coeffs))
 
 
-def _advance(params: SchemeParams, coeffs: np.ndarray, dw: np.ndarray,
-             nodal: np.ndarray) -> np.ndarray:
-    """Core update; ``coeffs``, ``dw`` and ``nodal`` may be (N,) vectors or
-    (N, L) stacks.  ``nodal`` must equal ``from_spectral(coeffs)`` bit for
-    bit; it is read, not modified.
+def _advance(params, coeffs: np.ndarray, dw: np.ndarray, nodal: np.ndarray) -> np.ndarray:
+    """Core update of one level (``SchemeParams``) or of a ``_LevelStack``;
+    ``coeffs``, ``dw`` and ``nodal`` may be (N,) vectors or (N, L) stacks
+    (a level stack: (sum N_k, L), with ``dw`` as the stack describes).
+    ``nodal`` must equal the synthesis of ``coeffs`` bit for bit; it is
+    read, not modified.
 
     The per-mode constants tau * lambda, 1 + lambda and the semigroup come
     precomputed from ``params`` and the temporaries are updated in place,
     but the operations and their grouping are those of the formula in the
     module docstring, with f by Horner's rule (``DriftSpec.evaluate``) and
     ||u||_{w12}^2 = sum_j ((1 + lambda_j) c_j) c_j, so the bits equal those
-    of the formula evaluated as written.
+    of the formula evaluated as written, level by level.
     """
-    basis = params.basis
     tau_lam, one_lam, sem = params._kernel_constants[coeffs.ndim]
+    stacked = type(params) is _LevelStack
     f = params.drift.evaluate(nodal)
-    new = basis.to_spectral(f)
+    new = params.analyze(f) if stacked else params.basis.to_spectral(f)
     tmp = np.multiply(one_lam, coeffs, out=f)  # f is spent
     tmp *= coeffs
-    w12_sq = np.add.reduce(tmp, axis=0)
-    new /= 1.0 + params.tau * w12_sq**6
+    w12_sq = params.w12_sq(tmp) if stacked else np.add.reduce(tmp, axis=0)
+    tamer = 1.0 + params.tau * w12_sq**6
+    new /= params.per_row(tamer) if stacked else tamer
     new *= tau_lam
     np.subtract(coeffs, new, out=new)
-    new += np.multiply(dw, params.sigma, out=tmp)
+    new += params.scaled_noise(dw, tmp) if stacked else np.multiply(dw, params.sigma, out=tmp)
     new *= sem
-    new[0] = coeffs[0]  # exact mean conservation
+    rows = params.mean_rows if stacked else 0
+    new[rows] = coeffs[rows]  # exact mean conservation
     return new
 
 

@@ -64,6 +64,7 @@ by up to 2x, numpy 2.4, scipy 1.17).
 from __future__ import annotations
 
 import importlib
+import importlib.machinery
 import importlib.util
 import math
 import sys
@@ -82,6 +83,34 @@ _CHUNK_MODES = 64
 _CHUNK_WORDS = 32768
 
 
+class _BindSubmodules:
+    """Meta path finder for the first real import of ``scipy.special``: once
+    the package has run its init, it binds the submodules that the stub of
+    ``_load_ndtri`` left in ``sys.modules``.  A clean import binds them as
+    it loads them, but this one finds them loaded and would not.  The
+    finder removes itself on that import."""
+
+    def __init__(self, submodules: dict):
+        self.submodules = submodules
+
+    def find_spec(self, name, path, target=None):
+        if name != "scipy.special":
+            return None
+        sys.meta_path.remove(self)
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        if spec is None:
+            return None
+        exec_module = spec.loader.exec_module
+
+        def exec_and_bind(module):
+            exec_module(module)
+            for key, submodule in self.submodules.items():
+                vars(module).setdefault(key, submodule)
+
+        spec.loader.exec_module = exec_and_bind
+        return spec
+
+
 def _load_ndtri():
     """scipy's ``ndtri`` ufunc, without running ``scipy.special``'s package
     init, which imports ``scipy._lib.array_api_compat`` and through it
@@ -91,12 +120,11 @@ def _load_ndtri():
     ``scipy.special`` while only the ``_ufuncs`` extension is imported, and
     is removed before this returns.  The extension stays in ``sys.modules``,
     so a later ``import scipy.special`` reuses it and hands out this very
-    object.  The public import serves when ``scipy.special`` is already
-    loaded or the private path fails.  Conditions: the extensions that
-    ``_ufuncs`` imports (``_ufuncs_cxx`` and others) are not bound as
-    attributes of the later package, only in ``sys.modules``; and another
-    thread's first ``import scipy.special`` must not run while this module
-    is first imported.
+    object.  The extensions that ``_ufuncs`` imports (``_ufuncs_cxx`` and
+    others) stay too; ``_BindSubmodules`` binds them to that later package.
+    The public import serves when ``scipy.special`` is already loaded or the
+    private path fails.  Condition: another thread's first ``import
+    scipy.special`` must not run while this module is first imported.
     """
     if "scipy.special" in sys.modules:
         from scipy.special import ndtri
@@ -116,6 +144,10 @@ def _load_ndtri():
             # the whole of scipy.special to answer a missing attribute.
             if vars(scipy).get("special") is stub:
                 del scipy.special
+            submodules = {key: value for key, value in vars(stub).items()
+                          if isinstance(value, types.ModuleType)}
+            if submodules:
+                sys.meta_path.insert(0, _BindSubmodules(submodules))
     except (ImportError, AttributeError):
         from scipy.special import ndtri
         return ndtri

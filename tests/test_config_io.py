@@ -10,6 +10,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import math
 import re
 import subprocess
 import sys
@@ -617,6 +618,71 @@ class TestErgodicConfigs:
                 f"{kind}[{i}]" for i in range(len(settings_["initials"])) for kind in kinds]
 
 
+@st.composite
+def convergence_settings(draw):
+    """A converge-time or converge-space config at n_modes <= 8, accepted or
+    not: ladders with a rung equal to the reference (a stride-1 level that
+    shares the reference's stack), rungs off the reference's grid or beyond
+    its modes, horizons off the grid, sigma up to 1e160, down to one
+    trajectory."""
+    command = draw(st.sampled_from(("converge-time", "converge-space")))
+    tau = draw(st.sampled_from((2.0**-6, 2.0**-4, 0.05)))
+    settings = {
+        "sigma": draw(st.sampled_from((0.0, 1.0, 1e100, 4e154, 1e160))
+                      | st.floats(0.0, 1e160)),
+        "n_trajectories": draw(mostly(st.integers(1, 3), st.just(0))),
+        "initial": draw(EXPRESSIONS),
+    }
+    if command == "converge-time":
+        strides = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        ladder = [k * tau for k in strides] + draw(mostly(st.just([]), st.floats(1e-3, 0.5)
+                                                          .map(lambda t: [t])))
+        steps = math.lcm(*strides) * draw(st.integers(1, 2))
+        settings.update(n_modes=draw(st.integers(2, 8)), tau_ref=tau, tau_ladder=tuple(ladder))
+    else:
+        n_ref = draw(st.integers(2, 8))
+        ladder = draw(st.lists(mostly(st.integers(2, n_ref), st.just(n_ref + 1)),
+                               min_size=1, max_size=3)) + [n_ref]
+        steps = draw(st.integers(1, 3))
+        settings.update(tau=tau, n_modes_ref=n_ref, n_modes_ladder=tuple(ladder))
+    settings["t_final"] = draw(mostly(st.just(steps * tau), st.floats(1e-3, 0.5)))
+    return command, settings
+
+
+class TestConvergenceConfigs:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(case=convergence_settings())
+    @example(case=("converge-space", {"sigma": 1e160, "tau": 0.0625, "t_final": 0.0625,
+                                      "n_modes_ref": 8, "n_modes_ladder": (2, 4, 8),
+                                      "initial": "1/3", "n_trajectories": 1}))
+    def test_every_config_runs_or_fails_with_an_error_line(self, case):
+        """Exit 0 writes only finite errors; exit 2 prints only lines naming
+        a config key; exit 1 starts with an ``error:`` line.  No run exits 0
+        with a non-finite error."""
+        command, settings_ = case
+        text = "".join(f"{key} = {format_value(value)}\n" for key, value in settings_.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(f"command = {command}\n" + text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out"),
+                             "--deterministic"])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1, 2), err.getvalue()
+            if code == 2:
+                assert lines and all(line.startswith("error: config: key '") for line in lines)
+                return
+            if code == 1:
+                assert lines and lines[0].startswith("error: ")
+                return
+            stem = "convergence_time" if command == "converge-time" else "convergence_space"
+            with open(Path(tmp) / "out" / f"{stem}.csv", newline="") as fh:
+                rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+            assert rows and all(math.isfinite(float(row["error"])) for row in rows)
+
+
 class TestCli:
     def write_cfg(self, tmp_path, text, name="run.cfg"):
         path = tmp_path / name
@@ -724,9 +790,11 @@ n_trajectories = 2
         assert (out / "convergence_space.csv").exists()
         assert "space refinement" in capsys.readouterr().out
 
-    def test_deterministic_outputs_do_not_depend_on_threads(self, tmp_path):
+    def test_deterministic_outputs_do_not_depend_on_threads(self, tmp_path, capsys):
         """--deterministic leaves --threads in force, and the thread count
-        changes no byte of the converge-space smoke run's CSV."""
+        changes no byte of the CSV and stdout of the benchmark's spatial
+        smoke run (its config, with the drift and sigma left at their
+        defaults), whose levels all advance as one stack."""
         cfg = self.write_cfg(tmp_path, """\
 command = converge-space
 t_final = 0.0625
@@ -742,7 +810,8 @@ seed = 2
             out = tmp_path / f"out{threads}"
             assert main(["converge-space", "--config", cfg, "--out", str(out),
                          "--deterministic", "--threads", threads]) == 0
-            texts.append((out / "convergence_space.csv").read_bytes())
+            texts.append(((out / "convergence_space.csv").read_bytes(),
+                          capsys.readouterr().out))
         assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -1099,6 +1168,20 @@ initials = 1/3; 1
         assert capsys.readouterr().err == \
             "error: blow-up: trajectory 0: non-finite state at step 2\n"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowing_error_with_finite_states_exits_1(self, tmp_path, capsys):
+        """Every state stays finite, but the difference to the reference
+        overflows when squared: one runtime error line names the level and
+        the reference step, and no blow-up is reported."""
+        cfg = self.write_cfg(tmp_path, "command = converge-space\nsigma = 1e160\n"
+                             "tau = 0.0625\nt_final = 0.0625\nn_modes_ref = 8\n"
+                             "n_modes_ladder = 2, 4, 8\ninitial = 1/3\n")
+        assert main(["converge-space", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: runtime: level tau=0.0625, n_modes=2: non-finite error at reference "
+            "step 1 although every state is finite: its difference to the reference "
+            "overflows\n")
 
     def test_completed_run_keeps_its_warnings(self, tmp_path, capsys):
         """A run that completes re-emits the RuntimeWarnings it raised."""

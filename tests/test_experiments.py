@@ -242,6 +242,44 @@ class TestMeanSquareError:
         lockstep = [(l, m) for m in range(0, bad, 512) for l in (0, 1)]
         assert calls == lockstep + lockstep
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowing_difference_names_its_level_and_step(self, monkeypatch):
+        """Noise of 1e160 injected into mode 5 of trajectory 1 at step 600,
+        the last, leaves every state finite, but only the reference has that
+        mode, so the n_modes = 2 level's squared difference overflows.  It
+        is a ValueError naming that level and reference step, not a
+        blow-up."""
+        increment_matrix = NoiseSource.increment_matrix
+
+        def poisoned(self, basis, m0, m1, ratio=1, out=None):
+            out = increment_matrix(self, basis, m0, m1, ratio, out)
+            if self.trajectory_id == 1 and m0 < 600 <= m1 and basis.n_modes > 5:
+                out[599 - m0, 5] = 1e160
+            return out
+
+        monkeypatch.setattr(NoiseSource, "increment_matrix", poisoned)
+        tau = 2.0**-10
+        params_c = SchemeParams(build_basis(2), WELL, tau)
+        params_r = SchemeParams(build_basis(8), WELL, tau)
+        u0 = lambda basis: np.cos(basis.grid) / 3
+        with pytest.raises(ValueError) as exc_info:
+            mean_square_error(params_c, params_r, u0(params_c.basis), u0(params_r.basis),
+                              seed=0, n_trajectories=2, t_final=600 * tau)
+        assert str(exc_info.value) == (
+            f"level tau={tau!r}, n_modes=2: non-finite error at reference step 600 "
+            f"although every state is finite: its difference to the reference overflows")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowing_sum_over_trajectories_names_its_level(self):
+        """Finite rows whose sum over three trajectories overflows raise a
+        ValueError naming the first such level and its reference step."""
+        with pytest.raises(ValueError) as exc_info:
+            run_spatial_study(drift=WELL, sigma=4e154, tau=0.0625, t_final=0.0625,
+                              n_modes_ladder=[2, 4, 8], n_modes_ref=8, initial="1/3",
+                              seed=0, n_trajectories=3)
+        assert str(exc_info.value) == ("level tau=0.0625, n_modes=2: non-finite error at "
+                                       "reference step 1: its sum over trajectories overflows")
+
     def test_validation(self):
         basis8, basis16 = build_basis(8), build_basis(16)
         coarse = SchemeParams(basis16, WELL, 2.0**-4)

@@ -24,7 +24,8 @@ from schsim import (DriftSpec, NoiseSource, SchemeParams, SchemeState,
                     phi_test, read_checkpoint, run_ensemble, run_trajectory, solution_at,
                     state_from_coeffs, step, write_checkpoint)
 from schsim import noise
-from schsim.integrator import HorizonError, _advance, _noise_blocks, whole_steps
+from schsim.integrator import (HorizonError, _advance, _noise_blocks, _stack_levels,
+                               whole_steps)
 
 # double-well drift used throughout: f(x) = x^3/2 - x^2/2 + x - 1
 WELL = DriftSpec(0.5, -0.5, 1.0, -1.0)
@@ -185,6 +186,85 @@ class TestKernelOracle:
                 with pytest.raises(ValueError, match="read-only"):
                     constant[1] = 0.0
         assert params._kernel_constants is params._kernel_constants
+
+
+class TestLevelStack:
+    """One ``_advance`` call on a level stack gives every level the bits of
+    its own call.  The ladders repeat mode counts and hold a level equal to
+    the reference (the first, widest level); the increments are a real
+    noise block's rows, so from width 8 on they are source-major views."""
+
+    LADDERS = {"repeated": [16, 8, 16, 4, 8, 2], "spatial": [64, 8, 16, 32, 64],
+               "two": [5, 5]}
+
+    def stack_and_inputs(self, ns, width, scale, seed=11):
+        """Levels, their start coefficients and a step's increments; with
+        ``scale=None`` each column is scaled to tau ||u||_w12^12 = 1, where
+        the tamer's last bits, and so the w12 sums', reach the result."""
+        levels = [make_params(n=n, tau=2.0**-8, sigma=0.7) for n in ns]
+        rng = np.random.default_rng(seed)
+        coeffs = [rng.standard_normal((n, width)) / (1.0 + p.basis.eigenvalues[:, None])
+                  for n, p in zip(ns, levels)]
+        for params, c in zip(levels, coeffs):
+            w12_sq = np.sum((1.0 + params.basis.eigenvalues[:, None]) * c * c, axis=0)
+            c *= scale if scale else (params.tau * w12_sq**6) ** (-1 / 12)
+        sources = [make_source(levels[0], seed=seed, trajectory_id=l) for l in range(width)]
+        _, block = next(_noise_blocks(levels[0].basis, sources, 1, 0, 1))
+        return levels, coeffs, block[0]
+
+    @staticmethod
+    def advance_stacked(levels, coeffs, dw):
+        stack = _stack_levels(levels)
+        stacked = np.concatenate(coeffs)
+        nodal = np.concatenate([p.basis.from_spectral(c) for p, c in zip(levels, coeffs)])
+        new = _advance(stack, stacked, dw, nodal)
+        return [new[rows] for rows in stack.rows]
+
+    @staticmethod
+    def advance_alone(params, coeffs, dw):
+        n = params.basis.n_modes
+        return _advance(params, coeffs, dw[:n], params.basis.from_spectral(coeffs))
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 50])
+    @pytest.mark.parametrize("scale", [0.3, None, 40.0], ids=["plain", "critical", "tamed"])
+    @pytest.mark.parametrize("ladder", sorted(LADDERS))
+    def test_stacked_advance_is_each_levels_own(self, ladder, scale, width):
+        ns = self.LADDERS[ladder]
+        levels, coeffs, dw = self.stack_and_inputs(ns, width, scale)
+        got = self.advance_stacked(levels, coeffs, dw)
+        for params, c, new in zip(levels, coeffs, got):
+            assert new.tobytes() == self.advance_alone(params, c, dw).tobytes()
+        # a level equal to the reference, started from its state, gets its bits
+        same = [k for k in range(1, len(ns)) if ns[k] == ns[0]][0]
+        levels, coeffs, dw = self.stack_and_inputs(ns, width, scale)
+        coeffs[same] = coeffs[0].copy()
+        got = self.advance_stacked(levels, coeffs, dw)
+        assert got[same].tobytes() == got[0].tobytes()
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 1e200])
+    def test_a_non_finite_level_leaves_the_others_bits(self, bad):
+        """An inf, a NaN or a state whose drift overflows in one level turns
+        only that level's rows non-finite."""
+        ns = self.LADDERS["repeated"]
+        levels, coeffs, dw = self.stack_and_inputs(ns, 5, 0.3)
+        coeffs[3][2, 1] = bad
+        got = self.advance_stacked(levels, coeffs, dw)
+        for k, (params, c, new) in enumerate(zip(levels, coeffs, got)):
+            if k == 3:
+                assert not np.isfinite(new[:, 1]).all()
+            else:
+                assert new.tobytes() == self.advance_alone(params, c, dw).tobytes()
+
+    def test_a_stack_of_one_is_the_level(self):
+        params = make_params(n=8)
+        assert _stack_levels([params]) is params
+
+    def test_stacked_levels_share_tau_drift_and_sigma(self):
+        for other in (make_params(n=8, tau=2e-2), make_params(n=8, sigma=0.5),
+                      make_params(n=8, drift=DriftSpec(1.0))):
+            with pytest.raises(ValueError, match="share tau, drift and sigma"):
+                _stack_levels([make_params(n=8), other])
 
 
 class TestStates:

@@ -538,6 +538,20 @@ class TestNdtriLoading:
             "                  float(special.erf(1.0))]))\n", src_env)
         assert result == [[], False, True, True, pytest.approx(math.erf(1.0), rel=1e-15)]
 
+    def test_a_later_scipy_special_has_the_clean_namespace(self, src_env):
+        """The extensions the private path loads with ``_ufuncs``
+        (``_ufuncs_cxx``, ``_gufuncs`` and others) are bound to a later
+        ``scipy.special`` as a clean import binds them."""
+        clean = run_python("import json, scipy.special\n"
+                           "print(json.dumps(sorted(vars(scipy.special))))\n", src_env)
+        result = run_python(
+            "import json, sys, schsim.noise\n"
+            "import scipy.special as special\n"
+            "print(json.dumps([sorted(vars(special)), special.ndtri is schsim.noise.ndtri,\n"
+            "                  special._gufuncs is sys.modules['scipy.special._gufuncs']]))\n",
+            src_env)
+        assert result == [clean, True, True]
+
     def test_loaded_scipy_special_takes_the_public_path(self, src_env):
         """An already imported ``scipy.special`` stays the one in
         ``sys.modules`` and gives ``noise`` its ``ndtri``."""
