@@ -12,13 +12,13 @@ from .experiments import (ConvergenceRow, ConvergenceTable, ErgodicRun,
                           rate_regression, run_ergodic_study, run_spatial_study,
                           run_temporal_study)
 from .expressions import evaluate_expression, validate_expression
-from .grid import SpectralBasis, build_basis
+from .grid import SpectralBasis
 from .integrator import (DriftSpec, SchemeParams, SchemeState,
                          TrajectoryBlowUpError, initial_state, run_ensemble,
-                         run_trajectory, solution_at, state_from_coeffs, step)
+                         run_trajectory, state_from_coeffs, step)
 from .noise import NoiseSource, stationary_variance
 from .observables import (TestFunctionSpec, TimeAverageObserver, g_functional,
-                          lyapunov_v, mass, phi_test, time_average_ensemble,
+                          lyapunov_v, phi_test, time_average_ensemble,
                           time_average_single)
 from .verify import CheckResult, run_all_checks
 
@@ -31,13 +31,13 @@ __all__ = [
     "mean_square_error", "pairwise_rates", "rate_regression",
     "run_ergodic_study", "run_spatial_study", "run_temporal_study",
     "evaluate_expression", "validate_expression",
-    "SpectralBasis", "build_basis",
+    "SpectralBasis",
     "DriftSpec", "SchemeParams", "SchemeState", "TrajectoryBlowUpError",
-    "initial_state", "run_ensemble", "run_trajectory", "solution_at",
+    "initial_state", "run_ensemble", "run_trajectory",
     "state_from_coeffs", "step",
     "NoiseSource", "stationary_variance",
     "TestFunctionSpec", "TimeAverageObserver",
-    "g_functional", "lyapunov_v", "mass", "phi_test",
+    "g_functional", "lyapunov_v", "phi_test",
     "time_average_ensemble", "time_average_single",
     "CheckResult", "run_all_checks",
     "__version__",

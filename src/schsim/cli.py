@@ -141,8 +141,8 @@ def _cmd_simulate(cfg: RunConfig, explicit: set[str], out_dir: Path, want_svg: b
              else initial_state(params, evaluate_expression(cfg.initial, basis.grid)))
     n_total = whole_steps(cfg.t_final, params.tau, "t_final in steps of tau", key="t_final")
     if n_total < state.step_index:
-        raise ConfigError([f"t_final corresponds to step {n_total}, but the "
-                           f"checkpoint is already at step {state.step_index}"])
+        raise HorizonError(f"t_final corresponds to step {n_total}, but the "
+                           f"checkpoint is already at step {state.step_index}", "t_final")
     snapshots: list[tuple[int, np.ndarray]] = []
 
     def observer(m, s):

@@ -20,11 +20,12 @@ The temporal and spatial studies and ``mean_square_error`` (their one-rung
 case) all run through one core, ``_coupled_errors``, which holds every rule
 once: the trajectory count, the step counts of the horizon and the ladder,
 the mode bound and the step-size coupling warning.  The studies only build
-their ladders and tabulate the core's errors.  The core advances the
-reference and all coarse levels in lockstep, so the reference is integrated
-once per trajectory regardless of ladder length.  Levels that share (tau,
-drift, sigma) form a group, advanced as one ``integrator._LevelStack`` with
-one ``_advance`` call per step: in a spatial study the reference and every
+their ladders and tabulate the core's errors.  The core builds each level
+once, as a ``_Level`` record (the reference first), and ``_coupled_sums``
+advances all of them in lockstep, so the reference is integrated once per
+trajectory regardless of ladder length.  Levels that share (tau, drift,
+sigma) form a group, advanced as one ``integrator._LevelStack`` with one
+``_advance`` call per step: in a spatial study the reference and every
 coarse level, in a temporal study each level alone, apart from a rung equal
 to tau_ref, which joins the reference.  A group of one level is that level's
 own ``SchemeParams``.  The elementwise work runs once on the stack; the
@@ -36,7 +37,9 @@ coarse level reads the first N_c modes of each block and sums each run of
 ``stride`` reference increments, which is exact (see ``noise``).
 All trajectories are advanced as one vectorized batch, whatever ``threads``
 is, and their per-trajectory rows are reduced once in trajectory-id order, so
-the results do not depend on ``threads``.  A blow-up is reported by
+the results do not depend on ``threads``.  After each noise block one check
+runs: if any state or new error row is not finite, every level is rerun
+alone from t = 0, reference first, and the first blow-up is reported by
 ``integrator.step`` as ``trajectory k: non-finite state at step s (level
 tau=..., n_modes=...)``, s being the failing level's own step.  An error
 that is not finite although every state is (a squared difference or a sum
@@ -51,6 +54,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -156,13 +160,18 @@ def _kappa_rows(n_eval_cells: int, n_grid: int) -> np.ndarray:
     return np.minimum(j * n_grid // n_eval_cells, n_grid - 1)
 
 
-@dataclass(frozen=True)
-class _CoarseEntry:
+@dataclass(frozen=True, eq=False)
+class _Level:
+    """One level of a coupled run, equal only to itself: its scheme, its
+    initial coefficients and its reference steps per step.  A coarse level
+    also maps its own coefficients and the reference's to the evaluation
+    points; the reference comes first and has no maps."""
+
     params: SchemeParams
-    stride: int              # reference steps per coarse step
     coeffs0: np.ndarray
-    eval_coarse: np.ndarray  # maps coarse coefficients to evaluation values
-    eval_ref: np.ndarray     # maps reference coefficients to the same points
+    stride: int = 1
+    eval_coarse: np.ndarray | None = None
+    eval_ref: np.ndarray | None = None
 
 
 def _coarse_increments(fine: np.ndarray, m: int, stride: int,
@@ -191,42 +200,33 @@ def _coarse_increments(fine: np.ndarray, m: int, stride: int,
 
 class _Group:
     """Levels sharing (tau, drift, sigma), and so a stride, advanced as one
-    ``_LevelStack`` (a lone level as its own params); its coarse members
+    ``_LevelStack`` (a lone level as its own params); its coarse levels
     record their rows together."""
 
-    def __init__(self, members, levels, entries, width: int, n_ref_steps: int):
-        params = [levels[k][0] for k in members]
-        self.stride = levels[members[0]][2]
-        self.stack = _stack_levels(params)
-        lone = len(params) == 1
-        self.parts = ([(params[0].basis, slice(None))] if lone
-                      else list(zip(self.stack.bases, self.stack.rows)))
-        # a lone level synthesizes as ``step`` does, a stack level by level
-        self.synthesize = params[0].basis.from_spectral if lone else self._synthesize_levels
-        self.n_max = max(p.basis.n_modes for p in params)
-        self.state = np.repeat(np.concatenate([levels[k][1] for k in members])[:, None],
+    def __init__(self, levels, width: int, n_ref_steps: int):
+        self.stride = levels[0].stride
+        self.stack = _stack_levels([level.params for level in levels])
+        self.state = np.repeat(np.concatenate([level.coeffs0 for level in levels])[:, None],
                                width, axis=1)
-        self.nodal = np.empty_like(self.state)
+        lone = len(levels) == 1
+        # a lone level synthesizes as ``step`` does, a stack level by level
+        self.synthesize = (levels[0].params.basis.from_spectral if lone else
+                           partial(self.stack.synthesize, out=np.empty_like(self.state)))
+        self.n_max = max(level.params.basis.n_modes for level in levels)
         self.carry = np.zeros((self.n_max, width))
-        self.members = members
-        # coarse members: level index, its state rows and its evaluation rows
-        # in the concatenated record buffers
-        self.coarse = [(k, rows) for k, (_, rows) in zip(members, self.parts) if k > 0]
-        sizes = [entries[k - 1].eval_coarse.shape[0] for k, _ in self.coarse]
-        bounds = np.cumsum([0] + sizes)
-        self.evals = [(entries[k - 1].eval_coarse, entries[k - 1].eval_ref, rows, slice(a, b))
-                      for (k, rows), a, b in zip(self.coarse, bounds[:-1], bounds[1:])]
+        # coarse levels, their state rows and their rows in the record buffers
+        coarse = [(level, rows) for level, rows
+                  in zip(levels, [slice(None)] if lone else self.stack.rows)
+                  if level.eval_coarse is not None]
+        self.coarse = [level for level, _ in coarse]
+        bounds = np.cumsum([0] + [level.eval_coarse.shape[0] for level in self.coarse])
+        self.evals = [(level.eval_coarse, level.eval_ref, rows, slice(a, b))
+                      for (level, rows), a, b in zip(coarse, bounds[:-1], bounds[1:])]
         self.starts = bounds[:-1]
         self.values = np.empty((bounds[-1], width))
         self.ref_values = np.empty_like(self.values)
-        # max-over-space squared differences per checked step, member, trajectory
+        # max-over-space squared differences per checked step, coarse level, trajectory
         self.errs = np.empty((n_ref_steps // self.stride + 1, len(self.coarse), width))
-        self.checked = 0  # rows of errs checked for finiteness
-
-    def _synthesize_levels(self, state: np.ndarray) -> np.ndarray:
-        for basis, rows in self.parts:
-            basis.from_spectral(state[rows], out=self.nodal[rows])
-        return self.nodal
 
     def record(self, j: int, state_ref: np.ndarray) -> None:
         """Row j of errs: per level, the per-level products, then one
@@ -239,11 +239,10 @@ class _Group:
         np.maximum.reduceat(diff, self.starts, axis=0, out=self.errs[j])
 
 
-def _coupled_sums(params_ref: SchemeParams, coeffs0_ref: np.ndarray,
-                  entries: list[_CoarseEntry], sources, n_ref_steps: int) -> list[np.ndarray]:
-    """Advance reference and coarse levels in lockstep over one trajectory
-    batch; returns per entry the max-over-space squared differences per
-    checked step and trajectory.
+def _coupled_sums(levels, sources, n_ref_steps: int) -> list[np.ndarray]:
+    """Advance the ``_Level``s, reference first, in lockstep over one
+    trajectory batch; returns per coarse level the max-over-space squared
+    differences per checked step and trajectory.
 
     Levels sharing (tau, drift, sigma) form a group, advanced as one
     ``_LevelStack`` with one ``_advance`` call per step: in a spatial study
@@ -251,31 +250,24 @@ def _coupled_sums(params_ref: SchemeParams, coeffs0_ref: np.ndarray,
     alone, apart from a rung equal to tau_ref.  The transforms and w12 sums
     stay per level (see ``_LevelStack``), and so do the record's products,
     since one product of the stacked rows changes bits; the record's
-    subtract, square and max run once on the concatenated rows.
-
-    After each noise block every new row is checked.  The first level with a
-    non-finite coefficient (it stays non-finite), reference first, is rerun
-    alone from t = 0 through ``_run`` with the same bits (same sources and
-    width; coarse increments are exact sums, see ``noise``), so ``step``
-    names its step and trajectory.  A non-finite row reruns every level, as
-    the loop never synthesizes the final states; a non-finite row that no
-    rerun explains, every state being finite, raises ``ValueError`` naming
-    its level and reference step.
+    subtract, square and max run once on the concatenated rows.  After each
+    noise block every group's state and every new row is checked for
+    finiteness (see ``_raise_non_finite``).
     """
-    L = len(sources)
-    ratio_ref = _ratio(params_ref, sources)
-    n_ref = params_ref.basis.n_modes
-    levels = [(params_ref, coeffs0_ref, 1)] + [(e.params, e.coeffs0, e.stride) for e in entries]
-    keys: dict[tuple, list[int]] = {}
-    for k, (params, _, _) in enumerate(levels):
-        keys.setdefault((params.tau, params.drift, params.sigma), []).append(k)
-    groups = [_Group(members, levels, entries, L, n_ref_steps) for members in keys.values()]
+    ref = levels[0]
+    n_ref = ref.params.basis.n_modes
+    keys: dict[tuple, list[_Level]] = {}
+    for level in levels:
+        params = level.params
+        keys.setdefault((params.tau, params.drift, params.sigma), []).append(level)
+    groups = [_Group(members, len(sources), n_ref_steps) for members in keys.values()]
     recorded = [g for g in groups if g.coarse]
-    where = {k: (g, rows) for g in groups for k, (_, rows) in zip(g.members, g.parts)}
+    errs = {level: g.errs[:, pos] for g in recorded for pos, level in enumerate(g.coarse)}
 
     for g in recorded:
         g.record(0, groups[0].state[:n_ref])
-    for m, block in _noise_blocks(params_ref.basis, sources, ratio_ref, 0, n_ref_steps):
+    for m, block in _noise_blocks(ref.params.basis, sources, _ratio(ref.params, sources),
+                                  0, n_ref_steps):
         # a group's increments: its first N_max modes, summed over runs of
         # stride reference steps (exact, so equal to drawing them directly)
         plan = [(g, block[:, :g.n_max] if g.stride == 1
@@ -291,55 +283,48 @@ def _coupled_sums(params_ref: SchemeParams, coeffs0_ref: np.ndarray,
                     if g.coarse:
                         g.record(j, groups[0].state[:n_ref])
         end = m + len(block)
-        new_rows = [g.errs[g.checked:end // g.stride + 1] for g in recorded]
-        rows_finite = all(np.isfinite(r).all() for r in new_rows)
-        for k, (params, coeffs0, stride) in enumerate(levels):
-            g, rows = where[k]
-            if not rows_finite or not np.isfinite(g.state[rows]).all():
-                start = state_from_coeffs(params, 0, np.repeat(coeffs0[:, None], L, axis=1))
-                try:
-                    _run(params, start, sources, end // stride, ())
-                except TrajectoryBlowUpError as exc:
-                    raise TrajectoryBlowUpError(
-                        f"{exc} (level tau={params.tau!r}, n_modes={params.basis.n_modes})",
-                        exc.step_index, exc.trajectory_id) from None
-        if not rows_finite:
-            step, k = min(((g.checked + j) * g.stride, g.coarse[pos][0])
-                          for g, r in zip(recorded, new_rows)
-                          for j, pos in np.argwhere(~np.isfinite(r).all(axis=2))[:1])
-            raise _non_finite_error(levels[k][0], step, " although every state is finite: "
-                                    "its difference to the reference overflows")
-        for g in recorded:
-            g.checked = end // g.stride + 1
-    by_level = {k: g.errs[:, pos] for g in recorded for pos, (k, _) in enumerate(g.coarse)}
-    return [by_level[k] for k in range(1, len(levels))]
+        # rows from reference step m on (a row at m itself was checked already)
+        if not all(np.isfinite(a).all() for a in [g.state for g in groups]
+                   + [g.errs[-(-m // g.stride):end // g.stride + 1] for g in recorded]):
+            _raise_non_finite(levels, errs, sources, end)
+    return [errs[level] for level in levels[1:]]
+
+
+def _raise_non_finite(levels, errs, sources, end: int):
+    """Raise for a non-finite state or error row by reference step ``end``.
+
+    Every level is rerun alone from t = 0 through ``_run``, reference first,
+    with the same bits (same sources and width; coarse increments are exact
+    sums, see ``noise``), and the first blow-up is raised as ``step`` names
+    it, with its level.  The loop never synthesizes the final states, so
+    even a level whose coefficients are finite may blow up.  Without a
+    blow-up, every state being finite, the first non-finite row is a
+    difference to the reference that overflows: a ``ValueError`` naming its
+    level and reference step.
+    """
+    for level in levels:
+        params = level.params
+        start = state_from_coeffs(params, 0,
+                                  np.repeat(level.coeffs0[:, None], len(sources), axis=1))
+        try:
+            _run(params, start, sources, end // level.stride, ())
+        except TrajectoryBlowUpError as exc:
+            raise TrajectoryBlowUpError(
+                f"{exc} (level tau={params.tau!r}, n_modes={params.basis.n_modes})",
+                exc.step_index, exc.trajectory_id) from None
+
+    def first_bad_step(level):  # inf if every row of the level is finite
+        finite = np.isfinite(errs[level][:end // level.stride + 1]).all(axis=1)
+        return math.inf if finite.all() else int(np.argmin(finite)) * level.stride
+
+    level = min(levels[1:], key=first_bad_step)  # the first level on a tie
+    raise _non_finite_error(level.params, first_bad_step(level), " although every state "
+                            "is finite: its difference to the reference overflows")
 
 
 def _non_finite_error(params: SchemeParams, step: int, reason: str) -> ValueError:
     return ValueError(f"level tau={params.tau!r}, n_modes={params.basis.n_modes}: "
                       f"non-finite error at reference step {step}{reason}")
-
-
-def _run_coupled(params_ref, coeffs0_ref, entries, sources, n_ref_steps,
-                 threads: int) -> list[np.ndarray]:
-    """Run the coupled study; returns per-entry sums over trajectories.
-
-    All trajectories advance as one batch.  BLAS picks its kernel by the
-    batch width, so a trajectory's floats depend on the batch it rides in;
-    one batch keeps the results independent of ``threads``.  With
-    ``threads > 1`` the batch runs on a one-worker pool, which adds no
-    parallelism; the benchmark's ``spatial`` workload traces its ``map``.
-    The per-trajectory rows are summed once, in trajectory-id order.
-    """
-    def work(batch):
-        return _coupled_sums(params_ref, coeffs0_ref, entries, batch, n_ref_steps)
-
-    if threads <= 1:
-        rows = work(sources)
-    else:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            [rows] = pool.map(work, [sources])
-    return [r.sum(axis=1) for r in rows]
 
 
 def _check_modes(n_modes: int, n_modes_ref: int) -> None:
@@ -349,34 +334,41 @@ def _check_modes(n_modes: int, n_modes_ref: int) -> None:
                            f"the reference", "n_modes_ladder")
 
 
-def _coupled_errors(params_ref: SchemeParams, coeffs0_ref: np.ndarray, levels, *,
+def _coupled_errors(params_ref: SchemeParams, coeffs0_ref: np.ndarray, rungs, *,
                     seed: int, n_trajectories: int, t_final: float,
                     threads: int) -> list[float]:
-    """The error of each coarse level ``(params, coeffs0)`` against the
+    """The error of each coarse rung ``(params, coeffs0)`` against the
     reference, all driven by trajectories 0 .. n_trajectories-1 of ``seed``.
 
-    The one home of the studies' rules: a level may not have more modes than
+    The one home of the studies' rules: a rung may not have more modes than
     the reference, its tau must be a whole number of reference steps, and
-    t_final a whole number of steps of the reference and of every level;
+    t_final a whole number of steps of the reference and of every rung;
     each discretization breaking the step-size coupling tau^9 / h <= 1 is
     named in a warning.
+
+    All trajectories advance as one batch.  BLAS picks its kernel by the
+    batch width, so a trajectory's floats depend on the batch it rides in;
+    one batch keeps the results independent of ``threads``.  With
+    ``threads > 1`` the batch runs on a one-worker pool, which adds no
+    parallelism; the benchmark's ``spatial`` workload traces its ``map``.
+    The per-trajectory rows are summed once, in trajectory-id order.
     """
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be positive, got {n_trajectories}")
     n_ref = params_ref.basis.n_modes
     n_ref_steps = whole_steps(t_final, params_ref.tau, "t_final in steps of tau_ref",
                               key="t_final")
-    entries = []
-    for params, coeffs0 in levels:
+    levels = [_Level(params_ref, coeffs0_ref)]
+    for params, coeffs0 in rungs:
         n_c = params.basis.n_modes
         _check_modes(n_c, n_ref)
         stride = whole_steps(params.tau, params_ref.tau, "ladder tau in steps of tau_ref",
                              key="tau_ladder")
         whole_steps(t_final, params.tau, "t_final in steps of the ladder tau", key="t_final")
-        entries.append(_CoarseEntry(params, stride, coeffs0,
-                                    params.basis.basis_matrix[_kappa_rows(n_c, n_c)],
-                                    params_ref.basis.basis_matrix[_kappa_rows(n_c, n_ref)]))
-    for params in [entry.params for entry in entries] + [params_ref]:
+        levels.append(_Level(params, coeffs0, stride,
+                             params.basis.basis_matrix[_kappa_rows(n_c, n_c)],
+                             params_ref.basis.basis_matrix[_kappa_rows(n_c, n_ref)]))
+    for params in [level.params for level in levels[1:] + levels[:1]]:
         if not params.step_constraint_satisfied():
             warnings.warn(
                 f"step-size coupling violated: tau^9 / h = "
@@ -385,10 +377,15 @@ def _coupled_errors(params_ref: SchemeParams, coeffs0_ref: np.ndarray, levels, *
                 RuntimeWarning, stacklevel=3)
     sources = [NoiseSource(seed, k, tau_fine=params_ref.tau, n_modes_max=n_ref - 1)
                for k in range(n_trajectories)]
-    sums = _run_coupled(params_ref, coeffs0_ref, entries, sources, n_ref_steps, threads)
-    for entry, s in zip(entries, sums):
+    if threads <= 1:
+        errs = _coupled_sums(levels, sources, n_ref_steps)
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            [errs] = pool.map(_coupled_sums, [levels], [sources], [n_ref_steps])
+    sums = [rows.sum(axis=1) for rows in errs]
+    for level, s in zip(levels[1:], sums):
         if not np.isfinite(s).all():  # finite rows whose sum overflows
-            raise _non_finite_error(entry.params, int(np.argmin(np.isfinite(s))) * entry.stride,
+            raise _non_finite_error(level.params, int(np.argmin(np.isfinite(s))) * level.stride,
                                     ": its sum over trajectories overflows")
     return [float(np.max(np.sqrt(s / n_trajectories))) for s in sums]
 
@@ -420,8 +417,8 @@ def mean_square_error(params_coarse: SchemeParams, params_ref: SchemeParams,
     exceed the reference's.  With identical parameters and initial data the
     two runs coincide bit-for-bit and the distance is exactly zero.
     """
-    level = (params_coarse, initial_state(params_coarse, u0_coarse).coeffs)
-    return _coupled_errors(params_ref, initial_state(params_ref, u0_ref).coeffs, [level],
+    rung = (params_coarse, initial_state(params_coarse, u0_coarse).coeffs)
+    return _coupled_errors(params_ref, initial_state(params_ref, u0_ref).coeffs, [rung],
                            seed=seed, n_trajectories=n_trajectories, t_final=t_final,
                            threads=threads)[0]
 
@@ -443,8 +440,8 @@ def run_temporal_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
         raise ValueError("tau_ladder must not be empty")
     params_ref = SchemeParams(basis, drift, tau_ref, sigma)
     coeffs0 = initial_state(params_ref, evaluate_expression(initial, basis.grid)).coeffs
-    levels = [(SchemeParams(basis, drift, tau, sigma), coeffs0) for tau in taus]
-    errors = _coupled_errors(params_ref, coeffs0, levels, seed=seed,
+    rungs = [(SchemeParams(basis, drift, tau, sigma), coeffs0) for tau in taus]
+    errors = _coupled_errors(params_ref, coeffs0, rungs, seed=seed,
                              n_trajectories=n_trajectories, t_final=t_final,
                              threads=threads)
     return _table("time", [(tau, basis.n_modes) for tau in taus], taus, errors, t0)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SpectralBasis", "build_basis"]
+__all__ = ["SpectralBasis"]
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -149,26 +149,3 @@ class SpectralBasis:
             grad_sq = np.sum(lam * c * c, axis=0)
             return np.sqrt(self.h * np.sum(u * u, axis=0) + grad_sq)
         raise ValueError(f"unknown norm kind {kind!r}; expected l2, linf, lp or w12")
-
-    def interpolate(self, u: np.ndarray, x) -> np.ndarray | float:
-        """Evaluate the piecewise-linear extension P_N u at points x in [0, pi].
-
-        Between adjacent midpoints the field is interpolated linearly; on the
-        boundary strips [0, x_1] and [x_N, pi] it is extended by the constant
-        end values (consistent with the Neumann conditions).
-        """
-        u = self._check_field(u)
-        if u.ndim != 1:
-            raise ValueError("interpolate expects a single field of shape (N,)")
-        x_arr = np.asarray(x, dtype=np.float64)
-        if np.any(x_arr < 0.0) or np.any(x_arr > np.pi):
-            raise ValueError("interpolation points must lie in [0, pi]")
-        out = np.interp(x_arr, self.grid, u)
-        if np.isscalar(x) or x_arr.ndim == 0:
-            return float(out)
-        return out
-
-
-def build_basis(n_modes: int) -> SpectralBasis:
-    """Construct a :class:`SpectralBasis` with ``n_modes`` grid points."""
-    return SpectralBasis(n_modes)

@@ -46,7 +46,6 @@ __all__ = [
     "step",
     "run_trajectory",
     "run_ensemble",
-    "solution_at",
     "whole_steps",
 ]
 
@@ -106,13 +105,14 @@ class DriftSpec:
         """f'(x), elementwise."""
         return (3.0 * self.a0 * x + 2.0 * self.a1) * x + self.a2
 
-    def one_sided_lipschitz(self, radius: float = 8.0) -> float:
-        """L_f = max(-f') on [-radius, radius]: -f' is a concave quadratic or
-        a line, so the max is at an end point or at the vertex -a1 / (3 a0).
+    def one_sided_lipschitz(self) -> float:
+        """L_f = max(-f') on [-8, 8]: -f' is a concave quadratic or a line,
+        so the max is at an end point or at the vertex -a1 / (3 a0).
 
         The dissipativity assumption behind the scheme's ergodicity theory
         asks for L_f below the smallest nonzero Laplacian eigenvalue.
         """
+        radius = _LF_CHECK_RADIUS
         vertex = min(max(-self.a1 / (3.0 * self.a0), -radius), radius) if self.a0 else 0.0
         return float(max(-self.derivative(x) for x in (-radius, radius, vertex)))
 
@@ -141,7 +141,7 @@ class SchemeParams:
         if not (isinstance(self.sigma, (int, float, np.floating))
                 and math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be a finite nonnegative real, got {self.sigma!r}")
-        lf = self.drift.one_sided_lipschitz(_LF_CHECK_RADIUS)
+        lf = self.drift.one_sided_lipschitz()
         lam1 = self.basis.eigenvalues[1]
         if lf >= lam1:
             warnings.warn(
@@ -176,11 +176,13 @@ class _LevelStack:
     (sum_k N_k, L) stack of coefficient columns, level k in rows
     ``rows[k]``.  Elementwise operations run once on the stack.  Three
     things run per level, on views of the stack, because their bits depend
-    on the operand's shape: the analysis product, the w12 column sums and,
-    in the caller, the synthesis product.  The noise ``dw`` of a step is the
-    (N_max, L) increment of the widest level, and level k reads its first
-    N_k modes, as a truncated level does (see ``noise``).  Build one with
-    ``_stack_levels``; the methods are ``_advance``'s per-level parts.
+    on the operand's shape: the analysis product, the w12 column sums and
+    the synthesis product.  The noise ``dw`` of a step is the (N_max, L)
+    increment of the widest level, and level k reads its first N_k modes,
+    as a truncated level does (see ``noise``).  Build one with
+    ``_stack_levels``.  The methods are ``_advance``'s per-level parts plus
+    ``synthesize``, which the caller runs to get the nodal values that
+    ``_advance`` reads.
     """
 
     def __init__(self, levels):
@@ -200,6 +202,11 @@ class _LevelStack:
         for basis, rows in zip(self.bases, self.rows):
             basis.to_spectral(f[rows], out=new[rows])
         return new
+
+    def synthesize(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for basis, rows in zip(self.bases, self.rows):
+            basis.from_spectral(coeffs[rows], out=out[rows])
+        return out
 
     def w12_sq(self, tmp: np.ndarray) -> np.ndarray:
         sums = np.empty((len(self.rows), tmp.shape[1]))
@@ -461,8 +468,3 @@ def run_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources, n_steps: in
         raise ValueError(f"coeffs0 must have shape ({n},) or ({n}, {len(sources)})")
     state = state_from_coeffs(params, start_index, coeffs)
     return _run(params, state, sources, n_steps, observers).coeffs
-
-
-def solution_at(basis: SpectralBasis, state: SchemeState, x):
-    """Evaluate the piecewise-linear extension of the current state at x."""
-    return basis.interpolate(state.nodal, x)

@@ -37,7 +37,6 @@ from .integrator import SchemeParams, SchemeState, run_ensemble, run_trajectory
 __all__ = [
     "TestFunctionSpec",
     "TimeAverageObserver",
-    "mass",
     "g_functional",
     "phi_test",
     "lyapunov_v",
@@ -47,11 +46,6 @@ __all__ = [
 
 # ~2.11e-154: below it the bound alpha2^2/2 on |phi| underflows and phi reads 0
 MIN_ALPHA2 = math.sqrt(2.0 * sys.float_info.min)
-
-
-def mass(u: np.ndarray):
-    """Spatial mean (1/N) sum_i u_i; conserved exactly by the scheme."""
-    return np.mean(np.asarray(u, dtype=np.float64), axis=0)
 
 
 @dataclass(frozen=True, eq=False)

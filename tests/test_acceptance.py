@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from schsim import (DriftSpec, NoiseSource, SchemeParams, build_basis,
+from schsim import (DriftSpec, NoiseSource, SchemeParams, SpectralBasis,
                     evaluate_expression, initial_state, run_ensemble,
                     run_ergodic_study, run_spatial_study, run_temporal_study,
                     stationary_variance, step)
@@ -30,7 +30,7 @@ COSINE_THIRD = "(1/3)*cos(x)+1/3"
 def ergodic_study():
     """Shared long-run study for criteria 6 and 7 (both estimators)."""
     return run_ergodic_study(
-        basis=build_basis(64), drift=WELL, sigma=1.0, tau=5e-3,
+        basis=SpectralBasis(64), drift=WELL, sigma=1.0, tau=5e-3,
         t_final=500.0, initials=("1/3", COSINE_THIRD),
         v_expr="exp(x)", alpha1=1.0, alpha2=2.0,
         estimator="both", n_trajectories=50, t_final_ensemble=50.0,
@@ -41,7 +41,7 @@ class TestAcceptance:
     def test_01_eigenstructure(self, criterion):
         worst_res = worst_gram = 0.0
         for n in (8, 64, 512):
-            basis = build_basis(n)
+            basis = SpectralBasis(n)
             residual = basis.apply_laplacian(basis.basis_matrix) \
                 + basis.eigenvalues * basis.basis_matrix
             worst_res = max(worst_res, float(np.max(
@@ -53,7 +53,7 @@ class TestAcceptance:
                   f"(tol 1e-10), Gram deviation {worst_gram:.2e} (tol 1e-12)")
 
     def test_02_mass_conservation(self, criterion):
-        basis = build_basis(64)
+        basis = SpectralBasis(64)
         params = SchemeParams(basis, WELL, 1e-2, 1.0)
         state = initial_state(params, evaluate_expression(COSINE_THIRD, basis.grid))
         c0_start = state.coeffs[0]
@@ -73,7 +73,7 @@ class TestAcceptance:
         The modes couple only through the shared taming denominator, which the
         oracle recomputes from its own coefficient vector each step.
         """
-        basis = build_basis(32)
+        basis = SpectralBasis(32)
         drift = DriftSpec(0.0, 0.0, 1.0, 0.0, validation_mode=True)
         tau, n_steps = 2e-3, 1000
         lam = basis.eigenvalues
@@ -99,7 +99,7 @@ class TestAcceptance:
 
     def test_04_temporal_strong_rate(self, criterion):
         table = run_temporal_study(
-            basis=build_basis(64), drift=WELL, sigma=1.0, t_final=1.0,
+            basis=SpectralBasis(64), drift=WELL, sigma=1.0, t_final=1.0,
             tau_ref=2.0**-12, tau_ladder=[2.0**-k for k in range(4, 9)],
             initial=COSINE_THIRD, seed=2, n_trajectories=100)
         criterion(4, "temporal strong rate", 0.25 <= table.slope <= 0.60,
@@ -136,7 +136,7 @@ class TestAcceptance:
 
     def test_08_initial_condition_dependence(self, criterion):
         study = run_ergodic_study(
-            basis=build_basis(64), drift=WELL, sigma=1.0, tau=5e-3,
+            basis=SpectralBasis(64), drift=WELL, sigma=1.0, tau=5e-3,
             t_final=500.0, initials=("1/3", "1"), v_expr="exp(x)",
             alpha1=0.0, alpha2=3.0, estimator="single", seed=2, thinning=200)
         flucts = []
@@ -153,7 +153,7 @@ class TestAcceptance:
 
     def test_09_stationary_variance(self, criterion):
         """Drift-free scheme: each mode is a scalar AR(1) with known variance."""
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         drift0 = DriftSpec(0.0, 0.0, 0.0, 0.0, validation_mode=True)
         tau, sigma, n_traj = 0.5, 1.0, 100
         n_steps, burn_steps = 700, 100
@@ -182,7 +182,7 @@ class TestAcceptance:
                   "; ".join(parts) + " (tol 0.05, need n_eff >= 1e4)")
 
     def test_10_no_blow_up(self, criterion):
-        basis = build_basis(64)
+        basis = SpectralBasis(64)
         tau, n_steps, n_traj = 1e-2, 50_000, 20
         params = SchemeParams(basis, WELL, tau, 1.0)
         coeffs0 = basis.to_spectral(evaluate_expression(COSINE_THIRD, basis.grid))
@@ -212,8 +212,8 @@ class TestAcceptance:
                     exact = exact and coarse == float(fine.sum())
         small = NoiseSource(11, 4, tau_fine=2.0**-12, n_modes_max=7)
         shared = np.array_equal(
-            small.increment_matrix(build_basis(8), 0, 64),
-            src.increment_matrix(build_basis(64), 0, 64)[:, :8])
+            small.increment_matrix(SpectralBasis(8), 0, 64),
+            src.increment_matrix(SpectralBasis(64), 0, 64)[:, :8])
         criterion(11, "noise refinement exactness", exact and shared,
                   "coarse increments == sums of fine bit-for-bit at ratios "
                   "{2, 4, 8}; N=8 and N=64 share modes 1..7 bit-for-bit")

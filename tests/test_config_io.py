@@ -683,6 +683,77 @@ class TestConvergenceConfigs:
             assert rows and all(math.isfinite(float(row["error"])) for row in rows)
 
 
+@st.composite
+def simulate_settings(draw):
+    """A simulate config at n_modes <= 8, accepted or not: sigma up to 1e160,
+    tau_fine a whole fraction of tau (ratio 1 to 4) or off its grid,
+    horizons off the grid, snapshots, and an optional checkpoint that a
+    second run resumes to a drawn horizon (possibly before the checkpoint)."""
+    tau = draw(st.sampled_from((0.0625, 0.1, 0.25)))
+    horizon = mostly(st.integers(1, 6).map(lambda k: k * tau), st.floats(1e-3, 2.0))
+    settings = {
+        "n_modes": draw(st.integers(2, 8)), "tau": tau,
+        "sigma": draw(st.sampled_from((0.0, 1.0, 1e100, 1e160)) | st.floats(0.0, 1e160)),
+        "initial": draw(EXPRESSIONS),
+        "t_final": draw(horizon),
+        "tau_fine": draw(st.none() | mostly(st.integers(1, 4).map(lambda k: tau / k),
+                                            st.sampled_from((2 * tau, 0.03)))),
+        "snapshot_every": draw(st.none() | mostly(st.integers(0, 4), st.just(-1))),
+        "trajectory_id": draw(st.none() | st.integers(0, 3)),
+    }
+    return ({key: value for key, value in settings.items() if value is not None},
+            draw(st.none() | horizon))
+
+
+class TestSimulateConfigs:
+    def run(self, tmp: Path, name: str, text: str):
+        """Exit code and trajectory file of one run; exit 2 prints only lines
+        naming a config key, exit 1 starts with an ``error:`` line."""
+        cfg = tmp / f"{name}.cfg"
+        cfg.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(cfg), "--out", str(tmp / name),
+                         "--deterministic"])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 2:
+            assert lines and all(line.startswith("error: config: key '") for line in lines)
+        if code == 1:
+            assert lines and lines[0].startswith("error: ")
+        return code, tmp / name / "trajectory.csv"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(case=simulate_settings())
+    @example(case=({"n_modes": 8, "tau": 0.25, "sigma": 1e160, "initial": "1/3",
+                    "t_final": 0.5}, None))
+    def test_every_config_runs_or_fails_with_an_error_line(self, case):
+        """Every run exits 0, 1 or 2 as ``run`` describes; an exit-0 run
+        writes finite values, and its metadata echo, re-fed as a config,
+        reproduces its trajectory file byte for byte."""
+        settings_, resume_t_final = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            ckpt = tmp / "state.ckpt"
+            texts = ["command = simulate\n" + "".join(
+                f"{key} = {format_value(value)}\n" for key, value in settings_.items())]
+            if resume_t_final is not None:
+                texts[0] += f"checkpoint_out = {ckpt}\n"
+                texts.append(f"command = simulate\ncheckpoint_in = {ckpt}\n"
+                             f"t_final = {format_value(resume_t_final)}\n")
+            for i, text in enumerate(texts):
+                code, trajectory = self.run(tmp, f"run{i}", text)
+                if code:
+                    return
+                rows = list(csv.DictReader(line for line in trajectory.read_text().splitlines()
+                                           if not line.startswith("#")))
+                assert rows and all(math.isfinite(float(row["value"])) for row in rows)
+                code, again = self.run(tmp, f"echo{i}", read_metadata_config(trajectory))
+                assert code == 0
+                assert again.read_bytes() == trajectory.read_bytes()
+
+
 class TestCli:
     def write_cfg(self, tmp_path, text, name="run.cfg"):
         path = tmp_path / name
@@ -1112,8 +1183,9 @@ initials = 1/3; 1
                              "t_final = 0.0625\n", "resume.cfg")
         capsys.readouterr()
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == ("error: config: t_final corresponds to step 1, "
-                                           "but the checkpoint is already at step 2\n")
+        assert capsys.readouterr().err == ("error: config: key 't_final': t_final corresponds "
+                                           "to step 1, but the checkpoint is already at "
+                                           "step 2\n")
 
     def test_checkpoint_tau_off_its_tau_fine_exit_2(self, tmp_path, capsys):
         """The tau / tau_fine rule names tau for a checkpoint as for a config."""

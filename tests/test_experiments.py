@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schsim import (DriftSpec, NoiseSource, SchemeParams, TrajectoryBlowUpError,
-                    build_basis, mean_square_error, pairwise_rates,
+from schsim import (DriftSpec, NoiseSource, SchemeParams, SpectralBasis,
+                    TrajectoryBlowUpError, mean_square_error, pairwise_rates,
                     rate_regression, run_ergodic_study, run_spatial_study,
                     run_temporal_study)
 from schsim.experiments import _kappa_rows
@@ -95,7 +95,7 @@ class TestKappaRows:
     def test_rows_are_nearest_midpoints(self):
         n_eval, n_grid = 5, 32
         rows = _kappa_rows(n_eval, n_grid)
-        grid = build_basis(n_grid).grid
+        grid = SpectralBasis(n_grid).grid
         h = np.pi / n_grid
         x = np.arange(n_eval + 1) * np.pi / n_eval
         assert np.all(np.abs(grid[rows] - x) <= h / 2 + 1e-15)
@@ -110,13 +110,13 @@ class TestMeanSquareError:
 
     def test_identical_runs_have_exactly_zero_error(self):
         """Same parameters, same seed: trajectories coincide bit for bit."""
-        params = SchemeParams(build_basis(8), WELL, 2.0**-5)
+        params = SchemeParams(SpectralBasis(8), WELL, 2.0**-5)
         u0 = lambda basis: np.cos(basis.grid) / 3 + 1 / 3
         assert self.run(params, params, u0) == 0.0
 
     def test_single_deterministic_step_matches_hand_computation(self):
         """L=1, sigma=0, one coarse step vs two fine steps, stepped by hand."""
-        basis = build_basis(4)
+        basis = SpectralBasis(4)
         params_c = SchemeParams(basis, LINEAR, 2.0**-4, 0.0)
         params_r = SchemeParams(basis, LINEAR, 2.0**-5, 0.0)
         u0 = np.cos(basis.grid)
@@ -143,7 +143,7 @@ class TestMeanSquareError:
         advance kernel; L = 1 goes through the matrix-vector kernel and may
         sit an ulp or two away.
         """
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         params_c = SchemeParams(basis, WELL, 2.0**-4, 0.0)
         params_r = SchemeParams(basis, WELL, 2.0**-6, 0.0)
         u0 = lambda b: np.cos(b.grid) / 3 + 1 / 3
@@ -157,8 +157,8 @@ class TestMeanSquareError:
     def test_threaded_reduction_is_reproducible(self):
         """Any thread count, zero included, gives the one-thread errors bit
         for bit, for 5 trajectories and for 70."""
-        params_c = SchemeParams(build_basis(8), WELL, 2.0**-7)
-        params_r = SchemeParams(build_basis(32), WELL, 2.0**-7)
+        params_c = SchemeParams(SpectralBasis(8), WELL, 2.0**-7)
+        params_r = SchemeParams(SpectralBasis(32), WELL, 2.0**-7)
         u0 = lambda b: np.cos(b.grid) / 3 + 1 / 3
         for n_trajectories in (5, 70):
             kw = dict(seed=0, t_final=0.25, n_trajectories=n_trajectories)
@@ -180,7 +180,7 @@ class TestMeanSquareError:
             return increment_matrix(self, *args)
 
         monkeypatch.setattr(NoiseSource, "increment_matrix", counting)
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         params_c = SchemeParams(basis, WELL, 2.0**-4, 0.0)
         params_r = SchemeParams(basis, WELL, 2.0**-6, 0.0)
         u0 = np.full(8, 1e160)
@@ -198,7 +198,7 @@ class TestMeanSquareError:
     def test_a_coarse_blow_up_names_its_level(self):
         """A coarse level that blows up while the reference stays finite is
         reported at its own step, with its tau."""
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         params_c = SchemeParams(basis, WELL, 2.0**-4, 0.0)
         params_r = SchemeParams(basis, WELL, 2.0**-6, 0.0)
         with pytest.raises(TrajectoryBlowUpError) as exc_info:
@@ -229,7 +229,7 @@ class TestMeanSquareError:
             return out
 
         monkeypatch.setattr(NoiseSource, "increment_matrix", poisoned)
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         params_c = SchemeParams(basis, WELL, 2.0**-8)
         params_r = SchemeParams(basis, WELL, 2.0**-10)
         u0 = np.cos(basis.grid) / 3
@@ -241,6 +241,35 @@ class TestMeanSquareError:
         assert (exc_info.value.step_index, exc_info.value.trajectory_id) == (bad, 1)
         lockstep = [(l, m) for m in range(0, bad, 512) for l in (0, 1)]
         assert calls == lockstep + lockstep
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_a_blow_up_after_the_last_record_of_a_block_is_caught_there(self, monkeypatch):
+        """An inf in trajectory 1's noise turns the reference non-finite at
+        step 511, after the first block's last coarse record (step 510 at
+        stride 3): no error row sees it, but the block-end check of the
+        states does, so the second block is never drawn."""
+        calls = []
+        increment_matrix = NoiseSource.increment_matrix
+
+        def poisoned(self, basis, m0, m1, ratio=1, out=None):
+            calls.append((self.trajectory_id, m0))
+            out = increment_matrix(self, basis, m0, m1, ratio, out)
+            if self.trajectory_id == 1 and m0 < 511 <= m1:
+                out[510 - m0, 1] = math.inf
+            return out
+
+        monkeypatch.setattr(NoiseSource, "increment_matrix", poisoned)
+        basis = SpectralBasis(8)
+        tau_ref = 2.0**-10
+        u0 = np.cos(basis.grid) / 3
+        with pytest.raises(TrajectoryBlowUpError) as exc_info:
+            mean_square_error(SchemeParams(basis, WELL, 3 * tau_ref),
+                              SchemeParams(basis, WELL, tau_ref), u0, u0, seed=0,
+                              n_trajectories=2, t_final=1026 * tau_ref)
+        assert str(exc_info.value) == ("trajectory 1: non-finite state at step 511 "
+                                       "(level tau=0.0009765625, n_modes=8)")
+        # one lockstep block, then the reference's rerun of it
+        assert calls == [(0, 0), (1, 0), (0, 0), (1, 0)]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_an_overflowing_difference_names_its_level_and_step(self, monkeypatch):
@@ -259,8 +288,8 @@ class TestMeanSquareError:
 
         monkeypatch.setattr(NoiseSource, "increment_matrix", poisoned)
         tau = 2.0**-10
-        params_c = SchemeParams(build_basis(2), WELL, tau)
-        params_r = SchemeParams(build_basis(8), WELL, tau)
+        params_c = SchemeParams(SpectralBasis(2), WELL, tau)
+        params_r = SchemeParams(SpectralBasis(8), WELL, tau)
         u0 = lambda basis: np.cos(basis.grid) / 3
         with pytest.raises(ValueError) as exc_info:
             mean_square_error(params_c, params_r, u0(params_c.basis), u0(params_r.basis),
@@ -281,7 +310,7 @@ class TestMeanSquareError:
                                        "reference step 1: its sum over trajectories overflows")
 
     def test_validation(self):
-        basis8, basis16 = build_basis(8), build_basis(16)
+        basis8, basis16 = SpectralBasis(8), SpectralBasis(16)
         coarse = SchemeParams(basis16, WELL, 2.0**-4)
         ref = SchemeParams(basis8, WELL, 2.0**-5)
         with pytest.raises(ValueError, match="more modes than the reference"):
@@ -300,7 +329,7 @@ class TestMeanSquareError:
 class TestTemporalStudy:
     def test_mini_study_structure(self):
         table = run_temporal_study(
-            basis=build_basis(8), drift=WELL, sigma=1.0, t_final=0.25,
+            basis=SpectralBasis(8), drift=WELL, sigma=1.0, t_final=0.25,
             tau_ref=2.0**-8, tau_ladder=[2.0**-3, 2.0**-4, 2.0**-5],
             initial="(1/3)*cos(x)+1/3", seed=1, n_trajectories=3)
         assert table.kind == "time"
@@ -314,7 +343,7 @@ class TestTemporalStudy:
     def test_deterministic_ladder_has_first_order_slope(self):
         """sigma = 0: plain exponential-Euler accuracy, order ~ 1 in tau."""
         table = run_temporal_study(
-            basis=build_basis(8), drift=WELL, sigma=0.0, t_final=0.25,
+            basis=SpectralBasis(8), drift=WELL, sigma=0.0, t_final=0.25,
             tau_ref=2.0**-10, tau_ladder=[2.0**-4, 2.0**-5, 2.0**-6],
             initial="(1/3)*cos(x)+1/3", seed=0, n_trajectories=1)
         assert table.slope >= 0.9
@@ -322,7 +351,7 @@ class TestTemporalStudy:
     def test_degenerate_single_entry_ladder(self):
         """One ladder entry still yields its error row; no rates, NaN slope."""
         table = run_temporal_study(
-            basis=build_basis(8), drift=WELL, sigma=1.0, t_final=0.25,
+            basis=SpectralBasis(8), drift=WELL, sigma=1.0, t_final=0.25,
             tau_ref=2.0**-6, tau_ladder=[2.0**-3],
             initial="1/3", seed=1, n_trajectories=2)
         assert len(table.rows) == 1
@@ -331,13 +360,13 @@ class TestTemporalStudy:
 
     def test_duplicate_ladder_entries_collapse(self):
         table = run_temporal_study(
-            basis=build_basis(8), drift=WELL, sigma=1.0, t_final=0.25,
+            basis=SpectralBasis(8), drift=WELL, sigma=1.0, t_final=0.25,
             tau_ref=2.0**-6, tau_ladder=[2.0**-3, 0.125, 2.0**-4],
             initial="1/3", seed=1, n_trajectories=2)
         assert len(table.rows) == 2
 
     def test_same_seed_reproduces_bitwise(self):
-        kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, t_final=0.25,
+        kw = dict(basis=SpectralBasis(8), drift=WELL, sigma=1.0, t_final=0.25,
                   tau_ref=2.0**-7, tau_ladder=[2.0**-3, 2.0**-4],
                   initial="1/3", seed=6, n_trajectories=2)
         assert run_temporal_study(**kw).errors() == run_temporal_study(**kw).errors()
@@ -345,7 +374,7 @@ class TestTemporalStudy:
     def test_ladder_must_divide_reference(self):
         with pytest.raises(ValueError, match="integer multiple"):
             run_temporal_study(
-                basis=build_basis(8), drift=WELL, sigma=1.0, t_final=0.25,
+                basis=SpectralBasis(8), drift=WELL, sigma=1.0, t_final=0.25,
                 tau_ref=2.0**-6, tau_ladder=[0.1, 0.05],
                 initial="1/3", seed=1, n_trajectories=1)
 
@@ -353,7 +382,7 @@ class TestTemporalStudy:
         """Pinned float-hex errors: noise refinement and the error reduction
         must not move a single bit (640 reference steps span two blocks)."""
         table = run_temporal_study(
-            basis=build_basis(8), drift=WELL, sigma=1.0, t_final=2.5,
+            basis=SpectralBasis(8), drift=WELL, sigma=1.0, t_final=2.5,
             tau_ref=2.0**-8, tau_ladder=[2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7],
             initial="(1/3)*cos(x)+1/3", seed=3, n_trajectories=3)
         assert [e.hex() for e in table.errors()] == [
@@ -367,7 +396,7 @@ class TestTemporalStudy:
         def errors(block_steps):
             monkeypatch.setattr(integrator, "_BLOCK_STEPS", block_steps)
             return run_temporal_study(
-                basis=build_basis(8), drift=WELL, sigma=1.0, t_final=600 * 2.0**-10,
+                basis=SpectralBasis(8), drift=WELL, sigma=1.0, t_final=600 * 2.0**-10,
                 tau_ref=2.0**-10, tau_ladder=[3 * 2.0**-10, 5 * 2.0**-10, 15 * 2.0**-10],
                 initial="(1/3)*cos(x)+1/3", seed=4, n_trajectories=2).errors()
 
@@ -376,7 +405,7 @@ class TestTemporalStudy:
         assert errors(7) == whole
 
     def test_horizon_must_be_whole_steps(self):
-        kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau_ref=2.0**-6,
+        kw = dict(basis=SpectralBasis(8), drift=WELL, sigma=1.0, tau_ref=2.0**-6,
                   initial="1/3", seed=1, n_trajectories=1)
         with pytest.raises(ValueError, match="t_final in steps of tau_ref"):
             run_temporal_study(t_final=0.25 + 2.0**-8, tau_ladder=[2.0**-3], **kw)
@@ -390,7 +419,7 @@ class TestTemporalStudy:
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             run_temporal_study(
-                basis=build_basis(8), drift=WELL, sigma=1.0, t_final=0.25,
+                basis=SpectralBasis(8), drift=WELL, sigma=1.0, t_final=0.25,
                 tau_ref=2.0**-6, tau_ladder=[],
                 initial="1/3", seed=1, n_trajectories=1)
 
@@ -451,7 +480,7 @@ class TestCoupledCore:
            seed=st.integers(0, 2**32))
     def test_temporal_rows_are_one_rung_errors(self, strides, n_modes, n_traj, seed):
         tau_ref = 2.0**-9
-        basis = build_basis(n_modes)
+        basis = SpectralBasis(n_modes)
         kw = dict(seed=seed, n_trajectories=n_traj, t_final=48 * tau_ref)
         table = run_temporal_study(basis=basis, drift=WELL, sigma=1.0, tau_ref=tau_ref,
                                    tau_ladder=[s * tau_ref for s in strides],
@@ -470,14 +499,14 @@ class TestCoupledCore:
         kw = dict(seed=seed, n_trajectories=n_traj, t_final=16 * tau)
         table = run_spatial_study(drift=WELL, sigma=1.0, tau=tau, n_modes_ladder=ns,
                                   n_modes_ref=n_ref, initial=self.INITIAL, **kw)
-        params_ref = SchemeParams(build_basis(n_ref), WELL, tau)
+        params_ref = SchemeParams(SpectralBasis(n_ref), WELL, tau)
         assert table.errors() == [
-            self.one_rung(SchemeParams(build_basis(row.n_modes), WELL, tau), params_ref, **kw)
+            self.one_rung(SchemeParams(SpectralBasis(row.n_modes), WELL, tau), params_ref, **kw)
             for row in table.rows]
 
     def test_studies_need_a_trajectory(self):
         with pytest.raises(ValueError, match="n_trajectories must be positive"):
-            run_temporal_study(basis=build_basis(8), drift=WELL, sigma=1.0, t_final=0.25,
+            run_temporal_study(basis=SpectralBasis(8), drift=WELL, sigma=1.0, t_final=0.25,
                                tau_ref=2.0**-6, tau_ladder=[2.0**-3],
                                initial="1/3", seed=1, n_trajectories=0)
         with pytest.raises(ValueError, match="n_trajectories must be positive"):
@@ -512,7 +541,7 @@ class TestCoupledCore:
         """tau^9 / h > 1 is reported for every ladder level and the reference
         that breaks it, and for no other."""
         temporal = lambda: run_temporal_study(
-            basis=build_basis(256), drift=WELL, sigma=1.0, t_final=3.75,
+            basis=SpectralBasis(256), drift=WELL, sigma=1.0, t_final=3.75,
             tau_ref=0.125, tau_ladder=[0.75, 0.625, 0.25],
             initial="1/3", seed=1, n_trajectories=1)
         assert self.coupling_warnings(temporal) == {(0.75, 256), (0.625, 256)}
@@ -527,7 +556,7 @@ class TestErgodicStudy:
     def test_constant_fixed_point_average_is_phi_of_initial(self):
         """sigma = 0 from u = -a1/(3 a0) = 1/3: a constant trajectory whose
         time average must equal phi evaluated at the initial field."""
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         res = run_ergodic_study(
             basis=basis, drift=WELL, sigma=0.0, tau=1e-2, t_final=0.5,
             initials=("1/3",), v_expr="exp(x)", alpha1=0.0, alpha2=2.0,
@@ -539,7 +568,7 @@ class TestErgodicStudy:
 
     def test_both_estimators_produce_labelled_runs(self):
         res = run_ergodic_study(
-            basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.3,
+            basis=SpectralBasis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.3,
             initials=("1/3", "1"), v_expr="exp(x)", alpha1=1.0, alpha2=2.0,
             estimator="both", n_trajectories=3, t_final_ensemble=0.1, seed=0)
         labels = [run.label for run in res.runs]
@@ -553,7 +582,7 @@ class TestErgodicStudy:
 
     def test_burn_in_discards_transient_samples(self):
         res = run_ergodic_study(
-            basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.3,
+            basis=SpectralBasis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.3,
             initials=("1/3",), v_expr="exp(x)", alpha1=1.0, alpha2=2.0,
             estimator="single", seed=0, burn_in=0.1)
         assert res.runs[0].n_samples == 21     # steps 10..30 inclusive
@@ -562,7 +591,7 @@ class TestErgodicStudy:
     def test_burn_in_must_leave_a_sample(self):
         """The burn-in is checked against every horizon that runs; a burn-in
         equal to the horizon keeps exactly the final state."""
-        kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.3,
+        kw = dict(basis=SpectralBasis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.3,
                   initials=("1/3",), v_expr="exp(x)", alpha1=1.0, alpha2=2.0,
                   n_trajectories=2, t_final_ensemble=0.05, seed=0)
         with pytest.raises(HorizonError, match="no samples") as exc_info:
@@ -580,7 +609,7 @@ class TestErgodicStudy:
         """Pinned float-hex results of both estimators with a burn-in and a
         thinning that leaves the last sample off the recording cadence."""
         res = run_ergodic_study(
-            basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.5,
+            basis=SpectralBasis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.5,
             initials=("(1/3)*cos(x)+1/3",), v_expr="exp(x)", alpha1=1.0, alpha2=2.0,
             estimator="both", n_trajectories=3, t_final_ensemble=0.2, seed=3,
             burn_in=0.05, thinning=4)
@@ -604,7 +633,7 @@ class TestErgodicStudy:
                    for x in (run.estimate, *(v for entry in run.history for v in entry)))
 
     def test_single_estimator_streams_are_reused_verbatim(self):
-        kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2,
+        kw = dict(basis=SpectralBasis(8), drift=WELL, sigma=1.0, tau=1e-2,
                   t_final=0.3, v_expr="exp(x)", alpha1=1.0, alpha2=2.0,
                   estimator="single", seed=5)
         a = run_ergodic_study(initials=("1/3",), **kw)
@@ -612,7 +641,7 @@ class TestErgodicStudy:
         assert a.runs[0].estimate == b.runs[0].estimate
 
     def test_validation(self):
-        kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2,
+        kw = dict(basis=SpectralBasis(8), drift=WELL, sigma=1.0, tau=1e-2,
                   t_final=0.3, v_expr="exp(x)", alpha1=1.0, alpha2=2.0, seed=0)
         with pytest.raises(ValueError, match="estimator"):
             run_ergodic_study(initials=("1/3",), estimator="median", **kw)
@@ -622,13 +651,13 @@ class TestErgodicStudy:
     def test_initials_beyond_the_ensemble_id_base_are_refused(self):
         """Single run i draws trajectory id i and ensemble ids start at
         10 000, so the 10 001st initial would reuse ensemble[0]'s noise."""
-        kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2,
+        kw = dict(basis=SpectralBasis(8), drift=WELL, sigma=1.0, tau=1e-2,
                   t_final=0.3, v_expr="exp(x)", alpha1=1.0, alpha2=2.0, seed=0)
         with pytest.raises(ValueError, match="at most 10000 initial conditions, got 10001"):
             run_ergodic_study(initials=("1/3",) * 10_001, **kw)
 
     def test_horizons_must_be_whole_steps(self):
-        kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2,
+        kw = dict(basis=SpectralBasis(8), drift=WELL, sigma=1.0, tau=1e-2,
                   initials=("1/3",), v_expr="exp(x)", alpha1=1.0, alpha2=2.0, seed=0)
         with pytest.raises(ValueError, match="t_final in steps of tau"):
             run_ergodic_study(t_final=0.305, estimator="single", **kw)
@@ -647,7 +676,7 @@ class TestErgodicStudy:
     def test_non_finite_horizons_name_their_key(self, override, key):
         """An infinite or NaN horizon or burn-in is a HorizonError naming its
         key, not an OverflowError or a bare ValueError from rounding it."""
-        kw = dict(basis=build_basis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.3,
+        kw = dict(basis=SpectralBasis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.3,
                   initials=("1/3",), v_expr="exp(x)", alpha1=1.0, alpha2=2.0,
                   estimator="both", n_trajectories=2, seed=0)
         with pytest.raises(HorizonError, match="must be a") as exc_info:

@@ -9,18 +9,18 @@ exactly the discrete dispersion relation lambda = 4N^2/pi^2 sin^2(j pi/2N).
 import numpy as np
 import pytest
 
-from schsim import SpectralBasis, build_basis
+from schsim import SpectralBasis
 
 
 class TestConstruction:
     def test_build_basis_returns_spectral_basis(self):
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         assert isinstance(basis, SpectralBasis)
         assert basis.n_modes == 8
 
     def test_grid_is_midpoints(self):
         """x_i = (i - 1/2) h with h = pi/N, strictly inside (0, pi)."""
-        basis = build_basis(6)
+        basis = SpectralBasis(6)
         h = np.pi / 6
         assert basis.h == pytest.approx(h, abs=0)
         np.testing.assert_allclose(basis.grid, (np.arange(1, 7) - 0.5) * h,
@@ -28,7 +28,7 @@ class TestConstruction:
         assert basis.grid[0] > 0 and basis.grid[-1] < np.pi
 
     def test_mode_zero_column_is_constant(self):
-        basis = build_basis(5)
+        basis = SpectralBasis(5)
         np.testing.assert_array_equal(basis.basis_matrix[:, 0],
                                       np.full(5, np.sqrt(1.0 / np.pi)))
 
@@ -46,16 +46,16 @@ class TestConstruction:
 class TestEigenstructure:
     def test_eigenvalue_zero_is_exact(self):
         for n in (2, 7, 64):
-            assert build_basis(n).eigenvalues[0] == 0.0
+            assert SpectralBasis(n).eigenvalues[0] == 0.0
 
     def test_smallest_nonzero_eigenvalue_n2(self):
         # lambda_{2,1} = 4*4/pi^2 * sin^2(pi/4) = 8/pi^2, frozen by hand
-        basis = build_basis(2)
+        basis = SpectralBasis(2)
         assert basis.eigenvalues[1] == pytest.approx(8.0 / np.pi**2, rel=1e-15)
 
     def test_eigenvalues_increase_to_continuum(self):
         """lambda_{N,j} <= j^2 and the defect is O(j^4 / N^2)."""
-        basis = build_basis(32)
+        basis = SpectralBasis(32)
         j = np.arange(32)
         lam = basis.eigenvalues
         assert np.all(np.diff(lam) > 0)
@@ -73,7 +73,7 @@ class TestEigenstructure:
         N = 512 exercises the integer angle reduction: naive cos(j * x_i)
         calls lose ~1e-8 here because of the N^2 stencil scale.
         """
-        basis = build_basis(n)
+        basis = SpectralBasis(n)
         residual = basis.apply_laplacian(basis.basis_matrix)
         residual += basis.eigenvalues[None, :] * basis.basis_matrix
         worst = basis.norm(residual, "l2").max()
@@ -81,7 +81,7 @@ class TestEigenstructure:
 
     def test_gram_matrix_is_identity(self):
         """Sampled cosines are orthonormal under the (pi/N)-weighted product."""
-        basis = build_basis(16)
+        basis = SpectralBasis(16)
         gram = basis.h * (basis.basis_matrix.T @ basis.basis_matrix)
         assert np.max(np.abs(gram - np.eye(16))) <= 1e-12
 
@@ -89,20 +89,20 @@ class TestEigenstructure:
 class TestTransforms:
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(7)
-        basis = build_basis(24)
+        basis = SpectralBasis(24)
         u = rng.standard_normal(24)
         np.testing.assert_allclose(basis.from_spectral(basis.to_spectral(u)),
                                    u, rtol=0, atol=1e-13)
 
     def test_parseval_identity(self):
         rng = np.random.default_rng(8)
-        basis = build_basis(33)
+        basis = SpectralBasis(33)
         u = rng.standard_normal(33)
         c = basis.to_spectral(u)
         assert np.sum(c * c) == pytest.approx(basis.norm(u, "l2") ** 2, rel=1e-13)
 
     def test_transform_of_constant_is_mode_zero(self):
-        basis = build_basis(10)
+        basis = SpectralBasis(10)
         c = basis.to_spectral(np.full(10, 3.0))
         # <3, phi_0> = 3 sqrt(pi); all oscillating modes integrate to zero
         assert c[0] == pytest.approx(3.0 * np.sqrt(np.pi), rel=1e-14)
@@ -110,7 +110,7 @@ class TestTransforms:
 
     def test_stacked_fields_transform_columnwise(self):
         rng = np.random.default_rng(9)
-        basis = build_basis(12)
+        basis = SpectralBasis(12)
         stack = rng.standard_normal((12, 3))
         c = basis.to_spectral(stack)
         # matrix and vector BLAS paths may differ in the last ulp
@@ -119,7 +119,7 @@ class TestTransforms:
                                        rtol=0, atol=1e-14)
 
     def test_wrong_leading_dimension_rejected(self):
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         with pytest.raises(ValueError, match="leading dimension 8"):
             basis.to_spectral(np.zeros(9))
         with pytest.raises(ValueError, match="leading dimension 8"):
@@ -129,7 +129,7 @@ class TestTransforms:
                                    np.zeros(7), np.zeros((0, 8)), [[1.0]] * 9],
                              ids=["scalar", "0-d", "3-d", "short", "empty", "list"])
     def test_every_malformed_field_is_refused_with_its_shape(self, u):
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         shape = np.shape(u)
         for transform, name in ((basis.to_spectral, "field"),
                                 (basis.from_spectral, "coefficients")):
@@ -141,7 +141,7 @@ class TestTransforms:
     def test_fields_are_converted_unless_already_float64(self):
         """Lists, float32 and non-native byte order go through float64 and
         transform like the float64 array; a float64 array is used as it is."""
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         u = np.random.default_rng(4).standard_normal((8, 3)).astype(np.float32)
         exact = u.astype(np.float64)
         for given_u in (u, u.tolist(), exact.astype(">f8"), exact[:, 1], u[:, 1].tolist()):
@@ -158,7 +158,7 @@ class TestTransforms:
     def test_out_rows_of_a_stack_get_the_bits_of_a_new_array(self, width):
         """A transform into rows of a larger C-contiguous array, as a level
         stack writes it, gives the bits of the transform that allocates."""
-        basis = build_basis(16)
+        basis = SpectralBasis(16)
         shape = (16,) if width is None else (16, width)
         u = np.random.default_rng(3).standard_normal(shape)
         for transform in (basis.to_spectral, basis.from_spectral):
@@ -173,133 +173,94 @@ class TestLaplacianStencil:
     def test_two_point_stencil_by_hand(self):
         # N=2: out = (N/pi)^2 * (u2-u1, u1-u2); for u=(1,-1) that is
         # (4/pi^2)*(-2, 2) = (-8/pi^2, 8/pi^2)
-        basis = build_basis(2)
+        basis = SpectralBasis(2)
         out = basis.apply_laplacian(np.array([1.0, -1.0]))
         np.testing.assert_allclose(out, [-8.0 / np.pi**2, 8.0 / np.pi**2],
                                    rtol=1e-15)
 
     def test_annihilates_constants(self):
-        basis = build_basis(17)
+        basis = SpectralBasis(17)
         out = basis.apply_laplacian(np.full(17, 2.5))
         np.testing.assert_array_equal(out, np.zeros(17))
 
     def test_row_sums_vanish(self):
         """Reflecting end rows make every stencil row sum to zero (mass)."""
-        basis = build_basis(9)
+        basis = SpectralBasis(9)
         columns = basis.apply_laplacian(np.eye(9))
         np.testing.assert_allclose(columns.sum(axis=1), np.zeros(9), atol=1e-12)
 
 
 class TestNorms:
     def test_l2_of_constant_one_is_sqrt_pi(self):
-        basis = build_basis(50)
+        basis = SpectralBasis(50)
         assert basis.norm(np.ones(50), "l2") == pytest.approx(np.sqrt(np.pi),
                                                               rel=1e-14)
 
     def test_linf(self):
-        basis = build_basis(4)
+        basis = SpectralBasis(4)
         assert basis.norm(np.array([3.0, -4.0, 1.0, 0.5]), "linf") == 4.0
 
     def test_lp_matches_l2_at_p_two(self):
         rng = np.random.default_rng(10)
-        basis = build_basis(20)
+        basis = SpectralBasis(20)
         u = rng.standard_normal(20)
         assert basis.norm(u, "lp", p=2) == pytest.approx(basis.norm(u, "l2"),
                                                          rel=1e-13)
 
     def test_l1_of_constant(self):
-        basis = build_basis(30)
+        basis = SpectralBasis(30)
         assert basis.norm(np.ones(30), "lp", p=1) == pytest.approx(np.pi,
                                                                    rel=1e-14)
 
     def test_w12_of_single_mode(self):
         """||phi_j||_w12^2 = 1 + lambda_j for a unit-coefficient mode."""
-        basis = build_basis(16)
+        basis = SpectralBasis(16)
         u = basis.from_spectral(np.eye(16)[3])
         expected = np.sqrt(1.0 + basis.eigenvalues[3])
         assert basis.norm(u, "w12") == pytest.approx(expected, rel=1e-12)
 
     def test_w12_of_constant_has_no_gradient_part(self):
-        basis = build_basis(16)
+        basis = SpectralBasis(16)
         assert basis.norm(np.full(16, 2.0), "w12") == pytest.approx(
             2.0 * np.sqrt(np.pi), rel=1e-13)
 
     def test_norm_of_stack_is_per_column(self):
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         stack = np.stack([np.ones(8), 2 * np.ones(8)], axis=1)
         np.testing.assert_allclose(basis.norm(stack, "l2"),
                                    [np.sqrt(np.pi), 2 * np.sqrt(np.pi)],
                                    rtol=1e-14)
 
     def test_lp_requires_valid_exponent(self):
-        basis = build_basis(4)
+        basis = SpectralBasis(4)
         with pytest.raises(ValueError, match="p >= 1"):
             basis.norm(np.ones(4), "lp")
         with pytest.raises(ValueError, match="p >= 1"):
             basis.norm(np.ones(4), "lp", p=0.5)
 
     def test_unknown_kind_rejected(self):
-        basis = build_basis(4)
+        basis = SpectralBasis(4)
         with pytest.raises(ValueError, match="unknown norm kind"):
             basis.norm(np.ones(4), "h2")
 
 
-class TestInterpolation:
-    def test_exact_at_midpoints(self):
-        rng = np.random.default_rng(11)
-        basis = build_basis(13)
-        u = rng.standard_normal(13)
-        np.testing.assert_allclose(basis.interpolate(u, basis.grid), u,
-                                   rtol=0, atol=0)
-
-    def test_linear_between_midpoints(self):
-        basis = build_basis(8)
-        u = np.arange(8.0)
-        mid = 0.5 * (basis.grid[2] + basis.grid[3])
-        assert basis.interpolate(u, mid) == pytest.approx(2.5, abs=1e-14)
-
-    def test_constant_extension_on_boundary_strips(self):
-        """Outside [x_1, x_N] the extension holds the end values flat."""
-        basis = build_basis(8)
-        u = np.arange(8.0) + 1.0
-        assert basis.interpolate(u, 0.0) == u[0]
-        assert basis.interpolate(u, np.pi) == u[-1]
-
-    def test_scalar_in_scalar_out(self):
-        basis = build_basis(8)
-        value = basis.interpolate(np.ones(8), 1.0)
-        assert isinstance(value, float)
-
-    def test_rejects_points_outside_domain(self):
-        basis = build_basis(8)
-        with pytest.raises(ValueError, match=r"\[0, pi\]"):
-            basis.interpolate(np.ones(8), -0.1)
-        with pytest.raises(ValueError, match=r"\[0, pi\]"):
-            basis.interpolate(np.ones(8), np.array([1.0, 3.5]))
-
-    def test_rejects_stacks(self):
-        basis = build_basis(8)
-        with pytest.raises(ValueError, match="single field"):
-            basis.interpolate(np.ones((8, 2)), 1.0)
-
-
 class TestSemigroupAndSmoothing:
     def test_factor_at_zero_time_is_identity(self):
-        basis = build_basis(12)
+        basis = SpectralBasis(12)
         np.testing.assert_array_equal(basis.semigroup_factor(0.0), np.ones(12))
 
     def test_mean_mode_is_conserved_exactly(self):
-        basis = build_basis(12)
+        basis = SpectralBasis(12)
         assert basis.semigroup_factor(123.4)[0] == 1.0
 
     def test_factor_decreases_with_time_and_mode(self):
-        basis = build_basis(12)
+        basis = SpectralBasis(12)
         f1, f2 = basis.semigroup_factor(0.01), basis.semigroup_factor(0.02)
         assert np.all(f2[1:] < f1[1:])
         assert np.all(np.diff(f1) < 0)
 
     def test_factor_rejects_bad_times(self):
-        basis = build_basis(12)
+        basis = SpectralBasis(12)
         with pytest.raises(ValueError):
             basis.semigroup_factor(-1e-9)
         with pytest.raises(ValueError):

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.random import Philox
 
-from schsim import (DriftSpec, NoiseSource, SchemeParams, SchemeState,
-                    TestFunctionSpec, TrajectoryBlowUpError, build_basis, initial_state,
-                    phi_test, read_checkpoint, run_ensemble, run_trajectory, solution_at,
+from schsim import (DriftSpec, NoiseSource, SchemeParams, SchemeState, SpectralBasis,
+                    TestFunctionSpec, TrajectoryBlowUpError, initial_state,
+                    phi_test, read_checkpoint, run_ensemble, run_trajectory,
                     state_from_coeffs, step, write_checkpoint)
 from schsim import noise
 from schsim.integrator import (HorizonError, _advance, _noise_blocks, _stack_levels,
@@ -32,7 +32,7 @@ WELL = DriftSpec(0.5, -0.5, 1.0, -1.0)
 
 
 def make_params(n=16, tau=1e-2, sigma=1.0, drift=WELL):
-    return SchemeParams(build_basis(n), drift, tau, sigma)
+    return SchemeParams(SpectralBasis(n), drift, tau, sigma)
 
 
 def make_source(params, seed=3, trajectory_id=0):
@@ -89,13 +89,13 @@ class TestDriftSpec:
 
 class TestSchemeParams:
     def test_tau_range(self):
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         for bad in (0.0, -0.1, 1.0, float("nan")):
             with pytest.raises(ValueError, match="tau"):
                 SchemeParams(basis, WELL, bad)
 
     def test_sigma_range(self):
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         with pytest.raises(ValueError, match="sigma"):
             SchemeParams(basis, WELL, 0.1, -1.0)
 
@@ -115,7 +115,7 @@ class TestSchemeParams:
         steep = DriftSpec(0.0, 0.0, -50.0, 0.0, validation_mode=True)
         with pytest.warns(RuntimeWarning,
                           match=r"dissipativity.*estimated on \[-8\.0, 8\.0\]"):
-            SchemeParams(build_basis(8), steep, 0.1)
+            SchemeParams(SpectralBasis(8), steep, 0.1)
 
     def test_no_warning_for_double_well(self):
         with warnings.catch_warnings():
@@ -601,7 +601,7 @@ class TestNoiseBlocks:
     def test_blocks_are_one_buffer_filled_in_place(self):
         """Every block, the short last one included, is a view of one buffer
         whose slot l holds source l's increments bit for bit."""
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         sources = [NoiseSource(4, l, tau_fine=0.01, n_modes_max=7) for l in range(3)]
         blocks = []
         for m, block in _noise_blocks(basis, sources, 2, 100, 1300):
@@ -639,7 +639,7 @@ class TestNoiseBlocks:
         exactly its budget of Philox words: per mode and block request, the
         words it returns plus the alignment words below its first one."""
         n_steps = min(n_steps, max(1, 600_000 // (width * n)))  # bounds the run time
-        basis = self.BASES.setdefault(n, build_basis(n))
+        basis = self.BASES.setdefault(n, SpectralBasis(n))
         counted = []
 
         class CountingPhilox(Philox):
@@ -673,7 +673,7 @@ class TestAcceptedInputs:
            drift=st.tuples(st.floats(0.0, 4.0), *[st.floats(-4.0, 4.0)] * 3),
            seed=st.integers(0, 2**64 - 1))
     def test_mass_is_exact(self, n, tau, sigma, drift, seed):
-        basis = self.BASES.setdefault(n, build_basis(n))
+        basis = self.BASES.setdefault(n, SpectralBasis(n))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # dissipativity margin
             params = SchemeParams(basis, DriftSpec(*drift, validation_mode=drift[0] == 0),
@@ -696,7 +696,7 @@ class TestAcceptedInputs:
     def test_a_single_trajectory_is_the_one_column_stack(self, n, tau, seed):
         """The kernel, both transforms and phi give an (N,) vector exactly
         the bits of column 0 of the same (N, 1) stack."""
-        basis = self.BASES.setdefault(n, build_basis(n))
+        basis = self.BASES.setdefault(n, SpectralBasis(n))
         params = SchemeParams(basis, WELL, tau)
         spec = TestFunctionSpec.from_expression(basis, "exp(x)", 1.0, 2.0)
         rng = np.random.default_rng(seed)
@@ -796,14 +796,6 @@ class TestTrajectories:
             with pytest.raises(TrajectoryBlowUpError) as exc_info:
                 run_trajectory(params, state, make_source(params, trajectory_id=7), 3)
         assert exc_info.value.trajectory_id == 7
-
-    def test_solution_at_midpoints_recovers_nodal_values(self):
-        params = make_params(n=8)
-        u0 = np.sin(params.basis.grid)
-        state = initial_state(params, u0)
-        np.testing.assert_allclose(solution_at(params.basis, state,
-                                               params.basis.grid),
-                                   u0, atol=1e-13)
 
 
 class TestEnsemble:

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from schsim import (DriftSpec, NoiseSource, SchemeParams, build_basis,
+from schsim import (DriftSpec, NoiseSource, SchemeParams, SpectralBasis,
                     noise, run_ensemble, run_spatial_study, run_temporal_study,
                     stationary_variance)
 
@@ -104,20 +104,20 @@ class TestRefinement:
 
     def test_increment_field_mean_mode_is_zero(self):
         src = make_source()
-        field = src.increment_field(build_basis(8), m=0)
+        field = src.increment_field(SpectralBasis(8), m=0)
         assert field[0] == 0.0
         assert np.all(field[1:] != 0.0)
 
     def test_increment_field_matches_per_mode_calls(self):
         src = make_source()
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         field = src.increment_field(basis, m=3, ratio=4)
         for j in range(1, 8):
             assert field[j] == src.coarse_increment(j, 3, 4)
 
     def test_increment_matrix_rows_match_fields_bitwise(self):
         src = make_source()
-        basis = build_basis(16)
+        basis = SpectralBasis(16)
         block = src.increment_matrix(basis, 5, 9, ratio=2)
         assert block.shape == (4, 16)
         for m in range(5, 9):
@@ -127,8 +127,8 @@ class TestRefinement:
     def test_truncation_consistency_between_bases(self):
         """increment_field on N=8 is the first 8 entries of the N=64 field."""
         src = make_source()
-        small = src.increment_field(build_basis(8), m=11)
-        large = src.increment_field(build_basis(64), m=11)
+        small = src.increment_field(SpectralBasis(8), m=11)
+        large = src.increment_field(SpectralBasis(64), m=11)
         np.testing.assert_array_equal(small, large[:8])
 
 
@@ -136,7 +136,7 @@ BASES = {}
 
 
 def cached_basis(n):
-    return BASES.setdefault(n, build_basis(n))
+    return BASES.setdefault(n, SpectralBasis(n))
 
 
 class TestRefinementProperties:
@@ -250,7 +250,7 @@ class TestProducer:
     def test_temporal_study_draws_reference_increments_once(self, draws):
         # 640 reference steps, ladder strides 16, 8, 4 and 2
         run_temporal_study(
-            basis=build_basis(8), drift=DriftSpec(0.5, -0.5, 1.0, -1.0),
+            basis=SpectralBasis(8), drift=DriftSpec(0.5, -0.5, 1.0, -1.0),
             sigma=1.0, t_final=2.5, tau_ref=2.0**-8,
             tau_ladder=[2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7],
             initial="1/3", seed=1, n_trajectories=2)
@@ -264,7 +264,7 @@ class TestProducer:
         self.assert_budget(draws, 2 * 31 * 640)
 
     def test_ensemble_draws_each_increment_once(self, draws):
-        params = SchemeParams(build_basis(8), DriftSpec(0.5, -0.5, 1.0, -1.0), 0.04)
+        params = SchemeParams(SpectralBasis(8), DriftSpec(0.5, -0.5, 1.0, -1.0), 0.04)
         sources = [NoiseSource(3, l, tau_fine=0.01, n_modes_max=7) for l in range(3)]
         run_ensemble(params, np.zeros(8), sources, 100)
         self.assert_budget(draws, 3 * 7 * 100 * 4)
@@ -284,7 +284,7 @@ class TestOracle:
     @pytest.mark.parametrize("n", [2, 8, 65, 257])
     def test_every_method_matches_reference(self, n, ratio):
         src = make_source(seed=11, trajectory_id=7, n_modes_max=n - 1)
-        basis = build_basis(n)
+        basis = SpectralBasis(n)
         m0, m1 = self.STEPS[ratio]
         expected = reference_matrix(src, n, m0, m1, ratio)
         assert_bits(src.increment_matrix(basis, m0, m1, ratio), expected)
@@ -303,14 +303,14 @@ class TestOracle:
         """Requests longer than 512 words are quantized in passes of fewer
         modes (51 and 2 of them here)."""
         src = make_source(seed=11, trajectory_id=7, n_modes_max=n - 1)
-        assert_bits(src.increment_matrix(build_basis(n), m0, m1, ratio),
+        assert_bits(src.increment_matrix(SpectralBasis(n), m0, m1, ratio),
                     reference_matrix(src, n, m0, m1, ratio))
 
     def test_pinned_values(self):
         """Entries of two matrices, recorded from the per-mode producer."""
         src = make_source(seed=2024, trajectory_id=5, n_modes_max=256)
-        m1 = src.increment_matrix(build_basis(257), 2001, 2101, 1)
-        m3 = src.increment_matrix(build_basis(65), 667, 700, 3)
+        m1 = src.increment_matrix(SpectralBasis(257), 2001, 2101, 1)
+        m3 = src.increment_matrix(SpectralBasis(65), 667, 700, 3)
         assert [float(m1[i, j]).hex() for i, j in ((0, 1), (46, 64), (47, 65), (99, 256))] == [
             "-0x1.d71d70a700000p-8", "-0x1.1f6e810200000p-4",
             "-0x1.949dd39280000p-7", "0x1.507e5b9800000p-10"]
@@ -324,7 +324,7 @@ class TestOracle:
         strided slot of a (steps, N, L) block, the increments are those of a
         fresh call bit for bit, and a NaN mode 0 is overwritten with 0.0."""
         src = make_source(seed=11, trajectory_id=7, n_modes_max=n - 1)
-        basis = build_basis(n)
+        basis = SpectralBasis(n)
         m0, m1 = self.STEPS[ratio]
         expected = src.increment_matrix(basis, m0, m1, ratio)
         contiguous = np.full((m1 - m0, n), np.nan)
@@ -338,11 +338,11 @@ class TestOracle:
     def test_out_of_the_wrong_shape_is_rejected(self):
         src = make_source(n_modes_max=7)
         with pytest.raises(ValueError, match="shape"):
-            src.increment_matrix(build_basis(8), 0, 4, 1, np.empty((4, 7)))
+            src.increment_matrix(SpectralBasis(8), 0, 4, 1, np.empty((4, 7)))
         with pytest.raises(ValueError, match="shape"):
-            src.increment_matrix(build_basis(8), 0, 4, 1, np.empty((8, 4)).T[:3])
+            src.increment_matrix(SpectralBasis(8), 0, 4, 1, np.empty((8, 4)).T[:3])
         with pytest.raises(ValueError, match="float64"):
-            src.increment_matrix(build_basis(8), 0, 4, 1, np.empty((4, 8), np.float32))
+            src.increment_matrix(SpectralBasis(8), 0, 4, 1, np.empty((4, 8), np.float32))
 
     def test_a_substituted_philox_gives_the_same_words(self, monkeypatch):
         """The counter reset carries the generator's own class name, so a
@@ -352,11 +352,11 @@ class TestOracle:
             pass
 
         expected = make_source(seed=3, n_modes_max=64).increment_matrix(
-            build_basis(65), 2001, 2103)
+            SpectralBasis(65), 2001, 2103)
         monkeypatch.setattr(noise, "Philox", Subclass)
         src = make_source(seed=3, n_modes_max=64)
         assert type(src._philox) is Subclass
-        assert_bits(src.increment_matrix(build_basis(65), 2001, 2103), expected)
+        assert_bits(src.increment_matrix(SpectralBasis(65), 2001, 2103), expected)
 
     def test_the_top_word_gives_a_finite_increment(self, monkeypatch):
         """A word whose top 53 bits are all ones rounds to u = 1.0, whose
@@ -378,7 +378,7 @@ class TestOracle:
         """Modes are quantized at most 64 at a time, so the peak traced
         memory of a request stays under twice its output."""
         src = make_source(n_modes_max=255)
-        basis = build_basis(256)
+        basis = SpectralBasis(256)
         src.increment_matrix(basis, 0, 4)  # warm up outside the trace
         tracemalloc.start()
         try:
@@ -500,9 +500,9 @@ class TestValidation:
     def test_basis_wider_than_declared_modes(self):
         src = make_source(n_modes_max=4)
         with pytest.raises(ValueError, match="at most 4"):
-            src.increment_field(build_basis(8), 0)
+            src.increment_field(SpectralBasis(8), 0)
         with pytest.raises(ValueError, match="at most 4"):
-            src.increment_matrix(build_basis(8), 0, 2)
+            src.increment_matrix(SpectralBasis(8), 0, 2)
 
 
 _HEAVY_MODULES = ("scipy.special", "scipy._lib.array_api_compat", "numpy.f2py",
@@ -579,9 +579,9 @@ class TestNdtriLoading:
             "public = 'scipy.special' in sys.modules and noise.ndtri is scipy.special.ndtri\n"
             "special = sys.modules['scipy.special']\n"
             "stub = special.__spec__ is None or vars(scipy).get('special') is not special\n"
-            "from schsim import build_basis\n"
+            "from schsim import SpectralBasis\n"
             "src = noise.NoiseSource(2024, 5, tau_fine=2.0**-10, n_modes_max=256)\n"
-            "m1 = src.increment_matrix(build_basis(257), 2001, 2101, 1)\n"
+            "m1 = src.increment_matrix(SpectralBasis(257), 2001, 2101, 1)\n"
             "print(json.dumps([importlib.import_module is real, public, stub,\n"
             "                  float(m1[0, 1]).hex(), float(m1[99, 256]).hex()]))\n", src_env)
         # the values test_pinned_values pins

@@ -9,10 +9,10 @@ exactly at |g| = |alpha2|; those two facts pin the sign conventions.
 import numpy as np
 import pytest
 
-from schsim import (DriftSpec, NoiseSource, SchemeParams,
-                    SchemeState, TestFunctionSpec, TimeAverageObserver, build_basis,
+from schsim import (DriftSpec, NoiseSource, SchemeParams, SchemeState,
+                    SpectralBasis, TestFunctionSpec, TimeAverageObserver,
                     evaluate_expression, g_functional, initial_state,
-                    lyapunov_v, mass, phi_test, run_trajectory,
+                    lyapunov_v, phi_test, run_trajectory,
                     state_from_coeffs, time_average_ensemble, time_average_single,
                     validate_expression)
 
@@ -23,19 +23,10 @@ def make_spec(basis, expr="exp(x)", alpha1=1.0, alpha2=2.0):
     return TestFunctionSpec.from_expression(basis, expr, alpha1, alpha2)
 
 
-class TestMass:
-    def test_constant(self):
-        assert mass(np.full(10, 0.4)) == pytest.approx(0.4, rel=1e-15)
-
-    def test_stack_gives_per_column_masses(self):
-        stack = np.stack([np.ones(6), 3 * np.ones(6)], axis=1)
-        np.testing.assert_allclose(mass(stack), [1.0, 3.0], rtol=1e-15)
-
-
 class TestGFunctional:
     def test_unit_pairing_anchor(self):
         """g(1) with v = 1 equals pi (1 - alpha1); frozen by hand."""
-        basis = build_basis(32)
+        basis = SpectralBasis(32)
         ones = np.ones(32)
         for alpha1 in (0.0, 0.5, 1.0):
             spec = TestFunctionSpec(ones, alpha1, 2.0)
@@ -44,7 +35,7 @@ class TestGFunctional:
 
     def test_full_projection_kills_constants(self):
         """alpha1 = 1 makes the pairing blind to the conserved mean."""
-        basis = build_basis(16)
+        basis = SpectralBasis(16)
         spec = make_spec(basis, "exp(x)", alpha1=1.0)
         rng = np.random.default_rng(0)
         u = rng.standard_normal(16)
@@ -54,7 +45,7 @@ class TestGFunctional:
         assert abs(g_functional(basis, spec, np.full(16, 3.0))) < 1e-13
 
     def test_linear_in_u(self):
-        basis = build_basis(12)
+        basis = SpectralBasis(12)
         spec = make_spec(basis, "cos(x)", alpha1=0.3, alpha2=1.0)
         rng = np.random.default_rng(1)
         u, w = rng.standard_normal((2, 12))
@@ -63,7 +54,7 @@ class TestGFunctional:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
     def test_stacks_evaluate_columnwise(self):
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         spec = make_spec(basis)
         stack = np.stack([np.ones(8), np.cos(basis.grid)], axis=1)
         got = g_functional(basis, spec, stack)
@@ -72,8 +63,8 @@ class TestGFunctional:
                                        abs=1e-14)
 
     def test_profile_grid_mismatch_rejected(self):
-        basis = build_basis(8)
-        spec = make_spec(build_basis(16))
+        basis = SpectralBasis(8)
+        spec = make_spec(SpectralBasis(16))
         with pytest.raises(ValueError, match="16 nodes but basis has 8"):
             g_functional(basis, spec, np.ones(8))
 
@@ -89,7 +80,7 @@ class TestObserverOracle:
     @pytest.mark.parametrize("width", [None, 1, 2, 5, 50])
     @pytest.mark.parametrize("alpha1", [1.0, 0.3])
     def test_g_and_phi_match_reference_expression(self, alpha1, width):
-        basis = build_basis(16)
+        basis = SpectralBasis(16)
         spec = make_spec(basis, "exp(x)", alpha1=alpha1, alpha2=1.5)
         rng = np.random.default_rng(3)
         u = rng.standard_normal((16,) if width is None else (16, width))
@@ -100,7 +91,7 @@ class TestObserverOracle:
 
     def test_profile_is_a_read_only_copy(self):
         """The cached sum of v cannot go stale: the spec owns a frozen copy."""
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         profile = np.cos(basis.grid)
         spec = TestFunctionSpec(profile, 1.0, 2.0)
         profile[:] = 5.0
@@ -113,14 +104,14 @@ class TestObserverOracle:
 class TestPhiTest:
     def test_bound_is_sharp_at_g_equals_alpha2(self):
         """phi attains alpha2^2/2 exactly where g = alpha2."""
-        basis = build_basis(16)
+        basis = SpectralBasis(16)
         spec = make_spec(basis, "exp(x)", alpha1=0.0, alpha2=2.0)
         u = np.ones(16)
         scale = 2.0 / g_functional(basis, spec, u)
         assert phi_test(basis, spec, scale * u) == pytest.approx(2.0, rel=1e-13)
 
     def test_bound_holds_for_random_fields(self):
-        basis = build_basis(16)
+        basis = SpectralBasis(16)
         spec = make_spec(basis, "exp(x)", alpha1=0.5, alpha2=1.5)
         rng = np.random.default_rng(2)
         for _ in range(50):
@@ -128,7 +119,7 @@ class TestPhiTest:
             assert abs(phi_test(basis, spec, u)) <= 1.5**2 / 2 + 1e-12
 
     def test_odd_in_u_with_full_projection(self):
-        basis = build_basis(16)
+        basis = SpectralBasis(16)
         spec = make_spec(basis, "exp(x)", alpha1=1.0, alpha2=2.0)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(16)
@@ -137,7 +128,7 @@ class TestPhiTest:
 
     def test_monotone_for_small_g(self):
         # phi is increasing in g on |g| < |alpha2|
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         spec = make_spec(basis, "exp(x)", alpha1=0.0, alpha2=5.0)
         values = [phi_test(basis, spec, t * np.ones(8)) for t in (0.0, 0.1, 0.2)]
         assert values[0] < values[1] < values[2]
@@ -164,18 +155,18 @@ class TestSpecValidation:
 class TestLyapunov:
     def test_constant_field_value(self):
         # coefficients (c sqrt(pi), 0, ...): V = pi c^2 + 1, frozen by hand
-        basis = build_basis(20)
+        basis = SpectralBasis(20)
         assert lyapunov_v(basis, np.full(20, 2.0)) == pytest.approx(
             4.0 * np.pi + 1.0, rel=1e-13)
 
     def test_single_mode_weighting(self):
-        basis = build_basis(12)
+        basis = SpectralBasis(12)
         u = 3.0 * basis.from_spectral(np.eye(12)[4])
         expected = 9.0 / basis.eigenvalues[4] + 1.0
         assert lyapunov_v(basis, u) == pytest.approx(expected, rel=1e-12)
 
     def test_lower_bound_and_stacks(self):
-        basis = build_basis(8)
+        basis = SpectralBasis(8)
         rng = np.random.default_rng(4)
         stack = rng.standard_normal((8, 5))
         values = lyapunov_v(basis, stack)
@@ -185,7 +176,7 @@ class TestLyapunov:
 
 class TestTimeAverageObserver:
     def make(self, n=8, tau=1e-2, **kw):
-        params = SchemeParams(build_basis(n), WELL, tau)
+        params = SchemeParams(SpectralBasis(n), WELL, tau)
         spec = make_spec(params.basis)
         return params, TimeAverageObserver(params, spec, **kw)
 
@@ -277,7 +268,7 @@ class TestTimeAverageObserver:
 class TestTimeAverages:
     def test_single_of_stationary_run_is_phi_of_state(self):
         """sigma = 0 from the equilibrium u = 1: every sample is equal."""
-        params = SchemeParams(build_basis(8), WELL, 1e-2, 0.0)
+        params = SchemeParams(SpectralBasis(8), WELL, 1e-2, 0.0)
         spec = make_spec(params.basis, alpha1=0.0, alpha2=3.0)
         state0 = initial_state(params, np.ones(8))
         source = NoiseSource(0, tau_fine=params.tau, n_modes_max=7)
@@ -288,7 +279,7 @@ class TestTimeAverages:
         assert history[-1][0] == pytest.approx(50 * params.tau)
 
     def test_single_matches_direct_mean_of_samples(self):
-        params = SchemeParams(build_basis(8), WELL, 1e-2)
+        params = SchemeParams(SpectralBasis(8), WELL, 1e-2)
         spec = make_spec(params.basis)
         state0 = initial_state(params, np.cos(params.basis.grid))
         values = []
@@ -305,7 +296,7 @@ class TestTimeAverages:
         assert avg == pytest.approx(np.mean(values), rel=1e-12)
 
     def test_ensemble_grand_average_is_mean_of_per_trajectory(self):
-        params = SchemeParams(build_basis(8), WELL, 1e-2)
+        params = SchemeParams(SpectralBasis(8), WELL, 1e-2)
         spec = make_spec(params.basis)
         sources = [NoiseSource(9, l, tau_fine=params.tau, n_modes_max=7)
                    for l in range(4)]
@@ -318,7 +309,7 @@ class TestTimeAverages:
         assert history[-1][0] == pytest.approx(30 * params.tau)
 
     def test_ensemble_burn_in_and_validation(self):
-        params = SchemeParams(build_basis(8), WELL, 1e-2)
+        params = SchemeParams(SpectralBasis(8), WELL, 1e-2)
         spec = make_spec(params.basis)
         sources = [NoiseSource(9, 0, tau_fine=params.tau, n_modes_max=7)]
         with pytest.raises(ValueError, match="burn_in_steps"):
