@@ -6,7 +6,8 @@ runtime flags ``--seed``, ``--out``, ``--threads``, ``--deterministic`` and
 ``--svg``.  Precedence: flags > SCHSIM_* environment variables > config file.
 A ``simulate`` run resumed from ``checkpoint_in`` runs with the checkpoint's
 scheme, drift and noise values and echoes them; setting one of those keys
-to another value is a config error.
+to another value is a config error, and the checkpoint's values are checked
+by ``config.build_config`` as a config file's are.
 Deterministic mode writes timing fields as NA, so output files are
 byte-reproducible from their own embedded config echo; ``--threads`` changes
 no result in any mode and must be at least 1.
@@ -24,14 +25,14 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import CheckpointData, read_checkpoint, write_checkpoint
 from .config import (_READERS, COMMANDS, ConfigError, RunConfig, apply_env_overrides,
-                     build_config, parse_pairs, serialize_config)
+                     build_config, format_value, parse_pairs, serialize_config)
 from .expressions import evaluate_expression
 from .experiments import (ConvergenceTable, run_ergodic_study,
                           run_spatial_study, run_temporal_study)
@@ -89,9 +90,8 @@ def _load_config(args) -> tuple[RunConfig, set[str]]:
     if args.deterministic:
         pairs["deterministic"] = "true"
     if "command" in pairs and pairs["command"] != args.command:
-        raise ConfigError([
-            f"config says command = {pairs['command']!r} but the "
-            f"{args.command!r} subcommand was invoked"])
+        raise ConfigError([f"key 'command': set to {pairs['command']!r}, but the "
+                           f"{args.command!r} subcommand was invoked"])
     pairs["command"] = args.command
     return build_config(pairs), set(pairs)
 
@@ -108,7 +108,8 @@ def _resumed_config(cfg: RunConfig, explicit: set[str], data: CheckpointData) ->
     drift and noise values are the ones that run, so they replace the
     config's in the echo: every checkpoint field that is a config key, and
     ``drift`` as its four keys.  A key set explicitly to another value is an
-    error."""
+    error; the merged values are checked by ``build_config`` as a config
+    file's are."""
     stored = {}
     for f in fields(data):
         if f.name == "drift":
@@ -121,7 +122,9 @@ def _resumed_config(cfg: RunConfig, explicit: set[str], data: CheckpointData) ->
                if key in explicit and getattr(cfg, key) != value]
     if clashes:
         raise ConfigError(clashes)
-    return replace(cfg, **stored)
+    merged = vars(cfg) | stored
+    return build_config({key: format_value(value) for key, value in merged.items()
+                         if value is not None})
 
 
 def _maybe_na(cfg: RunConfig, seconds: float) -> str:

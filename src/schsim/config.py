@@ -1,7 +1,10 @@
 """Flat key=value run configuration: strict parsing, canonical serialization.
 
 Each ``RunConfig`` field is the one declaration of its key: type, default,
-reader and, where it has one, its own range.
+reader and, where it has one, its own range (for a list, each entry's).
+``build_config`` is the package's only builder of a ``RunConfig``: values
+from a config file, the environment, the flags or a resumed run's checkpoint
+all pass its readers, ranges and cross-key rules.
 
 The format is one ``key = value`` pair per line; blank lines and ``#``
 comments are ignored.  Parsing is strict -- unknown keys, duplicates, type
@@ -103,10 +106,15 @@ _MODES = (lambda v: 2 <= v <= _MAX_MODES, f"must lie in [2, {_MAX_MODES}]")
 _STEP = (lambda v: 0 < v < 1, "must lie in (0, 1)")
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_ESTIMATORS = (lambda v: v in ("single", "ensemble", "both"),
+               "must be single, ensemble or both")
+_ALPHA2 = (lambda v: abs(v) >= MIN_ALPHA2,
+           f"must be at least {MIN_ALPHA2:.3g} in magnitude, or phi's bound underflows")
 
 
 def _key(default, read, valid=None):
-    """A config key: its default, its reader and its own range, if any."""
+    """A config key: its default, its reader and its own range, if any (for
+    a list, the range of each entry)."""
     return field(default=default, metadata={"read": read, "valid": valid})
 
 
@@ -132,18 +140,19 @@ class RunConfig:
     checkpoint_out: str = _key("", _to_str)
     tau_ref: float | None = _key(None, _to_float, _STEP)
     tau_ladder: tuple[float, ...] | None = _key(
-        None, _list_of(_to_float, ",", "comma-separated list of numbers"))
+        None, _list_of(_to_float, ",", "comma-separated list of numbers"),
+        (_STEP[0], "entries must lie in (0, 1)"))
     n_modes_ref: int | None = _key(None, _to_int, _MODES)
     n_modes_ladder: tuple[int, ...] | None = _key(
-        None, _list_of(_to_int, ",", "comma-separated list of integers"))
+        None, _list_of(_to_int, ",", "comma-separated list of integers"), _MODES)
     n_trajectories: int = _key(50, _to_int, _POSITIVE)
-    estimator: str = _key("both", _to_str)
+    estimator: str = _key("both", _to_str, _ESTIMATORS)
     t_final_ensemble: float | None = _key(None, _to_float, _POSITIVE)
     initials: tuple[str, ...] | None = _key(
         None, _list_of(_to_expr, ";", "semicolon-separated list of expressions"))
     test_v: str = _key("exp(x)", _to_expr)
     test_alpha1: float = _key(1.0, _to_float)
-    test_alpha2: float = _key(2.0, _to_float)
+    test_alpha2: float = _key(2.0, _to_float, _ALPHA2)
     burn_in: float = _key(0.0, _to_float, _NONNEGATIVE)
     thinning: int = _key(1, _to_int, _POSITIVE)
 
@@ -217,26 +226,16 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
         errors.append(f"key 'command': must be one of {', '.join(COMMANDS)}, got {command!r}")
         command = None
 
-    cfg = RunConfig(command="verify")
-    for key, value in values.items():
-        if key != "command":
-            setattr(cfg, key, value)
-    if command is not None:
-        cfg.command = command
-
-    def check(key: str, valid, value) -> None:
-        holds, phrase = valid
-        if not holds(value):
-            errors.append(f"key {key!r}: {phrase}, got {value}")
+    cfg = RunConfig(**{"command": None, **values})  # returned only if command is valid
 
     for f in dataclass_fields(RunConfig):
         value = getattr(cfg, f.name)
-        if f.metadata["valid"] is not None and value is not None:
-            check(f.name, f.metadata["valid"], value)
-    for n in cfg.n_modes_ladder or ():
-        check("n_modes_ladder", _MODES, n)
-    for tau in cfg.tau_ladder or ():
-        check("tau_ladder", (_STEP[0], "entries must lie in (0, 1)"), tau)
+        if f.metadata["valid"] is None or value is None:
+            continue
+        holds, phrase = f.metadata["valid"]
+        for entry in value if isinstance(value, tuple) else (value,):
+            if not holds(entry):
+                errors.append(f"key {f.name!r}: {phrase}, got {entry!r}")
     if cfg.drift_a0 == 0 and not cfg.validation_mode:
         errors.append("key 'drift_a0': zero leading coefficient requires validation_mode = true")
     n = max(cfg.n_modes, cfg.n_modes_ref or 0)  # a mode count above the cap is reported
@@ -248,12 +247,6 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
         errors.append(f"key 'initials': must hold at most {_MAX_INITIALS} expressions "
                       f"(single run i draws trajectory id i, below the ensemble ids), "
                       f"got {len(cfg.initials)}")
-    if cfg.estimator not in ("single", "ensemble", "both"):
-        errors.append(f"key 'estimator': must be single, ensemble or both, "
-                      f"got {cfg.estimator!r}")
-    if abs(cfg.test_alpha2) < MIN_ALPHA2:
-        errors.append(f"key 'test_alpha2': must be at least {MIN_ALPHA2:.3g} in magnitude, "
-                      f"or phi's bound underflows; got {cfg.test_alpha2!r}")
 
     if command is not None:
         required = _REQUIRED[command]

@@ -61,8 +61,8 @@ import numpy as np
 from .expressions import evaluate_expression
 from .grid import SpectralBasis
 from .integrator import (DriftSpec, HorizonError, SchemeParams,
-                         TrajectoryBlowUpError, _advance, _noise_blocks, _ratio, _run,
-                         _stack_levels, initial_state, state_from_coeffs, whole_steps)
+                         TrajectoryBlowUpError, _advance, _noise_blocks, _ratio,
+                         _stack_levels, initial_state, run_ensemble, whole_steps)
 from .noise import NoiseSource
 from .observables import (TestFunctionSpec, time_average_ensemble,
                           time_average_single)
@@ -293,7 +293,7 @@ def _coupled_sums(levels, sources, n_ref_steps: int) -> list[np.ndarray]:
 def _raise_non_finite(levels, errs, sources, end: int):
     """Raise for a non-finite state or error row by reference step ``end``.
 
-    Every level is rerun alone from t = 0 through ``_run``, reference first,
+    Every level is rerun alone from t = 0 by ``run_ensemble``, reference first,
     with the same bits (same sources and width; coarse increments are exact
     sums, see ``noise``), and the first blow-up is raised as ``step`` names
     it, with its level.  The loop never synthesizes the final states, so
@@ -304,10 +304,8 @@ def _raise_non_finite(levels, errs, sources, end: int):
     """
     for level in levels:
         params = level.params
-        start = state_from_coeffs(params, 0,
-                                  np.repeat(level.coeffs0[:, None], len(sources), axis=1))
         try:
-            _run(params, start, sources, end // level.stride, ())
+            run_ensemble(params, level.coeffs0, sources, end // level.stride)
         except TrajectoryBlowUpError as exc:
             raise TrajectoryBlowUpError(
                 f"{exc} (level tau={params.tau!r}, n_modes={params.basis.n_modes})",
@@ -509,7 +507,9 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
     Streams are partitioned by trajectory id: single runs use ids 0, 1, ...,
     ensemble run i uses ids 10000 + i*n_trajectories + l, so at most 10000
     initial conditions are accepted.  Runs come single, then ensemble, for
-    each initial condition.
+    each initial condition.  A non-finite estimate (phi or its running sum
+    overflows while every state stays finite) is a ``ValueError`` naming
+    its run, e.g. ``single[0]``.
     """
     if estimator not in ("single", "ensemble", "both"):
         raise ValueError(f"estimator must be single, ensemble or both, got {estimator!r}")
@@ -549,6 +549,10 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
             else:
                 estimate, _, history, _ = time_average_ensemble(
                     params, state0.coeffs, sources, n_steps[kind], spec, burn_steps, thinning)
-            runs.append(ErgodicRun(f"{kind}[{i}]", kind, expr, estimate, n_samples[kind] * count,
+            label = f"{kind}[{i}]"
+            if not math.isfinite(estimate):
+                raise ValueError(f"{label}: estimate {estimate!r} is not finite: phi "
+                                 f"or its running sum overflows")
+            runs.append(ErgodicRun(label, kind, expr, estimate, n_samples[kind] * count,
                                    time.perf_counter() - t0, tuple(history)))
     return ErgodicStudyResult(tuple(runs))

@@ -113,7 +113,11 @@ def g_functional(basis: SpectralBasis, spec: TestFunctionSpec, u: np.ndarray):
 def phi_test(basis: SpectralBasis, spec: TestFunctionSpec, u: np.ndarray):
     """Bounded test function phi = alpha2 g / (1 + (g/alpha2)^2)."""
     g = g_functional(basis, spec, u)
-    return spec.alpha2 * g / (1.0 + (g / spec.alpha2) ** 2)
+    try:
+        squared = (g / spec.alpha2) ** 2
+    except OverflowError:  # a Python float's power raises where numpy's gives inf
+        squared = math.inf
+    return spec.alpha2 * g / (1.0 + squared)
 
 
 def lyapunov_v(basis: SpectralBasis, u: np.ndarray):

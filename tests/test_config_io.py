@@ -28,7 +28,7 @@ from schsim import (ConfigError, DriftSpec, NoiseSource, RunConfig, SchemeParams
                     SpectralBasis, evaluate_expression, initial_state, parse_config,
                     read_checkpoint, run_trajectory, serialize_config,
                     state_from_coeffs, write_checkpoint)
-from schsim import output
+from schsim import cli, output
 from schsim.cli import _resumed_config, main
 from schsim.config import (_MAX_TRAJECTORY_WORK, _REQUIRED, COMMANDS,
                            apply_env_overrides, build_config, format_value, parse_pairs)
@@ -590,6 +590,70 @@ def ergodic_settings(draw):
     return {key: value for key, value in settings.items() if value is not None}
 
 
+# An ergodic run whose numbers can overflow: a huge initial condition
+# without noise, one step of one trajectory.
+OVERFLOWING_ERGODIC = {"n_modes": 2, "tau": 0.0625, "t_final": 0.0625, "sigma": 0.0,
+                       "estimator": "single", "n_trajectories": 1,
+                       "initials": ("10000000*cos(x)+1/3",)}
+LINEAR_DRIFT = {"validation_mode": True, "drift_a0": 0.0, "drift_a1": 0.0, "drift_a2": 1.0,
+                "drift_a3": 0.0}
+
+
+@st.composite
+def ergodic_extremes(draw):
+    """An accepted ergodic config at n_modes <= 8 whose numbers may
+    overflow: sigma up to 1e160, initials with coefficients up to 1e307,
+    the linear validation-mode drift and test_alpha2 across its range,
+    1e-150 to 1e300."""
+    tau = draw(st.sampled_from((0.0625, 0.25)))
+    on_grid = st.integers(1, 4).map(lambda k: k * tau)
+    huge = st.integers(0, 307).map(lambda k: f"1{'0' * k}*cos(x)+1/3")
+    settings = {
+        "n_modes": draw(st.integers(2, 8)), "tau": tau,
+        "sigma": draw(st.sampled_from((0.0, 1.0, 1e100, 1e160)) | st.floats(0.0, 1e160)),
+        "estimator": draw(st.sampled_from(("single", "ensemble", "both"))),
+        "n_trajectories": draw(st.integers(1, 2)),
+        "t_final": draw(on_grid),
+        "t_final_ensemble": draw(st.none() | on_grid),
+        "initials": draw(st.lists(EXPRESSIONS | huge, min_size=1, max_size=2).map(tuple)),
+        "test_alpha2": draw(st.sampled_from((1e-150, 2.0, 1e300))
+                            | st.floats(-150.0, 300.0).map(lambda e: 10.0**e)),
+    }
+    if draw(st.booleans()):
+        settings.update(LINEAR_DRIFT)
+    return {key: value for key, value in settings.items() if value is not None}
+
+
+def run_and_check(command: str, tmp: Path, name: str, text: str):
+    """Exit code and output directory of one ``--deterministic`` run of
+    ``text``; exit 2 prints only lines naming a config key, exit 1 starts
+    with an ``error:`` line."""
+    cfg = tmp / f"{name}.cfg"
+    cfg.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg), "--out", str(tmp / name),
+                     "--deterministic"])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert lines and all(line.startswith("error: config: key '") for line in lines)
+    if code == 1:
+        assert lines and lines[0].startswith("error: ")
+    return code, tmp / name
+
+
+def assert_echo_reproduces(command: str, tmp: Path, out: Path, csv_name: str) -> None:
+    """The metadata echo of ``out/csv_name``, re-fed as a config, writes
+    every CSV of ``out`` again, byte for byte."""
+    code, again = run_and_check(command, tmp, "echo", read_metadata_config(out / csv_name))
+    assert code == 0
+    names = sorted(path.name for path in out.glob("*.csv"))
+    assert sorted(path.name for path in again.glob("*.csv")) == names
+    for name in names:
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+
 class TestErgodicConfigs:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(settings_=ergodic_settings())
@@ -616,6 +680,30 @@ class TestErgodicConfigs:
                 rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
             assert [row["label"] for row in rows] == [
                 f"{kind}[{i}]" for i in range(len(settings_["initials"])) for kind in kinds]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(settings_=ergodic_extremes())
+    @example(settings_=dict(OVERFLOWING_ERGODIC, test_alpha2=1e-150))
+    @example(settings_=dict(OVERFLOWING_ERGODIC, test_alpha2=1e-150, sigma=1e160,
+                            t_final=0.125))
+    @example(settings_=dict(OVERFLOWING_ERGODIC, test_alpha2=1e300))
+    @example(settings_=dict(OVERFLOWING_ERGODIC, **LINEAR_DRIFT, n_modes=8, estimator="both",
+                            initials=(f"1{'0' * 307}*cos(x)",)))
+    def test_every_config_runs_or_fails_with_an_error_line(self, settings_):
+        """Exit 0 writes only finite estimates, and its metadata echo,
+        re-fed as a config, reproduces every CSV byte for byte; exit 2
+        prints only lines naming a config key; exit 1 starts with an
+        ``error:`` line.  No run exits 0 with a non-finite estimate."""
+        text = "".join(f"{key} = {format_value(value)}\n" for key, value in settings_.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out = run_and_check("ergodic", Path(tmp), "run", "command = ergodic\n" + text)
+            if code:
+                return
+            with open(out / "ergodic_summary.csv", newline="") as fh:
+                rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+            assert rows and all(math.isfinite(float(row["estimate"])) for row in rows)
+            assert_echo_reproduces("ergodic", Path(tmp), out, "ergodic_summary.csv")
 
 
 @st.composite
@@ -657,30 +745,21 @@ class TestConvergenceConfigs:
                                       "n_modes_ref": 8, "n_modes_ladder": (2, 4, 8),
                                       "initial": "1/3", "n_trajectories": 1}))
     def test_every_config_runs_or_fails_with_an_error_line(self, case):
-        """Exit 0 writes only finite errors; exit 2 prints only lines naming
-        a config key; exit 1 starts with an ``error:`` line.  No run exits 0
-        with a non-finite error."""
+        """Exit 0 writes only finite errors, and its metadata echo, re-fed
+        as a config, reproduces its CSV byte for byte; exit 2 prints only
+        lines naming a config key; exit 1 starts with an ``error:`` line.
+        No run exits 0 with a non-finite error."""
         command, settings_ = case
         text = "".join(f"{key} = {format_value(value)}\n" for key, value in settings_.items())
         with tempfile.TemporaryDirectory() as tmp:
-            cfg = Path(tmp) / "run.cfg"
-            cfg.write_text(f"command = {command}\n" + text)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out"),
-                             "--deterministic"])
-            lines = err.getvalue().splitlines()
-            assert code in (0, 1, 2), err.getvalue()
-            if code == 2:
-                assert lines and all(line.startswith("error: config: key '") for line in lines)
-                return
-            if code == 1:
-                assert lines and lines[0].startswith("error: ")
+            code, out = run_and_check(command, Path(tmp), "run", f"command = {command}\n" + text)
+            if code:
                 return
             stem = "convergence_time" if command == "converge-time" else "convergence_space"
-            with open(Path(tmp) / "out" / f"{stem}.csv", newline="") as fh:
+            with open(out / f"{stem}.csv", newline="") as fh:
                 rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
             assert rows and all(math.isfinite(float(row["error"])) for row in rows)
+            assert_echo_reproduces(command, Path(tmp), out, f"{stem}.csv")
 
 
 @st.composite
@@ -706,32 +785,15 @@ def simulate_settings(draw):
 
 
 class TestSimulateConfigs:
-    def run(self, tmp: Path, name: str, text: str):
-        """Exit code and trajectory file of one run; exit 2 prints only lines
-        naming a config key, exit 1 starts with an ``error:`` line."""
-        cfg = tmp / f"{name}.cfg"
-        cfg.write_text(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["simulate", "--config", str(cfg), "--out", str(tmp / name),
-                         "--deterministic"])
-        lines = err.getvalue().splitlines()
-        assert code in (0, 1, 2), err.getvalue()
-        if code == 2:
-            assert lines and all(line.startswith("error: config: key '") for line in lines)
-        if code == 1:
-            assert lines and lines[0].startswith("error: ")
-        return code, tmp / name / "trajectory.csv"
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(case=simulate_settings())
     @example(case=({"n_modes": 8, "tau": 0.25, "sigma": 1e160, "initial": "1/3",
                     "t_final": 0.5}, None))
     def test_every_config_runs_or_fails_with_an_error_line(self, case):
-        """Every run exits 0, 1 or 2 as ``run`` describes; an exit-0 run
-        writes finite values, and its metadata echo, re-fed as a config,
-        reproduces its trajectory file byte for byte."""
+        """Every run exits 0, 1 or 2 as ``run_and_check`` describes; an
+        exit-0 run writes finite values, and its metadata echo, re-fed as a
+        config, reproduces its trajectory file byte for byte."""
         settings_, resume_t_final = case
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -743,15 +805,14 @@ class TestSimulateConfigs:
                 texts.append(f"command = simulate\ncheckpoint_in = {ckpt}\n"
                              f"t_final = {format_value(resume_t_final)}\n")
             for i, text in enumerate(texts):
-                code, trajectory = self.run(tmp, f"run{i}", text)
+                code, out = run_and_check("simulate", tmp, f"run{i}", text)
                 if code:
                     return
-                rows = list(csv.DictReader(line for line in trajectory.read_text().splitlines()
+                rows = list(csv.DictReader(line for line in
+                                           (out / "trajectory.csv").read_text().splitlines()
                                            if not line.startswith("#")))
                 assert rows and all(math.isfinite(float(row["value"])) for row in rows)
-                code, again = self.run(tmp, f"echo{i}", read_metadata_config(trajectory))
-                assert code == 0
-                assert again.read_bytes() == trajectory.read_bytes()
+                assert_echo_reproduces("simulate", tmp, out, "trajectory.csv")
 
 
 class TestCli:
@@ -924,7 +985,8 @@ initials = 1/3; 1
         cfg = self.write_cfg(tmp_path, SIM_CFG)
         assert main(["ergodic", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == 2
-        assert "subcommand" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: config: key 'command': set to 'simulate', "
+                                           "but the 'ergodic' subcommand was invoked\n")
 
     @pytest.mark.parametrize("command, extra, key", [
         ("simulate", "tau = 0.25\nt_final = 0.3\ninitial = 1/3\n", "t_final"),
@@ -1199,6 +1261,30 @@ initials = 1/3; 1
         assert capsys.readouterr().err == (
             "error: config: key 'tau': tau in steps of tau_fine: 0.0625 must be a "
             "positive integer multiple of 0.05\n")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("tau = 0.0625", "tau = 5.0", "key 'tau': must lie in (0, 1), got 5.0"),
+        ("sigma = 0.5", "sigma = -1.0", "key 'sigma': must be nonnegative, got -1.0"),
+        ("seed = 5", "seed = -3", "key 'seed': must be in [0, 2^64), got -3"),
+        ("n_modes = 8", "n_modes = 5000", "key 'n_modes': must lie in [2, 4096], got 5000"),
+    ])
+    def test_out_of_range_checkpoint_value_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                  old, new, message):
+        """A checkpoint's values pass a config's ranges: an out-of-range one
+        is a config error naming its key, found before any basis is built."""
+        ckpt = self.write_resumable(tmp_path)
+        text = ckpt.read_text().replace(old, new)
+        if new == "n_modes = 5000":
+            text += "0.0\n" * (5000 - 8)
+        ckpt.write_text(text)
+        cfg = self.write_cfg(tmp_path, f"command = simulate\ncheckpoint_in = {ckpt}\n"
+                             "t_final = 0.25\n", "resume.cfg")
+        monkeypatch.setattr(cli, "SpectralBasis", None)  # calling it would fail
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("case, reason", [

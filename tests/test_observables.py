@@ -133,6 +133,24 @@ class TestPhiTest:
         values = [phi_test(basis, spec, t * np.ones(8)) for t in (0.0, 0.1, 0.2)]
         assert values[0] < values[1] < values[2]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale, alpha2", [
+        (1e156, 2.0),      # (g/alpha2)^2 overflows: phi is a signed zero
+        (1e300, 1e-150),   # g/alpha2 itself overflows
+        (1e10, 1e300),     # alpha2 * g overflows: phi is infinite
+        (1e300, 1e10),     # (g/alpha2)^2 and alpha2 * g overflow: phi is nan
+    ])
+    def test_overflowing_field_matches_its_one_column_stack(self, scale, alpha2):
+        """phi of one field, whose arithmetic runs on Python floats, has the
+        bits of phi of the (N, 1) stack, whose runs on numpy arrays, and
+        raises nothing where a square overflows."""
+        basis = SpectralBasis(8)
+        spec = make_spec(basis, "exp(x)", alpha1=1.0, alpha2=alpha2)
+        u = scale * np.cos(basis.grid)
+        one, stack = phi_test(basis, spec, u), phi_test(basis, spec, u[:, None])
+        assert stack.shape == (1,)
+        assert float(one).hex() == float(stack[0]).hex()
+
 
 class TestSpecValidation:
     def test_rejects_bad_profiles(self):
