@@ -34,8 +34,7 @@ from .checkpoint import CheckpointData, read_checkpoint, write_checkpoint
 from .config import (_READERS, COMMANDS, ConfigError, RunConfig, apply_env_overrides,
                      build_config, format_value, parse_pairs, serialize_config)
 from .expressions import evaluate_expression
-from .experiments import (ConvergenceTable, run_ergodic_study,
-                          run_spatial_study, run_temporal_study)
+from .experiments import run_ergodic_study, run_spatial_study, run_temporal_study
 from .grid import SpectralBasis
 from .integrator import (DriftSpec, HorizonError, SchemeParams,
                          TrajectoryBlowUpError, initial_state, run_trajectory,
@@ -96,11 +95,9 @@ def _load_config(args) -> tuple[RunConfig, set[str]]:
     return build_config(pairs), set(pairs)
 
 
-def _scheme_pieces(cfg: RunConfig):
-    basis = SpectralBasis(cfg.n_modes)
-    drift = DriftSpec(cfg.drift_a0, cfg.drift_a1, cfg.drift_a2, cfg.drift_a3,
-                      validation_mode=cfg.validation_mode)
-    return basis, drift
+def _drift(cfg: RunConfig) -> DriftSpec:
+    return DriftSpec(cfg.drift_a0, cfg.drift_a1, cfg.drift_a2, cfg.drift_a3,
+                     validation_mode=cfg.validation_mode)
 
 
 def _resumed_config(cfg: RunConfig, explicit: set[str], data: CheckpointData) -> RunConfig:
@@ -135,8 +132,8 @@ def _cmd_simulate(cfg: RunConfig, explicit: set[str], out_dir: Path, want_svg: b
     data = read_checkpoint(cfg.checkpoint_in) if cfg.checkpoint_in else None
     if data is not None:
         cfg = _resumed_config(cfg, explicit, data)
-    basis, drift = _scheme_pieces(cfg)
-    params = SchemeParams(basis, drift, cfg.tau, cfg.sigma)
+    basis = SpectralBasis(cfg.n_modes)
+    params = SchemeParams(basis, _drift(cfg), cfg.tau, cfg.sigma)
     tau_fine = cfg.tau_fine if cfg.tau_fine is not None else cfg.tau
     source = NoiseSource(cfg.seed, cfg.trajectory_id,
                          tau_fine=tau_fine, n_modes_max=cfg.n_modes - 1)
@@ -173,54 +170,40 @@ def _cmd_simulate(cfg: RunConfig, explicit: set[str], out_dir: Path, want_svg: b
     return 0
 
 
-def _convergence_outputs(cfg: RunConfig, table: ConvergenceTable, out_dir: Path,
-                         want_svg: bool, stem: str, param_label: str) -> None:
-    echo = serialize_config(cfg)
+def _cmd_converge(cfg: RunConfig, out_dir: Path, want_svg: bool, threads: int) -> int:
+    """``converge-time`` or ``converge-space``: the study gets exactly the keys
+    it reads, and its table is written once, as CSV, as stdout lines and as an
+    optional log-log chart of the error against the rows' step parameters."""
+    shared = dict(drift=_drift(cfg), sigma=cfg.sigma, t_final=cfg.t_final,
+                  initial=cfg.initial, seed=cfg.seed,
+                  n_trajectories=cfg.n_trajectories, threads=threads)
+    if cfg.command == "converge-time":
+        table = run_temporal_study(basis=SpectralBasis(cfg.n_modes), tau_ref=cfg.tau_ref,
+                                   tau_ladder=cfg.tau_ladder, **shared)
+    else:
+        table = run_spatial_study(tau=cfg.tau, n_modes_ladder=cfg.n_modes_ladder,
+                                  n_modes_ref=cfg.n_modes_ref, **shared)
+    stem = f"convergence_{table.kind}"
     rows = [(row.tau, row.n_modes, row.error, row.pair_rate) for row in table.rows]
-    extra = {"slope": table.slope,
-             "wallclock_s": _maybe_na(cfg, table.wallclock_s)}
-    write_csv(out_dir / f"{stem}.csv", ("tau", "n_modes", "error", "pair_rate"),
-              rows, echo, extra)
+    write_csv(out_dir / f"{stem}.csv", ("tau", "n_modes", "error", "pair_rate"), rows,
+              serialize_config(cfg), {"slope": table.slope,
+                                      "wallclock_s": _maybe_na(cfg, table.wallclock_s)})
     print(f"{table.kind} refinement: slope {table.slope:.3f}")
     for row in table.rows:
         rate = "" if row.pair_rate is None else f", pair rate {row.pair_rate:.3f}"
         print(f"  tau={row.tau!r} n_modes={row.n_modes}: error {row.error:.6e}{rate}")
     if want_svg:
-        if table.kind == "time":
-            xs = [row.tau for row in table.rows]
-        else:
-            xs = [np.pi / row.n_modes for row in table.rows]
         write_svg_line_chart(out_dir / f"{stem}.svg",
-                             [("error", xs, [row.error for row in table.rows])],
+                             [("error", [row.step for row in table.rows], table.errors())],
                              f"{table.kind} refinement (slope {table.slope:.3f})",
-                             param_label, "mean-square error", logx=True, logy=True)
-
-
-def _cmd_converge_time(cfg: RunConfig, out_dir: Path, want_svg: bool, threads: int) -> int:
-    basis, drift = _scheme_pieces(cfg)
-    table = run_temporal_study(
-        basis=basis, drift=drift, sigma=cfg.sigma, t_final=cfg.t_final,
-        tau_ref=cfg.tau_ref, tau_ladder=cfg.tau_ladder, initial=cfg.initial,
-        seed=cfg.seed, n_trajectories=cfg.n_trajectories, threads=threads)
-    _convergence_outputs(cfg, table, out_dir, want_svg, "convergence_time", "tau")
-    return 0
-
-
-def _cmd_converge_space(cfg: RunConfig, out_dir: Path, want_svg: bool, threads: int) -> int:
-    _, drift = _scheme_pieces(cfg)
-    table = run_spatial_study(
-        drift=drift, sigma=cfg.sigma, t_final=cfg.t_final, tau=cfg.tau,
-        n_modes_ladder=cfg.n_modes_ladder, n_modes_ref=cfg.n_modes_ref,
-        initial=cfg.initial, seed=cfg.seed,
-        n_trajectories=cfg.n_trajectories, threads=threads)
-    _convergence_outputs(cfg, table, out_dir, want_svg, "convergence_space", "h")
+                             "tau" if table.kind == "time" else "h", "mean-square error",
+                             logx=True, logy=True)
     return 0
 
 
 def _cmd_ergodic(cfg: RunConfig, out_dir: Path, want_svg: bool) -> int:
-    basis, drift = _scheme_pieces(cfg)
     result = run_ergodic_study(
-        basis=basis, drift=drift, sigma=cfg.sigma, tau=cfg.tau,
+        basis=SpectralBasis(cfg.n_modes), drift=_drift(cfg), sigma=cfg.sigma, tau=cfg.tau,
         t_final=cfg.t_final, initials=cfg.initials, v_expr=cfg.test_v,
         alpha1=cfg.test_alpha1, alpha2=cfg.test_alpha2, estimator=cfg.estimator,
         n_trajectories=cfg.n_trajectories, t_final_ensemble=cfg.t_final_ensemble,
@@ -287,10 +270,8 @@ def _run_command(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             return _cmd_simulate(cfg, explicit, out_dir, args.svg)
-        if args.command == "converge-time":
-            return _cmd_converge_time(cfg, out_dir, args.svg, args.threads)
-        if args.command == "converge-space":
-            return _cmd_converge_space(cfg, out_dir, args.svg, args.threads)
+        if args.command in ("converge-time", "converge-space"):
+            return _cmd_converge(cfg, out_dir, args.svg, args.threads)
         if args.command == "ergodic":
             return _cmd_ergodic(cfg, out_dir, args.svg)
         return _cmd_verify()

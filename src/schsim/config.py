@@ -12,7 +12,9 @@ errors and domain violations are all collected and reported together rather
 than one at a time.  ``serialize_config`` emits a canonical echo (every
 defaulted value made explicit, floats via shortest round-trip repr) whose
 re-parse reproduces the configuration exactly; output files embed this echo in
-their metadata header.  ``format_value`` and ``parse_pairs`` are the package's
+their metadata header.  So a value that its echo line would not read back,
+one holding ``#`` or a line break (possible through the environment or a
+flag), is a config error naming its key.  ``format_value`` and ``parse_pairs`` are the package's
 only writer of values as text and only reader of ``key = value`` lines: CSV
 cells and checkpoint headers go through them too.
 
@@ -218,6 +220,11 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
             values[key] = read(raw)
         except ValueError as exc:
             errors.append(f"key {key!r}: {exc}")
+            continue
+        text = format_value(values[key])  # as its echo line writes it
+        if "#" in text or "".join(text.splitlines()) != text:
+            errors.append(f"key {key!r}: {text!r} holds '#' or a line break, so the "
+                          f"echo of this run would not read it back")
 
     command = values.get("command")
     if "command" not in pairs:
@@ -238,8 +245,9 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
                 errors.append(f"key {f.name!r}: {phrase}, got {entry!r}")
     if cfg.drift_a0 == 0 and not cfg.validation_mode:
         errors.append("key 'drift_a0': zero leading coefficient requires validation_mode = true")
-    n = max(cfg.n_modes, cfg.n_modes_ref or 0)  # a mode count above the cap is reported
-    if cfg.n_trajectories * (n + 64) > _MAX_TRAJECTORY_WORK and n <= _MAX_MODES:
+    # the modes the run integrates; a missing or an over-the-cap count has its own error
+    n = cfg.n_modes_ref if command == "converge-space" else cfg.n_modes
+    if n is not None and n <= _MAX_MODES and cfg.n_trajectories * (n + 64) > _MAX_TRAJECTORY_WORK:
         errors.append(f"key 'n_trajectories': must be at most "
                       f"{_MAX_TRAJECTORY_WORK // (n + 64)} at {n} modes, "
                       f"got {cfg.n_trajectories}")

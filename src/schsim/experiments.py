@@ -93,6 +93,7 @@ _ENSEMBLE_ID_BASE = 10_000
 class ConvergenceRow:
     tau: float
     n_modes: int
+    step: float  # the refined step parameter: tau, or h = pi/N
     error: float
     pair_rate: float | None  # None on the coarsest row
 
@@ -388,15 +389,15 @@ def _coupled_errors(params_ref: SchemeParams, coeffs0_ref: np.ndarray, rungs, *,
     return [float(np.max(np.sqrt(s / n_trajectories))) for s in sums]
 
 
-def _table(kind: str, rows, step_params, errors, t0: float) -> ConvergenceTable:
-    """The table of ``(tau, n_modes)`` rows with their errors and pair rates;
-    the slope needs three rows, all with positive errors, and is NaN
-    otherwise."""
+def _table(kind: str, rows, errors, t0: float) -> ConvergenceTable:
+    """The table of ``(tau, n_modes, step)`` rows with their errors and pair
+    rates; the slope, fitted against ``step``, needs three rows, all with
+    positive errors, and is NaN otherwise."""
     rates = pairwise_rates(errors)
-    slope = (rate_regression(step_params, errors)
+    slope = (rate_regression([step for _, _, step in rows], errors)
              if len(errors) >= 3 and all(e > 0 for e in errors) else float("nan"))
-    return ConvergenceTable(kind, tuple(ConvergenceRow(tau, n, err, rate)
-                                        for (tau, n), err, rate in zip(rows, errors, rates)),
+    return ConvergenceTable(kind, tuple(ConvergenceRow(*row, err, rate)
+                                        for row, err, rate in zip(rows, errors, rates)),
                             slope, time.perf_counter() - t0)
 
 
@@ -442,7 +443,7 @@ def run_temporal_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
     errors = _coupled_errors(params_ref, coeffs0, rungs, seed=seed,
                              n_trajectories=n_trajectories, t_final=t_final,
                              threads=threads)
-    return _table("time", [(tau, basis.n_modes) for tau in taus], taus, errors, t0)
+    return _table("time", [(tau, basis.n_modes, tau) for tau in taus], errors, t0)
 
 
 def run_spatial_study(*, drift: DriftSpec, sigma: float, t_final: float,
@@ -470,7 +471,7 @@ def run_spatial_study(*, drift: DriftSpec, sigma: float, t_final: float,
     errors = _coupled_errors(params_ref, coeffs0_ref, [level(n) for n in ns], seed=seed,
                              n_trajectories=n_trajectories, t_final=t_final,
                              threads=threads)
-    return _table("space", [(tau, n) for n in ns], [np.pi / n for n in ns], errors, t0)
+    return _table("space", [(tau, n, np.pi / n) for n in ns], errors, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 Config files describe initial conditions and test-function profiles with a
 restricted expression language rather than arbitrary Python:
 
-    expr  :=  term (('+' | '-') term)*
+    expr  :=  sign* term (sign+ term)*
+    sign  :=  '+'  |  '-'
     term  :=  [coef ['*']] atom  |  coef
     atom  :=  'cos(' [k ['*']] 'x' ')'  |  'exp(' ['-'] 'x' ')'
     coef  :=  decimal  |  fraction a/b  |  '(' fraction ')'
 
 Examples: ``1/3``, ``(1/3)*cos(x)+1/3``, ``2*cos(2x)+cos(x)+1/3``,
-``exp(x)``, ``exp(-x)``.  Whitespace is ignored.  No eval(), no names.
+``exp(x)``, ``exp(-x)``, ``-cos(x)+1``.  A run of signs multiplies out
+(``1+-cos(x)`` is ``1-cos(x)``).  Whitespace is ignored.  No eval(), no names.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _split_terms(text: str) -> list[tuple[float, str]]:
             sign = 1.0 if ch == "+" else -1.0
             current = []
         elif ch in "+-" and depth == 0 and not current:
-            # leading sign (possibly repeated signs are rejected later)
+            # a sign before the first term or after another sign
             sign *= 1.0 if ch == "+" else -1.0
         else:
             current.append(ch)

@@ -36,6 +36,7 @@ from schsim.observables import MIN_ALPHA2
 from schsim.output import (FORMAT_VERSION, git_blob_sha1, metadata_lines,
                            read_metadata_config, write_csv,
                            write_svg_line_chart)
+from test_workload_pins import WORKLOADS  # the benchmark's, loaded by path
 
 SIM_CFG = """\
 command = simulate
@@ -49,8 +50,8 @@ seed = 5
 
 class TestParsePairs:
     def test_comments_and_blanks_ignored(self):
-        pairs = parse_pairs("# intro\n\n a = 1 # trailing\n b = x=y\n")
-        assert pairs == {"a": "1", "b": "x=y"}
+        pairs = parse_pairs("# intro\n\n a = 1 # trailing\n b = x=y\n c = a#b.ckpt\n")
+        assert pairs == {"a": "1", "b": "x=y", "c": "a"}
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ConfigError, match="duplicate key 'a'"):
@@ -209,6 +210,27 @@ class TestBuildConfig:
             parse_config(base + "-5")
         assert exc_info.value.messages == ["key 'n_trajectories': must be positive, got -5"]
 
+    def test_trajectory_cap_counts_the_modes_the_command_runs(self):
+        """The cap reads the mode count the command integrates: n_modes_ref
+        for converge-space, n_modes for the others, so a mode count the run
+        never reads moves it no more; at the run's own N it still bites."""
+        space = ("command = converge-space\nt_final = 0.25\ntau = 0.01\ninitial = 1/3\n"
+                 "n_modes_ref = 16\nn_modes_ladder = 4, 8\nn_trajectories = ")
+        time_ = ("command = converge-time\nn_modes = 8\nn_modes_ref = 4096\nt_final = 0.25\n"
+                 "tau_ref = 0.01\ntau_ladder = 0.02\ninitial = 1/3\nn_trajectories = ")
+        assert parse_config(space + "40000").n_trajectories == 40000  # n_modes = 64 unread
+        assert parse_config(time_ + "2000").n_trajectories == 2000  # n_modes_ref unread
+        for base, n in ((space, 16), (time_, 8)):
+            cap = _MAX_TRAJECTORY_WORK // (n + 64)
+            assert parse_config(base + str(cap)).n_trajectories == cap
+            with pytest.raises(ConfigError) as exc_info:
+                parse_config(base + str(cap + 1))
+            assert exc_info.value.messages == [
+                f"key 'n_trajectories': must be at most {cap} at {n} modes, got {cap + 1}"]
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(space.replace("n_modes_ref = 16\n", "") + "4000000")
+        assert exc_info.value.messages == ["command 'converge-space' requires key 'n_modes_ref'"]
+
     def test_initial_condition_count_is_bounded(self):
         """At most 10 000 initials: single run i draws trajectory id i, and
         ensemble ids start at 10 000."""
@@ -276,7 +298,7 @@ def run_configs(draw):
     optional = {key: draw(strategy if key in _REQUIRED[command] else st.none() | strategy)
                 for key, strategy in OPTIONAL.items()}
     n_modes = draw(MODES)
-    widest = max(n_modes, optional["n_modes_ref"] or 0)
+    widest = optional["n_modes_ref"] if command == "converge-space" else n_modes
     return RunConfig(
         command=command, seed=draw(WORD), deterministic=draw(st.booleans()),
         n_modes=n_modes, sigma=draw(NONNEGATIVE),
@@ -1234,6 +1256,73 @@ initials = 1/3; 1
         cfg = self.write_cfg(tmp_path, text + setting + "\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr() == ("", f"error: config: {message}\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("checkpoint_out", "{tmp}/a#b.ckpt"),
+        ("checkpoint_out", "{tmp}/a\nb.ckpt"),
+        ("checkpoint_out", "{tmp}/a\u2028b.ckpt"),
+        ("initial", "1/3 +\ncos(x)"),
+    ])
+    def test_value_its_echo_would_not_read_back_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                        key, value):
+        """A value holding '#' or a line break would be cut at the '#' or split
+        by the re-parse of its echo line; set through an SCHSIM_* variable it is
+        one config error naming its key, and nothing runs."""
+        value = value.format(tmp=tmp_path)
+        monkeypatch.setenv(f"SCHSIM_{key.upper()}", value)
+        cfg = self.write_cfg(tmp_path, SIM_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: config: key {key!r}: {value!r} holds '#' or a line break, "
+                       f"so the echo of this run would not read it back\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("name, stem", [("temporal", "convergence_time"),
+                                            ("spatial", "convergence_space")])
+    def test_convergence_chart_spans_the_ladder(self, tmp_path, capsys, name, stem):
+        """--svg on the benchmark's smoke configs writes a well-formed chart
+        with one point per ladder rung, whose x tick labels run from the
+        finest to the coarsest step parameter: tau, or h = pi/N."""
+        workload = WORKLOADS[name]
+        config = tmp_path / "run.cfg"
+        config.write_text(workload.config_text(seed=2, smoke=True), encoding="utf-8")
+        assert main(workload.argv(config) + ["--out", str(tmp_path / "out"), "--svg"]) == 0
+        cfg = parse_config(config.read_text(encoding="utf-8"))
+        steps = (cfg.tau_ladder if cfg.command == "converge-time"
+                 else [np.pi / n for n in cfg.n_modes_ladder])
+        root = ET.parse(tmp_path / "out" / f"{stem}.svg").getroot()
+        svg = "{http://www.w3.org/2000/svg}"
+        x_ticks = [t.text for t in root.iter(f"{svg}text")
+                   if t.get("text-anchor") == "middle" and t.get("font-size") == "11"]
+        assert len(x_ticks) == 5
+        assert (x_ticks[0], x_ticks[-1]) == (f"{min(steps):.3g}", f"{max(steps):.3g}")
+        [line] = root.iter(f"{svg}polyline")
+        assert len(line.get("points").split()) == len(steps)
+
+    def test_converge_space_builds_no_basis_of_n_modes(self, tmp_path, capsys, monkeypatch):
+        """converge-space never reads n_modes, so a stray n_modes = 2048 builds
+        no basis of that size: only the reference's and the ladder's."""
+        built = []
+        init = SpectralBasis.__init__
+
+        def recording_init(self, n_modes):
+            built.append(n_modes)
+            init(self, n_modes)
+
+        monkeypatch.setattr(SpectralBasis, "__init__", recording_init)
+        cfg = self.write_cfg(tmp_path, """\
+command = converge-space
+n_modes = 2048
+t_final = 0.0625
+tau = 0.0625
+n_modes_ref = 16
+n_modes_ladder = 4, 8
+initial = 1/3
+n_trajectories = 2
+""")
+        assert main(["converge-space", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert sorted(built) == [4, 8, 16]
 
     def test_verify_through_main(self, tmp_path, capsys):
         assert main(["verify", "--out", str(tmp_path)]) == 0
