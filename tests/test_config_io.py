@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -1002,6 +1003,29 @@ initials = 1/3; 1
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "error: config:" in err
+
+    @pytest.mark.parametrize("command, key, text", [
+        # a blank separates tokens, it never joins one
+        *(("simulate", "initial", text) for text in ["1 2/3", "co s(x)", "e x p(x)", "2 . 5"]),
+        # a number that is not a finite float
+        pytest.param("simulate", "initial", "1" + "0" * 400, id="coefficient"),
+        pytest.param("simulate", "initial", "cos(1" + "0" * 400 + "x)", id="wavenumber"),
+        pytest.param("ergodic", "initials", "1/3; 1" + "0" * 306 + "/0.001", id="fraction"),
+        pytest.param("ergodic", "test_v", "1" + "0" * 400 + "*exp(x)", id="test_v"),
+    ])
+    def test_expression_errors_exit_2(self, tmp_path, capsys, command, key, text):
+        """An expression that is not read as written is a config error naming
+        its key, found before the run and without numpy warnings."""
+        pairs = {"command": command, "n_modes": "8", "tau": "0.0625", "t_final": "0.25",
+                 "n_trajectories": "2", "initial" if command == "simulate" else "initials": "1/3"}
+        pairs[key] = text
+        cfg = self.write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: config: key {key!r}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_command_mismatch_exit_2(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, SIM_CFG)

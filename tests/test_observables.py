@@ -367,13 +367,28 @@ class TestExpressions:
                                    1 - np.cos(x), rtol=1e-14)
 
     def test_whitespace_ignored(self):
-        x = np.array([0.3])
-        assert evaluate_expression(" 1/3 + cos( x ) ", x) == pytest.approx(
-            evaluate_expression("1/3+cos(x)", x))
+        """Blanks between tokens leave every value's bytes unchanged."""
+        x = np.linspace(-1.0, 4.0, 9)
+        for spaced, compact in [
+            (" 1 / 3 + cos ( x ) ", "1/3+cos(x)"),
+            ("\t- ( 2 / 3 ) * cos ( 2 * x )  + - exp ( - x ) - 1.5 exp ( x ) ",
+             "-(2/3)*cos(2*x)+-exp(-x)-1.5exp(x)"),
+            (" + * cos ( .5 x ) - ( 2. ) ", "+*cos(.5x)-(2.)"),
+        ]:
+            assert evaluate_expression(spaced, x).tobytes() == \
+                evaluate_expression(compact, x).tobytes()
 
     @pytest.mark.parametrize("bad", [
         "", "   ", "import os", "u**2", "cos(x", "cos(y)", "exp(2x)",
         "1/0", "sin(x)", "cos(x))",
+        # a blank separates tokens, it never joins one
+        "1 2/3", "co s(x)", "e x p(x)", "2 . 5",
+        # a coefficient, fraction or wavenumber that is not a finite float
+        pytest.param("1" + "0" * 400, id="huge-coefficient"),
+        pytest.param("1" + "0" * 400 + "*exp(x)", id="huge-exp-coefficient"),
+        pytest.param("cos(1" + "0" * 400 + "x)", id="huge-wavenumber"),
+        pytest.param("1" + "0" * 306 + "/0.001", id="huge-fraction"),
+        pytest.param("1/1" + "0" * 400, id="huge-denominator"),
     ])
     def test_rejects_malformed_descriptors(self, bad):
         with pytest.raises(ValueError):
