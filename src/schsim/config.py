@@ -44,10 +44,11 @@ COMMANDS = ("simulate", "converge-time", "converge-space", "ergodic", "verify")
 # (tracemalloc: 42 MB at N = 1024, 168 MB at N = 2048), so N = 4096 needs
 # about 0.67 GB; a larger mode count is refused before any memory is asked for.
 _MAX_MODES = 4096
-# A batch of L trajectories of N modes holds about 125 (N + 64) L bytes: a
-# noise source per trajectory and N x L state, noise and difference arrays
-# (max RSS over the import: 13.6 KB per trajectory at N = 64 and 39.5 KB at
-# N = 256 in converge-time), so L (N + 64) <= 2^22 keeps a run near 0.5 GB.
+# A batch of L trajectories of N modes holds about 125 (N + 64) L bytes at any
+# horizon: a noise source per trajectory and N x L state, noise and difference
+# arrays (max RSS over the import: 13.6 KB per trajectory at N = 64 and 39.5 KB
+# at N = 256 in converge-time, 17.3 KB at N_ref = 256 in converge-space for L =
+# 200..800 and t_final 0.25 or 1), so L (N + 64) <= 2^22 keeps a run near 0.5 GB.
 _MAX_TRAJECTORY_WORK = 2**22
 
 

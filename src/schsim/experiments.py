@@ -36,15 +36,16 @@ Noise is generated once, in blocks at the reference step and mode count; a
 coarse level reads the first N_c modes of each block and sums each run of
 ``stride`` reference increments, which is exact (see ``noise``).
 All trajectories are advanced as one vectorized batch, whatever ``threads``
-is, and their per-trajectory rows are reduced once in trajectory-id order, so
-the results do not depend on ``threads``.  After each noise block one check
-runs: if any state or new error row is not finite, every level is rerun
-alone from t = 0, reference first, and the first blow-up is reported by
-``integrator.step`` as ``trajectory k: non-finite state at step s (level
-tau=..., n_modes=...)``, s being the failing level's own step.  An error
-that is not finite although every state is (a squared difference or a sum
-over trajectories that overflows) is a ``ValueError`` naming its level and
-reference step.
+is, and ``_Group.record`` sums each step's per-trajectory row over them, in
+trajectory-id order, as it makes it, so the results do not depend on
+``threads`` and no row is kept.  After each noise block one check runs: if
+any state or new sum is not finite, every level is rerun alone from t = 0,
+reference first, and the first blow-up is reported by ``integrator.step`` as
+``trajectory k: non-finite state at step s (level tau=..., n_modes=...)``, s
+being the failing level's own step.  Otherwise it is a ``ValueError``: ``level
+tau=..., n_modes=...: non-finite error at reference step s although every state
+is finite: a squared difference to the reference, or its sum over trajectories,
+overflows``, s being the first reference step whose sum is not finite.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def _coarse_increments(fine: np.ndarray, m: int, stride: int,
 class _Group:
     """Levels sharing (tau, drift, sigma), and so a stride, advanced as one
     ``_LevelStack`` (a lone level as its own params); its coarse levels
-    record their rows together."""
+    record their sums together."""
 
     def __init__(self, levels, width: int, n_ref_steps: int):
         self.stride = levels[0].stride
@@ -226,34 +227,29 @@ class _Group:
         self.starts = bounds[:-1]
         self.values = np.empty((bounds[-1], width))
         self.ref_values = np.empty_like(self.values)
-        # max-over-space squared differences per checked step, coarse level, trajectory
-        self.errs = np.empty((n_ref_steps // self.stride + 1, len(self.coarse), width))
+        self.sums = np.empty((n_ref_steps // self.stride + 1, len(self.coarse)))
 
     def record(self, j: int, state_ref: np.ndarray) -> None:
-        """Row j of errs: per level, the per-level products, then one
-        subtract, square and max over the concatenated rows."""
+        """Row j of sums, one per coarse level: the per-level products, then one
+        subtract, square, max over space and sum over trajectories."""
         for eval_coarse, eval_ref, rows, out in self.evals:
             np.matmul(eval_coarse, self.state[rows], out=self.values[out])
             np.matmul(eval_ref, state_ref, out=self.ref_values[out])
         diff = np.subtract(self.values, self.ref_values, out=self.values)
         diff *= diff
-        np.maximum.reduceat(diff, self.starts, axis=0, out=self.errs[j])
+        np.add.reduce(np.maximum.reduceat(diff, self.starts, axis=0), axis=1, out=self.sums[j])
 
 
 def _coupled_sums(levels, sources, n_ref_steps: int) -> list[np.ndarray]:
     """Advance the ``_Level``s, reference first, in lockstep over one
     trajectory batch; returns per coarse level the max-over-space squared
-    differences per checked step and trajectory.
+    differences per checked step, summed over the trajectories.
 
-    Levels sharing (tau, drift, sigma) form a group, advanced as one
-    ``_LevelStack`` with one ``_advance`` call per step: in a spatial study
-    the reference and every coarse level, in a temporal study each level
-    alone, apart from a rung equal to tau_ref.  The transforms and w12 sums
-    stay per level (see ``_LevelStack``), and so do the record's products,
-    since one product of the stacked rows changes bits; the record's
-    subtract, square and max run once on the concatenated rows.  After each
-    noise block every group's state and every new row is checked for
-    finiteness (see ``_raise_non_finite``).
+    Levels sharing (tau, drift, sigma) advance as one group (see the module
+    docstring), whose record runs the subtract, square, max and sum over the
+    trajectories once on its levels' concatenated rows.  After each noise
+    block every group's state and every new sum is checked for finiteness
+    (see ``_raise_non_finite``).
     """
     ref = levels[0]
     n_ref = ref.params.basis.n_modes
@@ -263,7 +259,7 @@ def _coupled_sums(levels, sources, n_ref_steps: int) -> list[np.ndarray]:
         keys.setdefault((params.tau, params.drift, params.sigma), []).append(level)
     groups = [_Group(members, len(sources), n_ref_steps) for members in keys.values()]
     recorded = [g for g in groups if g.coarse]
-    errs = {level: g.errs[:, pos] for g in recorded for pos, level in enumerate(g.coarse)}
+    sums = {level: g.sums[:, pos] for g in recorded for pos, level in enumerate(g.coarse)}
 
     for g in recorded:
         g.record(0, groups[0].state[:n_ref])
@@ -284,24 +280,23 @@ def _coupled_sums(levels, sources, n_ref_steps: int) -> list[np.ndarray]:
                     if g.coarse:
                         g.record(j, groups[0].state[:n_ref])
         end = m + len(block)
-        # rows from reference step m on (a row at m itself was checked already)
+        # sums from reference step m on (a sum at m itself was checked already)
         if not all(np.isfinite(a).all() for a in [g.state for g in groups]
-                   + [g.errs[-(-m // g.stride):end // g.stride + 1] for g in recorded]):
-            _raise_non_finite(levels, errs, sources, end)
-    return [errs[level] for level in levels[1:]]
+                   + [g.sums[-(-m // g.stride):end // g.stride + 1] for g in recorded]):
+            _raise_non_finite(levels, sums, sources, end)
+    return [sums[level] for level in levels[1:]]
 
 
-def _raise_non_finite(levels, errs, sources, end: int):
-    """Raise for a non-finite state or error row by reference step ``end``.
+def _raise_non_finite(levels, sums, sources, end: int):
+    """Raise for a non-finite state or sum by reference step ``end``.
 
     Every level is rerun alone from t = 0 by ``run_ensemble``, reference first,
     with the same bits (same sources and width; coarse increments are exact
     sums, see ``noise``), and the first blow-up is raised as ``step`` names
     it, with its level.  The loop never synthesizes the final states, so
     even a level whose coefficients are finite may blow up.  Without a
-    blow-up, every state being finite, the first non-finite row is a
-    difference to the reference that overflows: a ``ValueError`` naming its
-    level and reference step.
+    blow-up, the ``ValueError`` below names the level and its first
+    reference step whose sum is not finite.
     """
     for level in levels:
         params = level.params
@@ -312,18 +307,25 @@ def _raise_non_finite(levels, errs, sources, end: int):
                 f"{exc} (level tau={params.tau!r}, n_modes={params.basis.n_modes})",
                 exc.step_index, exc.trajectory_id) from None
 
-    def first_bad_step(level):  # inf if every row of the level is finite
-        finite = np.isfinite(errs[level][:end // level.stride + 1]).all(axis=1)
+    def first_bad_step(level):  # inf if every sum of the level is finite
+        finite = np.isfinite(sums[level][:end // level.stride + 1])
         return math.inf if finite.all() else int(np.argmin(finite)) * level.stride
 
     level = min(levels[1:], key=first_bad_step)  # the first level on a tie
-    raise _non_finite_error(level.params, first_bad_step(level), " although every state "
-                            "is finite: its difference to the reference overflows")
+    raise ValueError(f"level tau={level.params.tau!r}, n_modes={level.params.basis.n_modes}: "
+                     f"non-finite error at reference step {first_bad_step(level)} although "
+                     f"every state is finite: a squared difference to the reference, or "
+                     f"its sum over trajectories, overflows")
 
 
-def _non_finite_error(params: SchemeParams, step: int, reason: str) -> ValueError:
-    return ValueError(f"level tau={params.tau!r}, n_modes={params.basis.n_modes}: "
-                      f"non-finite error at reference step {step}{reason}")
+def _sample_expression(text: str, basis: SpectralBasis, key: str) -> np.ndarray:
+    """``text`` on ``basis``'s grid; a non-finite value is a ``HorizonError`` naming ``key``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = evaluate_expression(text, basis.grid)
+    if not np.isfinite(values).all():
+        raise HorizonError(f"{text!r} is not finite on the {basis.n_modes}-point grid: "
+                           f"a term or the sum of the terms overflows", key)
+    return values
 
 
 def _check_modes(n_modes: int, n_modes_ref: int) -> None:
@@ -350,7 +352,7 @@ def _coupled_errors(params_ref: SchemeParams, coeffs0_ref: np.ndarray, rungs, *,
     one batch keeps the results independent of ``threads``.  With
     ``threads > 1`` the batch runs on a one-worker pool, which adds no
     parallelism; the benchmark's ``spatial`` workload traces its ``map``.
-    The per-trajectory rows are summed once, in trajectory-id order.
+    ``_coupled_sums`` returns the checked sums over trajectories, in id order.
     """
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be positive, got {n_trajectories}")
@@ -377,15 +379,10 @@ def _coupled_errors(params_ref: SchemeParams, coeffs0_ref: np.ndarray, rungs, *,
     sources = [NoiseSource(seed, k, tau_fine=params_ref.tau, n_modes_max=n_ref - 1)
                for k in range(n_trajectories)]
     if threads <= 1:
-        errs = _coupled_sums(levels, sources, n_ref_steps)
+        sums = _coupled_sums(levels, sources, n_ref_steps)
     else:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            [errs] = pool.map(_coupled_sums, [levels], [sources], [n_ref_steps])
-    sums = [rows.sum(axis=1) for rows in errs]
-    for level, s in zip(levels[1:], sums):
-        if not np.isfinite(s).all():  # finite rows whose sum overflows
-            raise _non_finite_error(level.params, int(np.argmin(np.isfinite(s))) * level.stride,
-                                    ": its sum over trajectories overflows")
+            [sums] = pool.map(_coupled_sums, [levels], [sources], [n_ref_steps])
     return [float(np.max(np.sqrt(s / n_trajectories))) for s in sums]
 
 
@@ -438,7 +435,7 @@ def run_temporal_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
     if not taus:
         raise ValueError("tau_ladder must not be empty")
     params_ref = SchemeParams(basis, drift, tau_ref, sigma)
-    coeffs0 = initial_state(params_ref, evaluate_expression(initial, basis.grid)).coeffs
+    coeffs0 = initial_state(params_ref, _sample_expression(initial, basis, "initial")).coeffs
     rungs = [(SchemeParams(basis, drift, tau, sigma), coeffs0) for tau in taus]
     errors = _coupled_errors(params_ref, coeffs0, rungs, seed=seed,
                              n_trajectories=n_trajectories, t_final=t_final,
@@ -465,7 +462,7 @@ def run_spatial_study(*, drift: DriftSpec, sigma: float, t_final: float,
     def level(n: int):
         basis = SpectralBasis(n)
         params = SchemeParams(basis, drift, tau, sigma)
-        return params, initial_state(params, evaluate_expression(initial, basis.grid)).coeffs
+        return params, initial_state(params, _sample_expression(initial, basis, "initial")).coeffs
 
     params_ref, coeffs0_ref = level(n_modes_ref)
     errors = _coupled_errors(params_ref, coeffs0_ref, [level(n) for n in ns], seed=seed,
@@ -522,7 +519,7 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
                          f"{len(initials)}: single run i draws trajectory id i, "
                          f"below the ensemble ids")
     params = SchemeParams(basis, drift, tau, sigma)
-    spec = TestFunctionSpec.from_expression(basis, v_expr, alpha1, alpha2)
+    spec = TestFunctionSpec(_sample_expression(v_expr, basis, "test_v"), alpha1, alpha2)
     burn_steps = whole_steps(burn_in, tau, "burn_in in steps of tau", minimum=0,
                              key="burn_in")
     horizons = {"single": ("t_final", t_final),
@@ -535,9 +532,10 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
     if min(n_samples.values()) < 1:
         raise HorizonError(f"burn_in: {burn_in!r} leaves no samples of the "
                            f"{min(n_steps, key=n_steps.get)} estimator's horizon", "burn_in")
+    states0 = [initial_state(params, _sample_expression(expr, basis, "initials"))
+               for expr in initials]
     runs: list[ErgodicRun] = []
-    for i, expr in enumerate(initials):
-        state0 = initial_state(params, evaluate_expression(expr, basis.grid))
+    for i, (expr, state0) in enumerate(zip(initials, states0)):
         for kind in n_steps:
             first, count = ((i, 1) if kind == "single"
                             else (_ENSEMBLE_ID_BASE + i * n_trajectories, n_trajectories))

@@ -66,5 +66,5 @@ def evaluate_expression(text: str, x: np.ndarray) -> np.ndarray:
 
 
 def validate_expression(text: str) -> None:
-    """Raise ValueError if the descriptor does not parse."""
-    evaluate_expression(text, np.array([0.0]))
+    """Raise ValueError if the descriptor does not parse (a run checks its values on its grid)."""
+    evaluate_expression(text, np.empty(0))

@@ -345,8 +345,8 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
 
 class HorizonError(ValueError):
     """A configured value that does not fit another one: a duration or step
-    that is not a whole number of steps, or a ladder entry beyond its
-    reference; ``key`` names its config key."""
+    that is no whole number of steps, a ladder entry beyond its reference or
+    an expression not finite on the run's grid; ``key`` names its config key."""
 
     def __init__(self, message: str, key: str):
         super().__init__(message)

@@ -1027,6 +1027,43 @@ initials = 1/3; 1
         assert f"error: config: key {key!r}: " in capsys.readouterr().err
         assert not out.exists()
 
+    HUGE = "1" + "0" * 307  # 1e307, so 1e307 * e^x overflows beyond x = 2.89
+
+    @pytest.mark.parametrize("command, key, text, grid", [
+        ("simulate", "initial", HUGE + "*exp(x)", 8),
+        # 0 at x = 0 and x = pi, but 1.5e308 * (cos(x) - cos(3x)) overflows between
+        ("simulate", "initial", f"15{HUGE[1:]}*cos(x) - 15{HUGE[1:]}*cos(3x)", 8),
+        ("converge-time", "initial", HUGE + "*exp(x)", 8),
+        pytest.param("converge-space", "initial", HUGE + "*exp(x)", 8, id="reference"),
+        # 1e308 cos(8x) twice is +-2e308 on the coarse N = 2 and N = 4 grids, but
+        # about 1e292 on the reference's, where cos(8x) is 0 up to rounding
+        pytest.param("converge-space", "initial", f"{HUGE}0*cos(8x) + {HUGE}0*cos(8x)", 2,
+                     id="coarse-level"),
+        ("ergodic", "initials", f"1/3; {HUGE}*exp(x)", 8),
+        ("ergodic", "test_v", HUGE + "*exp(x)", 8),
+    ])
+    def test_an_expression_that_overflows_on_the_grid_exits_2(self, tmp_path, capsys,
+                                                              command, key, text, grid):
+        """An expression whose numbers are finite but whose value overflows
+        somewhere on a grid the run uses is a config error naming its key
+        and that grid, with no numpy warning."""
+        pairs = {"command": command, "n_modes": "8", "t_final": "0.25",
+                 **{"simulate": {"tau": "0.0625", "initial": "1/3"},
+                    "converge-time": {"tau_ref": "0.0625", "tau_ladder": "0.125",
+                                      "initial": "1/3"},
+                    "converge-space": {"tau": "0.0625", "n_modes_ref": "8",
+                                       "n_modes_ladder": "2, 4", "initial": "1/3"},
+                    "ergodic": {"tau": "0.0625", "initials": "1/3"}}[command]}
+        pairs[key] = text
+        cfg = self.write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: config: key {key!r}: ")
+        assert line.endswith(f"on the {grid}-point grid: a term or the sum of the terms "
+                             f"overflows")
+
     def test_command_mismatch_exit_2(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, SIM_CFG)
         assert main(["ergodic", "--config", cfg,
@@ -1451,8 +1488,8 @@ n_trajectories = 2
         assert main(["converge-space", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             "error: runtime: level tau=0.0625, n_modes=2: non-finite error at reference "
-            "step 1 although every state is finite: its difference to the reference "
-            "overflows\n")
+            "step 1 although every state is finite: a squared difference to the "
+            "reference, or its sum over trajectories, overflows\n")
 
     def test_completed_run_keeps_its_warnings(self, tmp_path, capsys):
         """A run that completes re-emits the RuntimeWarnings it raised."""

@@ -20,6 +20,7 @@ from schsim import (DriftSpec, NoiseSource, SchemeParams, SpectralBasis,
                     TrajectoryBlowUpError, mean_square_error, pairwise_rates,
                     rate_regression, run_ergodic_study, run_spatial_study,
                     run_temporal_study)
+from schsim import experiments
 from schsim.experiments import _kappa_rows
 from schsim.expressions import evaluate_expression
 from schsim import integrator
@@ -296,7 +297,8 @@ class TestMeanSquareError:
                               seed=0, n_trajectories=2, t_final=600 * tau)
         assert str(exc_info.value) == (
             f"level tau={tau!r}, n_modes=2: non-finite error at reference step 600 "
-            f"although every state is finite: its difference to the reference overflows")
+            f"although every state is finite: a squared difference to the reference, "
+            f"or its sum over trajectories, overflows")
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_an_overflowing_sum_over_trajectories_names_its_level(self):
@@ -306,8 +308,46 @@ class TestMeanSquareError:
             run_spatial_study(drift=WELL, sigma=4e154, tau=0.0625, t_final=0.0625,
                               n_modes_ladder=[2, 4, 8], n_modes_ref=8, initial="1/3",
                               seed=0, n_trajectories=3)
-        assert str(exc_info.value) == ("level tau=0.0625, n_modes=2: non-finite error at "
-                                       "reference step 1: its sum over trajectories overflows")
+        assert str(exc_info.value) == (
+            "level tau=0.0625, n_modes=2: non-finite error at reference step 1 although "
+            "every state is finite: a squared difference to the reference, or its sum "
+            "over trajectories, overflows")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowing_sum_is_raised_after_its_own_block(self, monkeypatch):
+        """Noise of 2.5e154 injected into mode 5 of both trajectories at
+        step 1 makes each trajectory's squared difference about 1.4e308,
+        finite, and their sum infinite.  The linear drift keeps every state
+        finite and mode 5 decays, so every later sum is finite.  The run is
+        three noise blocks long, and the sum is raised after the first."""
+        increment_matrix = NoiseSource.increment_matrix
+
+        def poisoned(self, basis, m0, m1, ratio=1, out=None):
+            out = increment_matrix(self, basis, m0, m1, ratio, out)
+            if m0 == 0 and basis.n_modes > 5:
+                out[0, 5] = 2.5e154
+            return out
+
+        blocks = []
+        noise_blocks = experiments._noise_blocks
+
+        def counted(*args):  # the lockstep loop's blocks, not the reruns'
+            for m, block in noise_blocks(*args):
+                blocks.append(m)
+                yield m, block
+
+        monkeypatch.setattr(NoiseSource, "increment_matrix", poisoned)
+        monkeypatch.setattr(experiments, "_noise_blocks", counted)
+        tau = 2.0**-10
+        params_c = SchemeParams(SpectralBasis(2), LINEAR, tau)
+        params_r = SchemeParams(SpectralBasis(8), LINEAR, tau)
+        u0 = lambda basis: np.cos(basis.grid) / 3
+        with pytest.raises(ValueError) as exc_info:
+            mean_square_error(params_c, params_r, u0(params_c.basis), u0(params_r.basis),
+                              seed=0, n_trajectories=2, t_final=1200 * tau)
+        assert blocks == [0]
+        assert str(exc_info.value).startswith(
+            f"level tau={tau!r}, n_modes=2: non-finite error at reference step 1 ")
 
     def test_validation(self):
         basis8, basis16 = SpectralBasis(8), SpectralBasis(16)
@@ -527,6 +567,22 @@ class TestCoupledCore:
             tracemalloc.stop()
         assert exc_info.value.key == "n_modes_ladder"
         assert peak < 50 * 2**20
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        """Each step's per-trajectory rows are summed as they are made, so
+        four times the horizon adds about 8 B per step and level, not 8 B
+        per step, level and trajectory (7 MB here)."""
+        def peak(t_final):
+            tracemalloc.start()
+            try:
+                run_spatial_study(drift=WELL, sigma=1.0, t_final=t_final, tau=2.0**-10,
+                                  n_modes_ladder=[4, 8, 16], n_modes_ref=32,
+                                  initial=self.INITIAL, seed=1, n_trajectories=200)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2.0) - peak(0.5) < 2**20
 
     @staticmethod
     def coupling_warnings(run) -> set[tuple[float, int]]:
