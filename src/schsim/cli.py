@@ -33,12 +33,12 @@ import numpy as np
 from .checkpoint import CheckpointData, read_checkpoint, write_checkpoint
 from .config import (_READERS, COMMANDS, ConfigError, RunConfig, apply_env_overrides,
                      build_config, format_value, parse_pairs, serialize_config)
-from .experiments import (_sample_expression, run_ergodic_study, run_spatial_study,
-                          run_temporal_study)
+from .experiments import (_initial_from_expression, run_ergodic_study,
+                          run_spatial_study, run_temporal_study)
 from .grid import SpectralBasis
 from .integrator import (DriftSpec, HorizonError, SchemeParams,
-                         TrajectoryBlowUpError, initial_state, run_trajectory,
-                         state_from_coeffs, whole_steps)
+                         TrajectoryBlowUpError, run_trajectory, state_from_coeffs,
+                         whole_steps)
 from .noise import NoiseSource
 from .output import write_csv, write_svg_line_chart
 from .verify import run_all_checks
@@ -138,7 +138,7 @@ def _cmd_simulate(cfg: RunConfig, explicit: set[str], out_dir: Path, want_svg: b
     source = NoiseSource(cfg.seed, cfg.trajectory_id,
                          tau_fine=tau_fine, n_modes_max=cfg.n_modes - 1)
     state = (state_from_coeffs(params, data.step_index, data.coeffs) if data is not None
-             else initial_state(params, _sample_expression(cfg.initial, basis, "initial")))
+             else _initial_from_expression(params, cfg.initial, "initial"))
     n_total = whole_steps(cfg.t_final, params.tau, "t_final in steps of tau", key="t_final")
     if n_total < state.step_index:
         raise HorizonError(f"t_final corresponds to step {n_total}, but the "

@@ -34,7 +34,14 @@ products stay per level, because their bits depend on the operand's shape,
 so each level keeps the bits of its own run.
 Noise is generated once, in blocks at the reference step and mode count; a
 coarse level reads the first N_c modes of each block and sums each run of
-``stride`` reference increments, which is exact (see ``noise``).
+``stride`` reference increments, which is exact (see ``noise``).  A block
+draws modes up to the largest ``SchemeParams.live_modes`` of the levels, the
+union of their live modes, and leaves the rest 0.0: those modes have a
+semigroup factor of exactly 0.0 at every level, so no error bit moves (see
+``integrator``).  At criterion 4's shape (N = 64, tau_ref = 2^-12) the
+reference keeps all its modes live; at criterion 5's (N_ref = 256, tau =
+2^-12) the union is 64 modes, set by the N = 64 rung, against the
+reference's 43.
 All trajectories are advanced as one vectorized batch, whatever ``threads``
 is, and ``_Group.record`` sums each step's per-trajectory row over them, in
 trajectory-id order, as it makes it, so the results do not depend on
@@ -61,7 +68,7 @@ import numpy as np
 
 from .expressions import evaluate_expression
 from .grid import SpectralBasis
-from .integrator import (DriftSpec, HorizonError, SchemeParams,
+from .integrator import (DriftSpec, HorizonError, SchemeParams, SchemeState,
                          TrajectoryBlowUpError, _advance, _noise_blocks, _ratio,
                          _stack_levels, initial_state, run_ensemble, whole_steps)
 from .noise import NoiseSource
@@ -263,8 +270,9 @@ def _coupled_sums(levels, sources, n_ref_steps: int) -> list[np.ndarray]:
 
     for g in recorded:
         g.record(0, groups[0].state[:n_ref])
+    live = max(level.params.live_modes for level in levels)  # the union: each is a prefix
     for m, block in _noise_blocks(ref.params.basis, sources, _ratio(ref.params, sources),
-                                  0, n_ref_steps):
+                                  0, n_ref_steps, live):
         # a group's increments: its first N_max modes, summed over runs of
         # stride reference steps (exact, so equal to drawing them directly)
         plan = [(g, block[:, :g.n_max] if g.stride == 1
@@ -326,6 +334,17 @@ def _sample_expression(text: str, basis: SpectralBasis, key: str) -> np.ndarray:
         raise HorizonError(f"{text!r} is not finite on the {basis.n_modes}-point grid: "
                            f"a term or the sum of the terms overflows", key)
     return values
+
+
+def _initial_from_expression(params: SchemeParams, text: str, key: str) -> SchemeState:
+    """The m = 0 state of ``text`` on ``params``' grid; a value, coefficient
+    or nodal value that is not finite is a ``HorizonError`` naming ``key``."""
+    values = _sample_expression(text, params.basis, key)
+    try:
+        return initial_state(params, values)
+    except ValueError as exc:
+        raise HorizonError(f"{text!r} on the {params.basis.n_modes}-point grid: {exc}",
+                           key) from None
 
 
 def _check_modes(n_modes: int, n_modes_ref: int) -> None:
@@ -435,7 +454,7 @@ def run_temporal_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
     if not taus:
         raise ValueError("tau_ladder must not be empty")
     params_ref = SchemeParams(basis, drift, tau_ref, sigma)
-    coeffs0 = initial_state(params_ref, _sample_expression(initial, basis, "initial")).coeffs
+    coeffs0 = _initial_from_expression(params_ref, initial, "initial").coeffs
     rungs = [(SchemeParams(basis, drift, tau, sigma), coeffs0) for tau in taus]
     errors = _coupled_errors(params_ref, coeffs0, rungs, seed=seed,
                              n_trajectories=n_trajectories, t_final=t_final,
@@ -460,9 +479,8 @@ def run_spatial_study(*, drift: DriftSpec, sigma: float, t_final: float,
     _check_modes(ns[-1], n_modes_ref)  # before a basis of up to 40 B x N^2 is built
 
     def level(n: int):
-        basis = SpectralBasis(n)
-        params = SchemeParams(basis, drift, tau, sigma)
-        return params, initial_state(params, _sample_expression(initial, basis, "initial")).coeffs
+        params = SchemeParams(SpectralBasis(n), drift, tau, sigma)
+        return params, _initial_from_expression(params, initial, "initial").coeffs
 
     params_ref, coeffs0_ref = level(n_modes_ref)
     errors = _coupled_errors(params_ref, coeffs0_ref, [level(n) for n in ns], seed=seed,
@@ -532,8 +550,7 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
     if min(n_samples.values()) < 1:
         raise HorizonError(f"burn_in: {burn_in!r} leaves no samples of the "
                            f"{min(n_steps, key=n_steps.get)} estimator's horizon", "burn_in")
-    states0 = [initial_state(params, _sample_expression(expr, basis, "initials"))
-               for expr in initials]
+    states0 = [_initial_from_expression(params, expr, "initials") for expr in initials]
     runs: list[ErgodicRun] = []
     for i, (expr, state0) in enumerate(zip(initials, states0)):
         for kind in n_steps:

@@ -12,6 +12,13 @@ is conserved bit-for-bit.  The taming denominator uses the Parseval form
 sum_j (1 + lambda_j) c_j^2 of the squared w12 norm, computed directly from the
 state's coefficients.
 
+The factor e^(-lambda_j^2 tau) underflows to exactly 0.0 from some mode on
+(``SchemeParams.live_modes`` is one past the last nonzero one: 21 of 64
+modes at N = 64, tau = 5e-3), so every later c_j is a zero after each step
+whatever db_j was.  The runs draw no noise for those modes, which changes
+no nodal value; only the sign of a dead coefficient's zero can differ
+(see ``_noise_blocks``).
+
 A state is its step index, its spectral coefficients and their nodal
 values.  Every state is built with its nodal values, synthesized once: the
 next drift evaluation and the observers read them from the state instead of
@@ -157,6 +164,14 @@ class SchemeParams:
         return factors
 
     @cached_property
+    def live_modes(self) -> int:
+        """One past the last mode whose semigroup factor is nonzero.  The
+        eigenvalues are nondecreasing, so the live modes are a prefix: every
+        later factor underflows to exactly 0.0, so ``_advance`` turns such a
+        mode into a zero at every step, whatever finite noise it is given."""
+        return int(np.flatnonzero(self.semigroup)[-1]) + 1
+
+    @cached_property
     def _kernel_constants(self) -> dict:
         """(tau * lambda, 1 + lambda, semigroup), read-only: (N,) rows under
         key 1 for one trajectory and (N, 1) columns under key 2 for a stack."""
@@ -256,15 +271,22 @@ class SchemeState:
 
 
 def initial_state(params: SchemeParams, u0: np.ndarray) -> SchemeState:
-    """Build the m = 0 state from a nodal initial condition."""
+    """Build the m = 0 state from a nodal initial condition.  A finite field
+    whose analysis, or the synthesis of its coefficients, overflows is a
+    ``ValueError``, raised without a numpy warning."""
     u0 = np.asarray(u0, dtype=np.float64)
     if u0.shape != (params.basis.n_modes,):
         raise ValueError(
             f"initial condition must have shape ({params.basis.n_modes},), got {u0.shape}")
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial condition contains non-finite values")
-    coeffs = params.basis.to_spectral(u0)
-    return SchemeState(0, coeffs, params.basis.from_spectral(coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = params.basis.to_spectral(u0)
+        nodal = params.basis.from_spectral(coeffs)
+    if not (np.isfinite(coeffs).all() and np.isfinite(nodal).all()):
+        raise ValueError("initial condition overflows in the spectral transform: "
+                         "its coefficients or their nodal values are not finite")
+    return SchemeState(0, coeffs, nodal)
 
 
 def state_from_coeffs(params: SchemeParams, step_index: int, coeffs: np.ndarray) -> SchemeState:
@@ -378,14 +400,24 @@ def _ratio(params: SchemeParams, sources) -> int:
     return ratios.pop()
 
 
-def _noise_blocks(basis: SpectralBasis, sources, ratio: int, m0: int, m1: int):
+def _noise_blocks(basis: SpectralBasis, sources, ratio: int, m0: int, m1: int,
+                  live: int):
     """Yield (m, block) covering steps m0 <= m < m1, block[i] being the
     (N, L) increments of step m + i for the L sources.  A block holds at
     most 512 steps and, beyond one step, at most 4M floats.  Every block is
     a view of one buffer that the next block overwrites, and each source
-    writes its slot ``block[:, :, l]`` in place, so only one block is ever
-    resident: a consumer must be done with a block before it asks for the
-    next.
+    writes its slot ``block[:, :live, l]`` in place, so only one block is
+    ever resident: a consumer must be done with a block before it asks for
+    the next.
+
+    Only modes 0 .. live-1 are drawn.  ``live`` is the largest
+    ``SchemeParams.live_modes`` of the levels that read the block: every
+    later mode has a semigroup factor of exactly 0.0 in each of them, so
+    its increment reaches no result.  Its rows are zeros, allocated once
+    and never written.  A draw is keyed by (source, mode), so the skipped
+    modes move no other word, and a dead mode's coefficient is 0.0 times a
+    finite value either way: the only bit that can differ from a block of
+    every mode is the sign of that zero.
 
     Storage order follows the width L alone.  From L = 8 on, the buffer is
     stored source-major, as (steps, L, N) seen through a transposed view:
@@ -398,12 +430,12 @@ def _noise_blocks(basis: SpectralBasis, sources, ratio: int, m0: int, m1: int):
     n, width = basis.n_modes, len(sources)
     steps = max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // (n * width)))
     rows = min(steps, m1 - m0)
-    buffer = (np.empty((rows, width, n)).transpose(0, 2, 1) if width >= 8
-              else np.empty((rows, n, width)))
+    buffer = (np.zeros((rows, width, n)).transpose(0, 2, 1) if width >= 8
+              else np.zeros((rows, n, width)))
     for m in range(m0, m1, steps):
         block = buffer[:min(steps, m1 - m)]
         for l, src in enumerate(sources):
-            src.increment_matrix(basis, m, m + len(block), ratio, block[:, :, l])
+            src.increment_matrix(basis, m, m + len(block), ratio, block[:, :live, l])
         yield m, block
 
 
@@ -420,7 +452,8 @@ def _run(params: SchemeParams, state: SchemeState, sources, n_steps: int,
         obs(state.step_index, state)
     m0 = state.step_index
     stacked = state.coeffs.ndim == 2
-    for _, block in _noise_blocks(params.basis, sources, ratio, m0, m0 + n_steps):
+    for _, block in _noise_blocks(params.basis, sources, ratio, m0, m0 + n_steps,
+                                 params.live_modes):
         for dw in (block if stacked else block[:, :, 0]):
             try:
                 state = step(params, state, dw)

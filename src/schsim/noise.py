@@ -42,9 +42,13 @@ into its destination, which may be a strided view: ``increment_matrix``
 takes an optional ``out``, so an ensemble fills each trajectory's slot of
 its (steps, N, L) noise block in place, with no per-source temporary; from
 L = 8 on the block is stored source-major, so that each slot is contiguous
-rows.  Counter-based words may be produced in any grouping (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11), so no layout changes
-a value.
+rows.  An ``out`` of k < N columns receives modes 0 .. k-1 alone, and no
+word of a later mode is drawn: the integrator fills each slot only up to
+the last mode that its semigroup does not annihilate (see
+``SchemeParams.live_modes``).  Counter-based words may be produced in any
+grouping (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11), and each (trajectory, mode) stream is keyed on its own, so neither
+the layout nor the modes left out change a value.
 
 The order of operations is part of the values and must not be rewritten
 algebraically: x >> 11, conversion to float64, + 0.5, * 2^-53, min with
@@ -310,7 +314,9 @@ class NoiseSource:
         ``out``, if given, is a float64 array of that shape, possibly a
         strided view such as one trajectory's slot ``block[:, :, l]`` of a
         (steps, N, L) block; it is filled in place (column 0 set to 0.0)
-        and returned, with the same bits as a fresh array.
+        and returned, with the same bits as a fresh array.  An ``out`` of
+        k < N columns receives modes 0 .. k-1 alone, the first k columns of
+        the full matrix bit for bit; no word of a later mode is drawn.
         """
         n = basis.n_modes
         if n - 1 > self.n_modes_max:
@@ -322,9 +328,10 @@ class NoiseSource:
             raise ValueError(f"need 0 <= m0 <= m1, got ({m0}, {m1})")
         if out is None:
             out = np.empty((m1 - m0, n))
-        elif out.shape != (m1 - m0, n) or out.dtype != np.float64:
-            raise ValueError(f"out must be a float64 array of shape {(m1 - m0, n)}, "
-                             f"got {out.dtype} {out.shape}")
+        elif (out.ndim != 2 or out.shape[0] != m1 - m0 or not 1 <= out.shape[1] <= n
+              or out.dtype != np.float64):
+            raise ValueError(f"out must be a float64 array of shape {(m1 - m0, n)}, or "
+                             f"narrower, got {out.dtype} {out.shape}")
         out[:, 0] = 0.0
         self._fill(out[:, 1:], 1, m0, ratio)
         return out

@@ -1064,6 +1064,38 @@ initials = 1/3; 1
         assert line.endswith(f"on the {grid}-point grid: a term or the sum of the terms "
                              f"overflows")
 
+    @pytest.mark.parametrize("command, key, text, n_ref, grid", [
+        ("simulate", "initial", HUGE, 64, 64),
+        ("converge-time", "initial", HUGE, 64, 64),
+        pytest.param("converge-space", "initial", HUGE, 64, 64, id="reference"),
+        # 1e308 cos(8x) is -1e308 at the four points of the N = 4 grid, whose
+        # mode-0 sum overflows, and about 1e292 on the reference's
+        pytest.param("converge-space", "initial", f"{HUGE}0*cos(8x)", 8, 4,
+                     id="coarse-level"),
+        ("ergodic", "initials", f"1/3; {HUGE}", 64, 64),
+    ])
+    def test_an_initial_field_whose_analysis_overflows_exits_2(
+            self, tmp_path, capsys, command, key, text, n_ref, grid):
+        """A finite initial field whose spectral coefficients are not (1e307
+        summed over 64 points) is a config error naming its key and grid,
+        with no numpy warning, not a blow-up at step 1."""
+        pairs = {"command": command, "n_modes": "64", "t_final": "0.25",
+                 **{"simulate": {"tau": "0.0625", "initial": "1/3"},
+                    "converge-time": {"tau_ref": "0.0625", "tau_ladder": "0.125",
+                                      "initial": "1/3"},
+                    "converge-space": {"tau": "0.0625", "n_modes_ref": str(n_ref),
+                                       "n_modes_ladder": "2, 4", "initial": "1/3"},
+                    "ergodic": {"tau": "0.0625", "initials": "1/3"}}[command]}
+        pairs[key] = text
+        cfg = self.write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"error: config: key {key!r}: {text.split('; ')[-1]!r} on the "
+                        f"{grid}-point grid: initial condition overflows in the spectral "
+                        f"transform: its coefficients or their nodal values are not finite")
+
     def test_command_mismatch_exit_2(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, SIM_CFG)
         assert main(["ergodic", "--config", cfg,

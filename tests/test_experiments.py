@@ -496,6 +496,30 @@ class TestSpatialStudy:
         assert [e.hex() for e in table.errors()] == [
             "0x1.a6381fff3d1c7p-2", "0x1.5c6cdfd6f39d8p-3", "0x1.c7a2d22d8d876p-5"]
 
+    def test_live_noise_keeps_every_error_bit(self, monkeypatch):
+        """At tau = 2^-12 the N_ref = 256 reference has 43 live modes and the
+        N = 64 rung all 64, so each block draws their union, 64 modes.  The
+        errors equal in hex those of a run whose blocks draw all 256."""
+        widths = set()
+        increment_matrix = NoiseSource.increment_matrix
+
+        def recording(self, basis, m0, m1, ratio=1, out=None):
+            widths.add(out.shape[1])
+            return increment_matrix(self, basis, m0, m1, ratio, out)
+
+        monkeypatch.setattr(NoiseSource, "increment_matrix", recording)
+        study = dict(drift=WELL, sigma=1.0, t_final=0.25, tau=2.0**-12,
+                     n_modes_ladder=[16, 64], n_modes_ref=256,
+                     initial="(1/3)*cos(x)+1/3", seed=2, n_trajectories=3)
+        live = run_spatial_study(**study)
+        assert widths == {64}
+        widths.clear()
+        monkeypatch.setattr(SchemeParams, "live_modes",
+                            property(lambda params: params.basis.n_modes))
+        full = run_spatial_study(**study)
+        assert widths == {256}
+        assert [e.hex() for e in live.errors()] == [e.hex() for e in full.errors()]
+
     def test_ladder_may_not_exceed_reference(self):
         with pytest.raises(ValueError, match="must not exceed"):
             run_spatial_study(

@@ -110,6 +110,29 @@ class TestSchemeParams:
         assert factors[0] == 1.0
         assert not factors.flags.writeable
 
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(n=st.integers(2, 2048),
+           taus=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         min_size=1, max_size=20))
+    @example(n=2048, taus=[2.0**-12, 5e-3, 1e-300, 0.999])
+    @example(n=64, taus=[5e-3, 2.0**-12])
+    def test_live_modes_are_the_nonzero_prefix(self, n, taus):
+        """For every (N, tau) the config accepts, each mode before
+        ``live_modes`` has a nonzero semigroup factor and each mode from it
+        on a factor of exactly 0.0."""
+        basis = SpectralBasis(n)
+        for tau in taus:
+            params = SchemeParams(basis, WELL, tau)
+            live = params.live_modes
+            assert 1 <= live <= n
+            assert (params.semigroup[:live] != 0.0).all()
+            assert (params.semigroup[live:] == 0.0).all()
+
+    def test_live_modes_of_the_workload_shapes(self):
+        assert make_params(n=64, tau=5e-3).live_modes == 21
+        assert make_params(n=256, tau=2.0**-12).live_modes == 43
+        assert make_params(n=64, tau=2.0**-12).live_modes == 64
+
     def test_dissipativity_warning(self):
         """A drift steeper than -lambda_1 only warns; it is not an error."""
         steep = DriftSpec(0.0, 0.0, -50.0, 0.0, validation_mode=True)
@@ -209,7 +232,7 @@ class TestLevelStack:
             w12_sq = np.sum((1.0 + params.basis.eigenvalues[:, None]) * c * c, axis=0)
             c *= scale if scale else (params.tau * w12_sq**6) ** (-1 / 12)
         sources = [make_source(levels[0], seed=seed, trajectory_id=l) for l in range(width)]
-        _, block = next(_noise_blocks(levels[0].basis, sources, 1, 0, 1))
+        _, block = next(_noise_blocks(levels[0].basis, sources, 1, 0, 1, ns[0]))
         return levels, coeffs, block[0]
 
     @staticmethod
@@ -284,6 +307,16 @@ class TestStates:
         params = make_params(n=4)
         with pytest.raises(ValueError, match="non-finite"):
             initial_state(params, np.array([0.0, np.inf, 0.0, 0.0]))
+
+    def test_initial_state_rejects_an_overflowing_analysis(self):
+        """1e307 at 64 points is finite, but its mode-0 sum is not: a
+        ``ValueError``, with no numpy warning."""
+        params = make_params(n=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows in the spectral transform"):
+                initial_state(params, np.full(64, 1e307))
+            assert np.isfinite(initial_state(params, np.full(64, 1e306)).coeffs).all()
 
     def test_state_from_coeffs_round_trip(self):
         params = make_params(n=6)
@@ -604,7 +637,7 @@ class TestNoiseBlocks:
         basis = SpectralBasis(8)
         sources = [NoiseSource(4, l, tau_fine=0.01, n_modes_max=7) for l in range(3)]
         blocks = []
-        for m, block in _noise_blocks(basis, sources, 2, 100, 1300):
+        for m, block in _noise_blocks(basis, sources, 2, 100, 1300, 8):
             for l, src in enumerate(sources):
                 expected = src.increment_matrix(basis, m, m + len(block), 2)
                 assert block[:, :, l].tobytes() == expected.tobytes()
@@ -629,16 +662,21 @@ class TestNoiseBlocks:
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(width=st.sampled_from([1, 2, 7, 8, 9, 50]), n=st.integers(2, 257),
-           ratio=st.integers(2, 4), m0=st.integers(0, 1100), n_steps=st.integers(1, 700))
-    @example(width=50, n=9, ratio=2, m0=1000, n_steps=600)  # a 512-step and a Philox block
-    @example(width=7, n=2, ratio=4, m0=1020, n_steps=600)   # the same below width 8
-    @example(width=8, n=257, ratio=3, m0=680, n_steps=20)   # a Philox block, 64-mode chunks
-    def test_storage_order_never_changes_a_bit(self, width, n, ratio, m0, n_steps):
+           ratio=st.integers(2, 4), m0=st.integers(0, 1100), n_steps=st.integers(1, 700),
+           live=st.integers(1, 257))
+    @example(width=50, n=9, ratio=2, m0=1000, n_steps=600, live=9)  # a 512-step and a Philox block
+    @example(width=7, n=2, ratio=4, m0=1020, n_steps=600, live=2)   # the same below width 8
+    @example(width=8, n=257, ratio=3, m0=680, n_steps=20, live=257)  # 64-mode chunks
+    @example(width=8, n=257, ratio=3, m0=680, n_steps=20, live=43)  # 43 live modes: one chunk
+    @example(width=2, n=64, ratio=2, m0=0, n_steps=600, live=1)     # no mode drawn at all
+    def test_storage_order_never_changes_a_bit(self, width, n, ratio, m0, n_steps, live):
         """Whatever the storage order the width picks, slot l of every block
-        holds a fresh ``increment_matrix`` of source l, and each source draws
-        exactly its budget of Philox words: per mode and block request, the
-        words it returns plus the alignment words below its first one."""
+        holds the first ``live`` columns of a fresh ``increment_matrix`` of
+        source l and zeros after them, and each source draws exactly its
+        budget of Philox words: per live mode and block request, the words
+        it returns plus the alignment words below its first one."""
         n_steps = min(n_steps, max(1, 600_000 // (width * n)))  # bounds the run time
+        live = min(live, n)
         basis = self.BASES.setdefault(n, SpectralBasis(n))
         counted = []
 
@@ -652,15 +690,55 @@ class TestNoiseBlocks:
             sources = [NoiseSource(6, 40 + l, tau_fine=1e-3, n_modes_max=n - 1)
                        for l in range(width)]
         budget = 0
-        for m, block in _noise_blocks(basis, sources, ratio, m0, m0 + n_steps):
+        for m, block in _noise_blocks(basis, sources, ratio, m0, m0 + n_steps, live):
             assert block.shape[1:] == (n, width)
+            assert not block[:, live:].any()
             for l, src in enumerate(sources):
                 fresh = NoiseSource(6, 40 + l, tau_fine=1e-3, n_modes_max=n - 1)
-                assert (block[:, :, l].tobytes()
-                        == fresh.increment_matrix(basis, m, m + len(block), ratio).tobytes())
-            budget += (n - 1) * (len(block) * ratio + m * ratio % 4)
+                full = fresh.increment_matrix(basis, m, m + len(block), ratio)
+                assert block[:, :live, l].tobytes() == full[:, :live].tobytes()
+            budget += (live - 1) * (len(block) * ratio + m * ratio % 4)
         for src in sources:
             assert sum(size for gen, size in counted if gen is src._philox) == budget
+
+
+class TestLiveModes:
+    """A run draws the live modes alone (``SchemeParams.live_modes``) and
+    keeps the bits of a run fed every mode."""
+
+    @pytest.mark.parametrize("width", [None, 8, 50])
+    def test_live_noise_keeps_every_nodal_bit(self, width):
+        """Over 2 000 steps at N = 64, tau = 5e-3 (21 live modes), every
+        state of ``run_trajectory`` or ``run_ensemble`` equals that of
+        ``step`` fed full ``increment_matrix`` rows: the nodal values byte
+        for byte and the coefficients under ==, since the sign of a dead
+        mode's zero may differ."""
+        params = make_params(n=64, tau=5e-3)
+        basis, n_steps = params.basis, 2000
+        sources = [make_source(params, seed=2, trajectory_id=l) for l in range(width or 1)]
+
+        def full_rows():
+            for m0 in range(0, n_steps, 500):
+                rows = np.stack([src.increment_matrix(basis, m0, m0 + 500)
+                                 for src in sources], axis=-1)
+                yield from (rows if width else rows[:, :, 0])
+
+        state = initial_state(params, np.cos(basis.grid) / 3 + 1 / 3)
+        if width:
+            state = state_from_coeffs(params, 0, np.tile(state.coeffs[:, None], width))
+        expected, rows = [state], full_rows()
+
+        def check(m, state):
+            if m:
+                expected[0] = step(params, expected[0], next(rows))
+            assert state.nodal.tobytes() == expected[0].nodal.tobytes()
+            assert (state.coeffs == expected[0].coeffs).all()
+
+        if width:
+            run_ensemble(params, state.coeffs, sources, n_steps, observers=(check,))
+        else:
+            run_trajectory(params, state, sources[0], n_steps, observers=(check,))
+        assert expected[0].step_index == n_steps
 
 
 class TestAcceptedInputs:

@@ -19,8 +19,8 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from schsim import (DriftSpec, NoiseSource, SchemeParams, SpectralBasis,
-                    noise, run_ensemble, run_spatial_study, run_temporal_study,
-                    stationary_variance)
+                    initial_state, noise, run_ensemble, run_spatial_study,
+                    run_temporal_study, run_trajectory, stationary_variance)
 
 
 def make_source(**kw):
@@ -261,7 +261,20 @@ class TestProducer:
             drift=DriftSpec(0.5, -0.5, 1.0, -1.0), sigma=1.0, t_final=5.0,
             tau=2.0**-7, n_modes_ladder=[4, 8, 16], n_modes_ref=32,
             initial="1/3", seed=1, n_trajectories=2)
-        self.assert_budget(draws, 2 * 31 * 640)
+        # modes 1 .. 21: at tau = 2^-7 the reference's factors vanish from
+        # mode 22 on, and every coarse level has at most 16 modes
+        self.assert_budget(draws, 2 * 21 * 640)
+
+    def test_an_ergodic_run_draws_its_live_modes_alone(self, draws):
+        """At N = 64, tau = 5e-3 (the ergodic criteria's shape) modes 21 to
+        63 have a semigroup factor of exactly 0.0; a single run and an
+        ensemble draw modes 1 .. 20 alone."""
+        params = SchemeParams(SpectralBasis(64), DriftSpec(0.5, -0.5, 1.0, -1.0), 5e-3)
+        assert params.live_modes == 21
+        sources = [NoiseSource(3, l, tau_fine=5e-3, n_modes_max=63) for l in range(4)]
+        run_trajectory(params, initial_state(params, np.zeros(64)), sources[0], 300)
+        run_ensemble(params, np.zeros(64), sources[1:], 300)
+        self.assert_budget(draws, 4 * 20 * 300)
 
     def test_ensemble_draws_each_increment_once(self, draws):
         params = SchemeParams(SpectralBasis(8), DriftSpec(0.5, -0.5, 1.0, -1.0), 0.04)
@@ -338,11 +351,30 @@ class TestOracle:
     def test_out_of_the_wrong_shape_is_rejected(self):
         src = make_source(n_modes_max=7)
         with pytest.raises(ValueError, match="shape"):
-            src.increment_matrix(SpectralBasis(8), 0, 4, 1, np.empty((4, 7)))
+            src.increment_matrix(SpectralBasis(8), 0, 4, 1, np.empty((4, 9)))
         with pytest.raises(ValueError, match="shape"):
             src.increment_matrix(SpectralBasis(8), 0, 4, 1, np.empty((8, 4)).T[:3])
         with pytest.raises(ValueError, match="float64"):
             src.increment_matrix(SpectralBasis(8), 0, 4, 1, np.empty((4, 8), np.float32))
+
+    @pytest.mark.parametrize("ratio", [1, 3])
+    @pytest.mark.parametrize("n, k", [(8, 1), (8, 5), (65, 64), (257, 43), (257, 130)])
+    def test_a_narrower_out_gets_the_first_columns(self, n, k, ratio, draws):
+        """An ``out`` of k < N columns, contiguous or a strided slot, receives
+        the first k columns of the full matrix bit for bit, and only modes
+        1 .. k-1 are drawn."""
+        src = make_source(seed=11, trajectory_id=7, n_modes_max=n - 1)
+        basis = SpectralBasis(n)
+        m0, m1 = self.STEPS[ratio]
+        expected = reference_matrix(src, n, m0, m1, ratio)[:, :k]
+        narrow = np.full((m1 - m0, k), np.nan)
+        assert src.increment_matrix(basis, m0, m1, ratio, narrow) is narrow
+        assert_bits(narrow, expected)
+        block = np.full((m1 - m0, n, 3), np.nan)
+        src.increment_matrix(basis, m0, m1, ratio, block[:, :k, 1])
+        assert_bits(block[:, :k, 1], expected)
+        assert np.isnan(block[:, k:, 1]).all() and np.isnan(block[:, :, [0, 2]]).all()
+        TestProducer.assert_budget(draws, 2 * (k - 1) * (m1 - m0) * ratio)
 
     def test_a_substituted_philox_gives_the_same_words(self, monkeypatch):
         """The counter reset carries the generator's own class name, so a
