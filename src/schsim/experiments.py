@@ -495,6 +495,11 @@ def run_spatial_study(*, drift: DriftSpec, sigma: float, t_final: float,
 
 @dataclass(frozen=True)
 class ErgodicRun:
+    """One estimator's run from one initial condition.  The single runs
+    advance together, in one lockstep batch, so a single run's
+    ``wallclock_s`` is the batch's time divided by the number of initial
+    conditions; an ensemble run's is its own."""
+
     label: str
     estimator: str  # "single" or "ensemble"
     initial: str
@@ -522,10 +527,16 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
     trajectories (horizon ``t_final_ensemble``, defaulting to ``t_final``).
     Streams are partitioned by trajectory id: single runs use ids 0, 1, ...,
     ensemble run i uses ids 10000 + i*n_trajectories + l, so at most 10000
-    initial conditions are accepted.  Runs come single, then ensemble, for
-    each initial condition.  A non-finite estimate (phi or its running sum
-    overflows while every state stays finite) is a ``ValueError`` naming
-    its run, e.g. ``single[0]``.
+    initial conditions are accepted.  The single runs advance together
+    first, as one lockstep ``time_average_single`` call whose rows keep the
+    bits of separate runs; then the ensembles run, one per initial
+    condition.  ``runs`` keeps its order: single, then ensemble, for each
+    initial condition.  A blow-up in the singles is raised at the earliest
+    step of any of them, naming its trajectory (the lower id on a tie),
+    before any ensemble starts.  A non-finite estimate (phi or its running
+    sum overflows while every state stays finite) is a ``ValueError``
+    naming its run, checked in the order of ``runs``: ``single[0]``, then
+    ``ensemble[0]``, then ``single[1]``.
     """
     if estimator not in ("single", "ensemble", "both"):
         raise ValueError(f"estimator must be single, ensemble or both, got {estimator!r}")
@@ -551,24 +562,33 @@ def run_ergodic_study(*, basis: SpectralBasis, drift: DriftSpec, sigma: float,
         raise HorizonError(f"burn_in: {burn_in!r} leaves no samples of the "
                            f"{min(n_steps, key=n_steps.get)} estimator's horizon", "burn_in")
     states0 = [_initial_from_expression(params, expr, "initials") for expr in initials]
+
+    def sources(first: int, count: int) -> list[NoiseSource]:
+        return [NoiseSource(seed, first + l, tau_fine=tau, n_modes_max=basis.n_modes - 1)
+                for l in range(count)]
+
+    if "single" in n_steps:
+        t0 = time.perf_counter()
+        singles = time_average_single(params, states0, sources(0, len(states0)),
+                                      n_steps["single"], spec, burn_steps, thinning)
+        single_s = (time.perf_counter() - t0) / len(states0)
     runs: list[ErgodicRun] = []
     for i, (expr, state0) in enumerate(zip(initials, states0)):
         for kind in n_steps:
-            first, count = ((i, 1) if kind == "single"
-                            else (_ENSEMBLE_ID_BASE + i * n_trajectories, n_trajectories))
-            sources = [NoiseSource(seed, first + l, tau_fine=tau, n_modes_max=basis.n_modes - 1)
-                       for l in range(count)]
-            t0 = time.perf_counter()
             if kind == "single":
-                estimate, history, _ = time_average_single(
-                    params, state0, sources[0], n_steps[kind], spec, burn_steps, thinning)
+                estimate, history, _ = singles[i]
+                wallclock_s, count = single_s, 1
             else:
+                t0 = time.perf_counter()
                 estimate, _, history, _ = time_average_ensemble(
-                    params, state0.coeffs, sources, n_steps[kind], spec, burn_steps, thinning)
+                    params, state0.coeffs, sources(_ENSEMBLE_ID_BASE + i * n_trajectories,
+                                                   n_trajectories),
+                    n_steps[kind], spec, burn_steps, thinning)
+                wallclock_s, count = time.perf_counter() - t0, n_trajectories
             label = f"{kind}[{i}]"
             if not math.isfinite(estimate):
                 raise ValueError(f"{label}: estimate {estimate!r} is not finite: phi "
                                  f"or its running sum overflows")
             runs.append(ErgodicRun(label, kind, expr, estimate, n_samples[kind] * count,
-                                   time.perf_counter() - t0, tuple(history)))
+                                   wallclock_s, tuple(history)))
     return ErgodicStudyResult(tuple(runs))

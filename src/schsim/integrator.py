@@ -25,9 +25,22 @@ next drift evaluation and the observers read them from the state instead of
 synthesizing again.  A state is one trajectory's (N,) vector or an (N, L)
 stack advanced in lockstep; ``step`` and the one loop behind
 ``run_trajectory`` and ``run_ensemble`` take either.  The kernel
-``_advance`` also takes a ``_LevelStack``: levels of different mode counts
-that share tau, drift and sigma, advanced as one (sum N_k, L) array with the
-bits of their separate runs (the coupled studies' levels).
+``_advance`` takes two more operands in place of a ``SchemeParams``, each
+with the bits of its members' separate runs:
+
+- a ``_LevelStack``: levels of different mode counts that share tau, drift
+  and sigma, advanced as one (sum N_k, L) array (the coupled studies'
+  levels);
+- a ``_RowStack``: R single trajectories of one level, advanced as one
+  (R, N) array of coefficient rows (``run_trajectory`` given R states and R
+  sources, which the ergodic study's single runs use).
+
+A stack shares only the elementwise work.  The operations whose bits
+depend on the operand's shape run per level or per row, on views that have
+the shape of the separate run's operand: a product by a wider matrix
+picks another BLAS kernel, a sum over a column of a C-ordered stack adds
+sequentially where a 1-D sum adds pairwise, and numpy's array power
+rounds differently from its scalar power on some inputs.
 """
 
 from __future__ import annotations
@@ -40,7 +53,6 @@ from functools import cached_property
 import numpy as np
 
 from .grid import SpectralBasis
-from .noise import NoiseSource
 
 __all__ = [
     "DriftSpec",
@@ -62,7 +74,8 @@ _LF_CHECK_RADIUS = 8.0     # half-width of the interval on which L_f is estimate
 
 
 class TrajectoryBlowUpError(RuntimeError):
-    """A state with non-finite nodal values; ``column`` is the failing column of a stack."""
+    """A state with non-finite nodal values; ``column`` is the failing
+    column of a stack, or the failing row of a row stack."""
 
     column: int | None = None
 
@@ -192,12 +205,14 @@ class _LevelStack:
     ``rows[k]``.  Elementwise operations run once on the stack.  Three
     things run per level, on views of the stack, because their bits depend
     on the operand's shape: the analysis product, the w12 column sums and
-    the synthesis product.  The noise ``dw`` of a step is the (N_max, L)
-    increment of the widest level, and level k reads its first N_k modes,
-    as a truncated level does (see ``noise``).  Build one with
+    the synthesis product; the tamer's power runs once, on the (K, L)
+    sums, as it runs on a lone level's (L,) row.  The noise ``dw`` of a
+    step is the (N_max, L) increment of the widest level, and level k reads
+    its first N_k modes, as a truncated level does (see ``noise``).  Build one with
     ``_stack_levels``.  The methods are ``_advance``'s per-level parts plus
     ``synthesize``, which the caller runs to get the nodal values that
-    ``_advance`` reads.
+    ``_advance`` reads.  ``tamer`` is the divisor 1 + tau ||u||_{w12}^12 of
+    each row, and ``mean_index`` indexes the rows of the mean modes.
     """
 
     def __init__(self, levels):
@@ -207,7 +222,7 @@ class _LevelStack:
         self.sizes = [basis.n_modes for basis in self.bases]
         bounds = np.cumsum([0] + self.sizes)
         self.rows = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-        self.mean_rows = bounds[:-1]
+        self.mean_index = bounds[:-1]
         self._kernel_constants = {2: tuple(
             np.concatenate([params._kernel_constants[1][i] for params in levels])[:, None]
             for i in range(3))}
@@ -223,19 +238,69 @@ class _LevelStack:
             basis.from_spectral(coeffs[rows], out=out[rows])
         return out
 
-    def w12_sq(self, tmp: np.ndarray) -> np.ndarray:
+    def tamer(self, tmp: np.ndarray) -> np.ndarray:
         sums = np.empty((len(self.rows), tmp.shape[1]))
         for k, rows in enumerate(self.rows):
             np.add.reduce(tmp[rows], axis=0, out=sums[k])
-        return sums
-
-    def per_row(self, tamer: np.ndarray) -> np.ndarray:
-        return np.repeat(tamer, self.sizes, axis=0)
+        return np.repeat(1.0 + self.tau * sums**6, self.sizes, axis=0)
 
     def scaled_noise(self, dw: np.ndarray, out: np.ndarray) -> np.ndarray:
         for n, rows in zip(self.sizes, self.rows):
             np.multiply(dw[:n], self.sigma, out=out[rows])
         return out
+
+
+class _RowStack:
+    """R single trajectories of one level, advanced by ``step`` and
+    ``_advance`` as one C-ordered (R, N) stack of coefficient rows, each
+    with the bits of its own (N,) run.  It has ``_LevelStack``'s methods,
+    and ``step`` synthesizes with ``synthesize``.  Elementwise operations
+    run once on the stack, with the per-mode constants tiled to (R, N): a
+    product of equal shapes costs less than a broadcast one.  Per row, on
+    the row's contiguous (N,) view, run:
+
+    - the analysis and synthesis products, as the (N,) path's ``@`` runs
+      them (``ndarray.dot`` into the row gives the same bits and skips a
+      temporary); the analysis' ``* h`` then runs once on the stack;
+    - the tamer's power, on a numpy scalar: the w12 sums come from one
+      ``np.add.reduce`` over axis 1, which sums each C-ordered row
+      pairwise, as the (N,) sum does, but numpy's array power differs from
+      its scalar power on some inputs.
+
+    A step's noise is the transposed view ``block[i].T`` of the (N, R)
+    block, read only elementwise.
+    """
+
+    mean_index = (slice(None), 0)
+
+    def __init__(self, params: SchemeParams, n_rows: int):
+        self.basis, self.drift = params.basis, params.drift
+        self.tau, self.sigma, self.live_modes = params.tau, params.sigma, params.live_modes
+        self._kernel_constants = {2: tuple(np.tile(row, (n_rows, 1))
+                                           for row in params._kernel_constants[1])}
+
+    def analyze(self, f: np.ndarray) -> np.ndarray:
+        new = np.empty_like(f)
+        matrix = self.basis.basis_matrix.T
+        for row, out in zip(f, new):
+            matrix.dot(row, out=out)
+        new *= self.basis.h
+        return new
+
+    def synthesize(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        matrix = self.basis.basis_matrix
+        for row, row_out in zip(coeffs, out):
+            matrix.dot(row, out=row_out)
+        return out
+
+    def tamer(self, tmp: np.ndarray) -> np.ndarray:
+        sums = np.add.reduce(tmp, axis=1)
+        for r, w12_sq in enumerate(sums):  # numpy scalars
+            sums[r] = 1.0 + self.tau * w12_sq**6
+        return sums[:, None]
+
+    def scaled_noise(self, dw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.multiply(dw, self.sigma, out=out)
 
 
 def _stack_levels(levels):
@@ -302,9 +367,10 @@ def state_from_coeffs(params: SchemeParams, step_index: int, coeffs: np.ndarray)
 
 
 def _advance(params, coeffs: np.ndarray, dw: np.ndarray, nodal: np.ndarray) -> np.ndarray:
-    """Core update of one level (``SchemeParams``) or of a ``_LevelStack``;
-    ``coeffs``, ``dw`` and ``nodal`` may be (N,) vectors or (N, L) stacks
-    (a level stack: (sum N_k, L), with ``dw`` as the stack describes).
+    """Core update of one level (``SchemeParams``), of a ``_LevelStack``
+    or of a ``_RowStack``.  For a level, ``coeffs``, ``dw`` and ``nodal``
+    are (N,) vectors or (N, L) stacks; for a level stack they are (sum N_k,
+    L), with ``dw`` as the stack describes; for a row stack, (R, N).
     ``nodal`` must equal the synthesis of ``coeffs`` bit for bit; it is
     read, not modified.
 
@@ -313,23 +379,25 @@ def _advance(params, coeffs: np.ndarray, dw: np.ndarray, nodal: np.ndarray) -> n
     but the operations and their grouping are those of the formula in the
     module docstring, with f by Horner's rule (``DriftSpec.evaluate``) and
     ||u||_{w12}^2 = sum_j ((1 + lambda_j) c_j) c_j, so the bits equal those
-    of the formula evaluated as written, level by level.
+    of the formula evaluated as written, level by level.  A stack runs the
+    elementwise operations once and the shape-sensitive ones per level or
+    per row, on operands of the separate run's shape: the transforms, the
+    w12 sums and, for a row stack, the tamer's power (see the module
+    docstring).  So each level and each row keeps the bits of its own run.
     """
     tau_lam, one_lam, sem = params._kernel_constants[coeffs.ndim]
-    stacked = type(params) is _LevelStack
+    stacked = type(params) is not SchemeParams
     f = params.drift.evaluate(nodal)
     new = params.analyze(f) if stacked else params.basis.to_spectral(f)
     tmp = np.multiply(one_lam, coeffs, out=f)  # f is spent
     tmp *= coeffs
-    w12_sq = params.w12_sq(tmp) if stacked else np.add.reduce(tmp, axis=0)
-    tamer = 1.0 + params.tau * w12_sq**6
-    new /= params.per_row(tamer) if stacked else tamer
+    new /= params.tamer(tmp) if stacked else 1.0 + params.tau * np.add.reduce(tmp, axis=0)**6
     new *= tau_lam
     np.subtract(coeffs, new, out=new)
     new += params.scaled_noise(dw, tmp) if stacked else np.multiply(dw, params.sigma, out=tmp)
     new *= sem
-    rows = params.mean_rows if stacked else 0
-    new[rows] = coeffs[rows]  # exact mean conservation
+    mean = params.mean_index if stacked else 0
+    new[mean] = coeffs[mean]  # exact mean conservation
     return new
 
 
@@ -343,20 +411,25 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
     matrix is positive); for a stack its ``column`` names the first failing
     trajectory.  The drift reads ``state.nodal``, and the returned state
     carries the nodal values of its coefficients.
+
+    ``params`` may also be a ``_RowStack``, with (R, N) states and noise:
+    each row is synthesized on its own, the finiteness check runs once on
+    the stack, and ``column`` names the first failing row.
     """
+    rows = type(params) is _RowStack
     noise_coeffs = np.asarray(noise_coeffs, dtype=np.float64)
     if noise_coeffs.shape != state.coeffs.shape:
         raise ValueError(
             f"noise shape {noise_coeffs.shape} does not match state shape {state.coeffs.shape}")
-    if np.count_nonzero(noise_coeffs[:1]):
+    if np.count_nonzero(noise_coeffs[:, :1] if rows else noise_coeffs[:1]):
         raise ValueError("noise increment for mode 0 must be exactly zero")
     new = _advance(params, state.coeffs, noise_coeffs, state.nodal)
-    nodal = params.basis.from_spectral(new)
+    nodal = params.synthesize(new, np.empty_like(new)) if rows else params.basis.from_spectral(new)
     if not np.isfinite(nodal).all():
         m = state.step_index + 1
         exc = TrajectoryBlowUpError(f"non-finite state at step {m}", m)
         if nodal.ndim == 2:
-            exc.column = int(np.argmax(~np.isfinite(nodal).all(axis=0)))
+            exc.column = int(np.argmax(~np.isfinite(nodal).all(axis=1 if rows else 0)))
         raise exc
     # built without __post_init__: the index is positive and the shapes are
     # equal by construction
@@ -439,22 +512,22 @@ def _noise_blocks(basis: SpectralBasis, sources, ratio: int, m0: int, m1: int,
         yield m, block
 
 
-def _run(params: SchemeParams, state: SchemeState, sources, n_steps: int,
-         observers) -> SchemeState:
-    """``n_steps`` calls of ``step`` on an (N,) state driven by sources[0]
-    or an (N, L) stack driven by sources[l], each observer called as
-    ``obs(m, state)`` before and after every step; a blow-up names the
-    failing source's trajectory id."""
+def _run(params, state: SchemeState, sources, n_steps: int, observers) -> SchemeState:
+    """``n_steps`` calls of ``step`` on an (N,) state driven by sources[0],
+    an (N, L) stack driven by sources[l] or, with a ``_RowStack`` for
+    ``params``, an (R, N) row stack driven by sources[r], each observer
+    called as ``obs(m, state)`` before and after every step; a blow-up
+    names the failing source's trajectory id."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     ratio = _ratio(params, sources)
     for obs in observers:
         obs(state.step_index, state)
     m0 = state.step_index
-    stacked = state.coeffs.ndim == 2
+    rows, stacked = type(params) is _RowStack, state.coeffs.ndim == 2
     for _, block in _noise_blocks(params.basis, sources, ratio, m0, m0 + n_steps,
                                  params.live_modes):
-        for dw in (block if stacked else block[:, :, 0]):
+        for dw in (block.transpose(0, 2, 1) if rows else block if stacked else block[:, :, 0]):
             try:
                 state = step(params, state, dw)
             except TrajectoryBlowUpError as exc:
@@ -467,8 +540,7 @@ def _run(params: SchemeParams, state: SchemeState, sources, n_steps: int,
     return state
 
 
-def run_trajectory(params: SchemeParams, state: SchemeState, source: NoiseSource,
-                   n_steps: int, observers=()) -> SchemeState:
+def run_trajectory(params: SchemeParams, state, source, n_steps: int, observers=()):
     """Run ``n_steps`` scheme steps, notifying observers at every state.
 
     Observers are callables ``obs(m, state)`` invoked at the initial state
@@ -476,8 +548,31 @@ def run_trajectory(params: SchemeParams, state: SchemeState, source: NoiseSource
     a pure function of (params, state, source): noise is addressed by step
     index, so a resumed run consumes exactly the increments the uninterrupted
     run would.
+
+    R trajectories: ``state`` and ``source`` may also be sequences of R
+    (N,) states, all at one step index, and R sources.  They advance in
+    lockstep as one (R, N) row stack (see ``_RowStack``), with one ``step``
+    per step for all rows, and the R final states come back as a list,
+    each bit for bit that of the trajectory's own run.  Observers see the
+    row stack: ``coeffs`` and ``nodal`` are (R, N).  The first blow-up is
+    raised as one trajectory's run would raise it: the earliest step, and
+    of rows failing at that step the first.
     """
-    return _run(params, state, [source], n_steps, observers)
+    if isinstance(state, SchemeState):
+        return _run(params, state, [source], n_steps, observers)
+    states, sources = list(state), list(source)
+    if not states or len(sources) != len(states):
+        raise ValueError(f"R trajectories need R >= 1 states and as many sources, got "
+                         f"{len(states)} states and {len(sources)} sources")
+    if len({s.step_index for s in states}) != 1 or {s.coeffs.shape for s in states} != {
+            (params.basis.n_modes,)}:
+        raise ValueError(f"R trajectories need ({params.basis.n_modes},) states "
+                         f"at one step index")
+    stack = SchemeState(states[0].step_index, np.stack([s.coeffs for s in states]),
+                        np.stack([s.nodal for s in states]))
+    final = _run(_RowStack(params, len(states)), stack, sources, n_steps, observers)
+    return [SchemeState(final.step_index, coeffs, nodal)
+            for coeffs, nodal in zip(final.coeffs, final.nodal)]
 
 
 def run_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources, n_steps: int,

@@ -18,7 +18,9 @@ closed-form reference the ergodic experiments converge to.
 All functionals accept a single field (N,) or an (N, L) stack of trajectories.
 Both long-run estimators run through one accumulator, ``TimeAverageObserver``,
 which keeps its own sample count and sum of phi: the single estimator on one
-trajectory, the ensemble estimator on the (N, L) stack.
+trajectory, the ensemble estimator on the (N, L) stack.  R single estimators
+advanced in lockstep as an (R, N) row stack share one accumulator,
+``_RowAverages``, which keeps each row's bits of its own run.
 """
 
 from __future__ import annotations
@@ -106,13 +108,22 @@ def g_functional(basis: SpectralBasis, spec: TestFunctionSpec, u: np.ndarray):
     dot, total = spec.v @ u, np.add.reduce(u, axis=0)
     if u.ndim == 1:
         dot, total = float(dot), float(total)
+    return _pairing(basis, spec, dot, total)
+
+
+def _pairing(basis: SpectralBasis, spec: TestFunctionSpec, dot, total):
+    """g from the plain sums ``dot`` = sum_i v_i u_i and ``total`` = sum_i u_i."""
     mean_part = (spec.alpha1 / np.pi) * (basis.h * spec._v_sum) * (basis.h * total)
     return basis.h * dot - mean_part
 
 
 def phi_test(basis: SpectralBasis, spec: TestFunctionSpec, u: np.ndarray):
     """Bounded test function phi = alpha2 g / (1 + (g/alpha2)^2)."""
-    g = g_functional(basis, spec, u)
+    return _squash(spec, g_functional(basis, spec, u))
+
+
+def _squash(spec: TestFunctionSpec, g):
+    """phi = alpha2 g / (1 + (g/alpha2)^2) from g."""
     try:
         squared = (g / spec.alpha2) ** 2
     except OverflowError:  # a Python float's power raises where numpy's gives inf
@@ -167,10 +178,13 @@ class TimeAverageObserver:
         if m < self.burn_in_steps:
             return
         self.count += 1
-        self.total += phi_test(self.params.basis, self.spec, state.nodal)
+        self.total += self._phi(state.nodal)
         self._last_t = m * self.params.tau
         if (self.count - 1) % self.record_every == 0:
             self._record()
+
+    def _phi(self, nodal: np.ndarray):
+        return phi_test(self.params.basis, self.spec, nodal)
 
     @property
     def average(self):
@@ -189,18 +203,60 @@ class TimeAverageObserver:
             self._record()
 
 
-def time_average_single(params: SchemeParams, state0: SchemeState, source,
-                        n_steps: int, spec: TestFunctionSpec,
-                        burn_in_steps: int = 0, record_every: int = 1):
+class _RowAverages(TimeAverageObserver):
+    """R single trajectories' ``TimeAverageObserver``s in one, for the
+    (R, N) row stack of a lockstep ``run_trajectory``: one call per state
+    evaluates phi for every row.  ``total`` and ``average`` are (R,) rows
+    and ``histories`` holds one history per row.  Each row's count, total
+    and history equal those of a ``TimeAverageObserver`` on the row's own
+    run, bit for bit: the row sums come from one ``np.add.reduce`` over
+    axis 1, which sums each C-ordered row as the (N,) sum does, and the
+    pairing ``v @ row`` and the arithmetic after it run per row on the
+    row's (N,) view and on Python floats, as ``phi_test`` runs them on one
+    field."""
+
+    def __init__(self, params: SchemeParams, spec: TestFunctionSpec, n_rows: int,
+                 burn_in_steps: int = 0, record_every: int = 1):
+        super().__init__(params, spec, burn_in_steps, record_every)
+        self.total = np.zeros(n_rows)
+        self.histories: list[list[tuple[float, float]]] = [[] for _ in range(n_rows)]
+
+    def _phi(self, nodal: np.ndarray) -> np.ndarray:
+        basis, spec, dot = self.params.basis, self.spec, self.spec.v.dot  # dot: the bits of @
+        totals = np.add.reduce(nodal, axis=1).tolist()
+        return np.array([_squash(spec, _pairing(basis, spec, float(dot(nodal[r])), total))
+                         for r, total in enumerate(totals)])
+
+    def _record(self) -> None:
+        for history, average in zip(self.histories, self.average):
+            history.append((self._last_t, float(average)))
+
+
+def time_average_single(params: SchemeParams, state0, source, n_steps: int,
+                        spec: TestFunctionSpec, burn_in_steps: int = 0,
+                        record_every: int = 1):
     """Single-trajectory estimator: equal-weight time average of phi.
 
     Averages phi over the M+1 states m = 0..n_steps (after the optional
     burn-in).  Returns (average, history, final_state).
+
+    R trajectories: ``state0`` and ``source`` may also be sequences of R
+    states and R sources, advanced in lockstep by ``run_trajectory``, with
+    phi evaluated for all of them in one observer call per step.  Returns a
+    list of R (average, history, final_state) triples, each bit for bit
+    that of the trajectory's own call.
     """
-    obs = TimeAverageObserver(params, spec, burn_in_steps, record_every)
-    final = run_trajectory(params, state0, source, n_steps, observers=(obs,))
+    if isinstance(state0, SchemeState):
+        obs = TimeAverageObserver(params, spec, burn_in_steps, record_every)
+        final = run_trajectory(params, state0, source, n_steps, observers=(obs,))
+        obs.finalize()
+        return float(obs.average), obs.history, final
+    states = list(state0)
+    obs = _RowAverages(params, spec, len(states), burn_in_steps, record_every)
+    finals = run_trajectory(params, states, source, n_steps, observers=(obs,))
     obs.finalize()
-    return float(obs.average), obs.history, final
+    return [(float(average), history, final)
+            for average, history, final in zip(obs.average, obs.histories, finals)]
 
 
 def time_average_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources,

@@ -720,6 +720,69 @@ class TestErgodicStudy:
         b = run_ergodic_study(initials=("1/3", "1"), **kw)
         assert a.runs[0].estimate == b.runs[0].estimate
 
+    STUDY = dict(basis=SpectralBasis(8), drift=WELL, sigma=1.0, tau=1e-2, t_final=0.3,
+                 initials=("1/3", "1"), v_expr="exp(x)", alpha1=1.0, alpha2=2.0,
+                 estimator="both", n_trajectories=2, t_final_ensemble=0.1, seed=0)
+
+    @staticmethod
+    def poison(monkeypatch, value, steps: dict) -> list:
+        """Put ``value`` into mode 1 of trajectory k's increment of step
+        ``steps[k]``; returns the list of trajectory ids drawn from."""
+        calls = []
+        increment_matrix = NoiseSource.increment_matrix
+
+        def poisoned(self, basis, m0, m1, ratio=1, out=None):
+            calls.append(self.trajectory_id)
+            out = increment_matrix(self, basis, m0, m1, ratio, out)
+            bad = steps.get(self.trajectory_id)
+            if bad is not None and m0 < bad <= m1:
+                out[bad - 1 - m0, 1] = value
+            return out
+
+        monkeypatch.setattr(NoiseSource, "increment_matrix", poisoned)
+        return calls
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    @pytest.mark.parametrize("steps, named", [
+        ({0: 9, 1: 5}, (1, 5)),
+        ({0: 5, 1: 5}, (0, 5)),
+        ({10_000: 1, 1: 20}, (1, 20)),
+    ], ids=["earliest-step", "tie", "singles-first"])
+    def test_a_single_blow_up_names_its_trajectory_and_step(self, steps, named, monkeypatch):
+        """The single runs advance in lockstep, before any ensemble starts.
+        Their first blow-up is raised at the earliest step of any of them,
+        naming its trajectory and that trajectory's own step; of two failing
+        at one step, the lower trajectory id.  An ensemble that would fail
+        at step 1 (trajectory 10 000) is never run, nor drawn from."""
+        calls = self.poison(monkeypatch, math.inf, steps)
+        with pytest.raises(TrajectoryBlowUpError) as exc_info:
+            run_ergodic_study(**self.STUDY)
+        tid, bad = named
+        assert str(exc_info.value) == f"trajectory {tid}: non-finite state at step {bad}"
+        assert (exc_info.value.trajectory_id, exc_info.value.step_index) == named
+        assert calls == [0, 1]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("poisoned, label", [
+        ({1, 10_000}, "ensemble[0]"), ({1}, "single[1]"), ({0, 10_000}, "single[0]")])
+    def test_a_non_finite_estimate_is_named_in_the_order_of_the_runs(self, poisoned, label,
+                                                                      monkeypatch):
+        """A noise increment of 1e10 at step 3 keeps every state finite but
+        makes phi overflow at alpha2 = 1e300.  The estimates are checked in
+        the order of ``runs``, single[0], ensemble[0], single[1], although
+        every single run is done before the first ensemble starts."""
+        self.poison(monkeypatch, 1e10, dict.fromkeys(poisoned, 3))
+        with pytest.raises(ValueError, match=rf"^{re.escape(label)}: estimate -?inf is not "
+                                             rf"finite: phi or its running sum overflows$"):
+            run_ergodic_study(**{**self.STUDY, "alpha2": 1e300})
+
+    def test_single_runs_share_the_batch_time(self):
+        """A single run's ``wallclock_s`` is its lockstep batch's time over
+        the number of initial conditions; an ensemble's is its own."""
+        runs = run_ergodic_study(**self.STUDY).runs
+        assert runs[0].wallclock_s == runs[2].wallclock_s > 0
+        assert runs[1].wallclock_s > 0 and runs[3].wallclock_s > 0
+
     def test_validation(self):
         kw = dict(basis=SpectralBasis(8), drift=WELL, sigma=1.0, tau=1e-2,
                   t_final=0.3, v_expr="exp(x)", alpha1=1.0, alpha2=2.0, seed=0)

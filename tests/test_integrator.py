@@ -24,8 +24,8 @@ from schsim import (DriftSpec, NoiseSource, SchemeParams, SchemeState, SpectralB
                     phi_test, read_checkpoint, run_ensemble, run_trajectory,
                     state_from_coeffs, step, write_checkpoint)
 from schsim import noise
-from schsim.integrator import (HorizonError, _advance, _noise_blocks, _stack_levels,
-                               whole_steps)
+from schsim.integrator import (HorizonError, _advance, _noise_blocks, _RowStack,
+                               _stack_levels, whole_steps)
 
 # double-well drift used throughout: f(x) = x^3/2 - x^2/2 + x - 1
 WELL = DriftSpec(0.5, -0.5, 1.0, -1.0)
@@ -288,6 +288,102 @@ class TestLevelStack:
                       make_params(n=8, drift=DriftSpec(1.0))):
             with pytest.raises(ValueError, match="share tau, drift and sigma"):
                 _stack_levels([make_params(n=8), other])
+
+
+class TestRowStack:
+    """R single trajectories advanced as one (R, N) row stack (the lockstep
+    form of ``run_trajectory``); ``tests/test_observables.py``
+    ``TestLockstepSingles`` checks that every row keeps its own run's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 300), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_row_sums_are_the_one_dimensional_sums(self, n, rows, seed):
+        """The row stack's w12 sums and the ergodic observer's nodal sums
+        come from one ``np.add.reduce`` over axis 1.  numpy sums each row of
+        a C-ordered stack pairwise, as it sums an (N,) vector, and this pins
+        that.  The values span 16 decades, so another order would show."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-8, 8, (rows, n))
+        for row, total in zip(x, np.add.reduce(x, axis=1)):
+            assert total.tobytes() == np.add.reduce(row.copy(), axis=0).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 5, 500])
+    @pytest.mark.parametrize("scale", [0.3, None, 40.0], ids=["plain", "active", "tamed"])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_stacked_advance_is_each_rows_own(self, n, scale, rows):
+        """One ``_advance`` and one synthesis of a row stack give every row
+        the bits of its own (N,) call.  The increments are a real noise
+        block's step, read as ``_run`` reads it (from width 8 on the block
+        is source-major).  With ``scale=None`` each row is scaled to a
+        tau ||u||_w12^12 drawn from [2, 4), where a last-bit change of the
+        w12 sum's power reaches the tamer and often the result: at 500 rows
+        and N = 64, numpy's array power in place of the per-row scalar
+        power changes 13 rows.  A tamer near 1 or far above it hides such
+        bits."""
+        params = make_params(n=n, tau=2.0**-8, sigma=0.7)
+        lam = params.basis.eigenvalues
+        rng = np.random.default_rng(12)
+        coeffs = rng.standard_normal((rows, n)) / (1.0 + lam)
+        if scale is None:
+            w12_sq = np.sum((1.0 + lam) * coeffs * coeffs, axis=1)[:, None]
+            coeffs *= (params.tau * w12_sq**6 / rng.uniform(2.0, 4.0, (rows, 1))) ** (-1 / 12)
+        else:
+            coeffs *= scale
+        sources = [make_source(params, seed=12, trajectory_id=r) for r in range(rows)]
+        _, block = next(_noise_blocks(params.basis, sources, 1, 0, 1, n))
+        dw = block[0].T
+        stack = _RowStack(params, rows)
+        nodal = stack.synthesize(coeffs, np.empty_like(coeffs))
+        new = _advance(stack, coeffs, dw, nodal)
+        for r in range(rows):
+            own_nodal = params.basis.from_spectral(coeffs[r].copy())
+            assert nodal[r].tobytes() == own_nodal.tobytes()
+            own = _advance(params, coeffs[r].copy(), dw[r].copy(), own_nodal)
+            assert new[r].tobytes() == own.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_step_names_the_first_failing_row(self):
+        """``step`` on a row stack checks the stack once; its ``column`` is
+        the first row whose nodal values are not finite, and mode 0 of
+        every row must carry no noise."""
+        params = make_params(n=8, sigma=0.0)
+        coeffs = np.zeros((4, 8))
+        coeffs[[1, 3]] = 1e160
+        stack = _RowStack(params, 4)
+        state = SchemeState(0, coeffs, stack.synthesize(coeffs, np.empty_like(coeffs)))
+        with pytest.raises(TrajectoryBlowUpError) as exc_info:
+            step(stack, state, np.zeros((4, 8)))
+        assert (exc_info.value.step_index, exc_info.value.column) == (1, 1)
+        dw = np.zeros((4, 8))
+        dw[2, 0] = 1e-300
+        with pytest.raises(ValueError, match="mode 0 must be exactly zero"):
+            step(stack, state, dw)
+
+    def test_lockstep_runs_need_matching_states_and_sources(self):
+        params = make_params(n=8)
+        states = [initial_state(params, np.cos(params.basis.grid) * k) for k in range(3)]
+        sources = [make_source(params, trajectory_id=k) for k in range(3)]
+        with pytest.raises(ValueError, match="as many sources"):
+            run_trajectory(params, states, sources[:2], 4)
+        with pytest.raises(ValueError, match="as many sources"):
+            run_trajectory(params, [], [], 4)
+        later = run_trajectory(params, states[0], sources[0], 2)
+        with pytest.raises(ValueError, match="at one step index"):
+            run_trajectory(params, [later] + states[1:], sources, 4)
+        stack = state_from_coeffs(params, 0, np.zeros((8, 2)))
+        with pytest.raises(ValueError, match=r"\(8,\) states"):
+            run_trajectory(params, [stack] + states[1:], sources, 4)
+
+    def test_observers_see_the_row_stack(self):
+        params = make_params(n=8)
+        states = [initial_state(params, np.cos(params.basis.grid) * k) for k in range(3)]
+        seen = []
+        finals = run_trajectory(params, states, [make_source(params, trajectory_id=k)
+                                                 for k in range(3)], 5,
+                                observers=(lambda m, s: seen.append((m, s.coeffs.shape)),))
+        assert seen == [(m, (3, 8)) for m in range(6)]
+        assert [type(f) for f in finals] == [SchemeState] * 3
+        assert [f.coeffs.shape for f in finals] == [(8,)] * 3
 
 
 class TestStates:

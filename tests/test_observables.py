@@ -339,6 +339,56 @@ class TestTimeAverages:
         assert per_traj.shape == (1,)
 
 
+class TestLockstepSingles:
+    """``time_average_single`` given R states and R sources advances them
+    in lockstep as one (R, N) row stack.  Every row must keep the bits of
+    its own run: average, history, final coefficients and nodal values.
+    At mass 1 and tau = 2^-4 the tamer acts on every step (tau ||u||^12 >
+    1, checked below).  A tamer that far above 1 absorbs the last bits of
+    its power, so these runs pass with numpy's array power in place of the
+    per-row scalar power; ``tests/test_integrator.py``
+    ``TestRowStack::test_stacked_advance_is_each_rows_own`` catches that."""
+
+    N_STEPS, BURN_IN, RECORD_EVERY = 1000, 5, 7  # 996 samples: the last is off the cadence
+
+    @staticmethod
+    def sources(params, rows):
+        return [NoiseSource(4, 20 + r, tau_fine=params.tau, n_modes_max=params.basis.n_modes - 1)
+                for r in range(rows)]
+
+    @pytest.mark.parametrize("mean", [1 / 3, 1.0], ids=["mass-third", "mass-one"])
+    @pytest.mark.parametrize("tau", [2.0**-4, 5e-3])
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_each_row_is_its_own_run(self, rows, n, tau, mean):
+        params = SchemeParams(SpectralBasis(n), WELL, tau)
+        spec = make_spec(params.basis)
+        grid = params.basis.grid
+        states = [initial_state(params, mean + np.cos((r + 1) * grid) / (r + 2))
+                  for r in range(rows)]
+        schedule = (self.N_STEPS, spec, self.BURN_IN, self.RECORD_EVERY)
+        lockstep = time_average_single(params, states, self.sources(params, rows), *schedule)
+        assert len(lockstep) == rows
+        for state0, source, (average, history, final) in zip(
+                states, self.sources(params, rows), lockstep):
+            own_average, own_history, own_final = time_average_single(
+                params, state0, source, *schedule)
+            assert type(average) is float and average.hex() == own_average.hex()
+            assert len(history) == 144 and history[-1][0] == self.N_STEPS * tau
+            assert [(t.hex(), a.hex()) for t, a in history] == [
+                (t.hex(), a.hex()) for t, a in own_history]
+            assert final.step_index == own_final.step_index == self.N_STEPS
+            assert final.coeffs.tobytes() == own_final.coeffs.tobytes()
+            assert final.nodal.tobytes() == own_final.nodal.tobytes()
+        if mean == 1.0 and tau == 2.0**-4:
+            lam = params.basis.eigenvalues
+            taming = []
+            run_trajectory(params, states, self.sources(params, rows), self.N_STEPS,
+                           observers=(lambda m, state: taming.append(
+                               tau * np.sum((1.0 + lam) * state.coeffs**2, axis=1)**6),))
+            assert np.min(taming) > 1.0
+
+
 class TestExpressions:
     def test_constant_fraction(self):
         x = np.array([0.0, 1.0, 2.0])
