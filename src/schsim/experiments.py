@@ -36,12 +36,12 @@ Noise is generated once, in blocks at the reference step and mode count; a
 coarse level reads the first N_c modes of each block and sums each run of
 ``stride`` reference increments, which is exact (see ``noise``).  A block
 draws modes up to the largest ``SchemeParams.live_modes`` of the levels, the
-union of their live modes, and leaves the rest 0.0: those modes have a
-semigroup factor of exactly 0.0 at every level, so no error bit moves (see
-``integrator``).  At criterion 4's shape (N = 64, tau_ref = 2^-12) the
-reference keeps all its modes live; at criterion 5's (N_ref = 256, tau =
-2^-12) the union is 64 modes, set by the N = 64 rung, against the
-reference's 43.
+union of their live modes (those with a normal semigroup factor), and leaves
+the rest 0.0: those modes have a semigroup factor of exactly 0.0 at every
+level, so no error bit moves (see ``integrator``).  At criterion 4's shape
+(N = 64, tau_ref = 2^-12) the reference keeps all its modes live; at
+criterion 5's (N_ref = 256, tau = 2^-12) the union is 64 modes, set by the
+N = 64 rung, against the reference's 42.
 All trajectories are advanced as one vectorized batch, whatever ``threads``
 is, and ``_Group.record`` sums each step's per-trajectory row over them, in
 trajectory-id order, as it makes it, so the results do not depend on

@@ -128,7 +128,7 @@ class SpectralBasis:
         kind:
             "l2":   sqrt((pi/N) sum u_i^2)
             "linf": max |u_i|
-            "lp":   ((pi/N) sum |u_i|^p)^(1/p), requires ``p`` >= 1
+            "lp":   ((pi/N) sum |u_i|^p)^(1/p), requires a finite ``p`` >= 1
             "w12":  sqrt(||u||_l2^2 + sum_j lambda_{N,j} c_j^2) with
                     c = to_spectral(u)
 
@@ -140,8 +140,9 @@ class SpectralBasis:
         if kind == "linf":
             return np.max(np.abs(u), axis=0)
         if kind == "lp":
-            if p is None or p < 1:
-                raise ValueError(f"kind 'lp' requires an exponent p >= 1, got {p}")
+            # p = inf would give x^(1/inf) = 1 for every field: use "linf"
+            if p is None or not 1 <= p < np.inf:
+                raise ValueError(f"kind 'lp' requires a finite exponent p >= 1, got {p}")
             return (self.h * np.sum(np.abs(u) ** p, axis=0)) ** (1.0 / p)
         if kind == "w12":
             c = self.to_spectral(u)

@@ -12,12 +12,18 @@ is conserved bit-for-bit.  The taming denominator uses the Parseval form
 sum_j (1 + lambda_j) c_j^2 of the squared w12 norm, computed directly from the
 state's coefficients.
 
-The factor e^(-lambda_j^2 tau) underflows to exactly 0.0 from some mode on
-(``SchemeParams.live_modes`` is one past the last nonzero one: 21 of 64
-modes at N = 64, tau = 5e-3), so every later c_j is a zero after each step
-whatever db_j was.  The runs draw no noise for those modes, which changes
-no nodal value; only the sign of a dead coefficient's zero can differ
-(see ``_noise_blocks``).
+The factor e^(-lambda_j^2 tau) underflows from some mode on, and
+``SchemeParams.semigroup`` flushes a factor that underflows only to a
+subnormal double to 0.0 as well.  So a mode is live if its factor is
+normal (at least 2^-1022): ``SchemeParams.live_modes`` is one past the last
+live mode, 21 of 64 at N = 64, tau = 5e-3 and 42 of 256 at N = 256, tau =
+2^-12, where mode 42's exact factor is the subnormal 2.46e-316.  Every
+later c_j is a zero after each step whatever db_j was.  A subnormal
+coefficient would slow every product that reads it 10- to 16-fold per
+element on x86, and its mode changes no nodal value (see
+``SchemeParams.semigroup``).  The runs draw no noise for the dead modes,
+which changes no nodal value either; only the sign of a dead coefficient's
+zero can differ (see ``_noise_blocks``).
 
 A state is its step index, its spectral coefficients and their nodal
 values.  Every state is built with its nodal values, synthesized once: the
@@ -172,16 +178,25 @@ class SchemeParams:
 
     @cached_property
     def semigroup(self) -> np.ndarray:
+        """The factors e^(-lambda_j^2 tau) of ``basis.semigroup_factor``,
+        read-only, with each one below the smallest normal double (2^-1022)
+        flushed to 0.0.  A subnormal factor keeps its mode's coefficient
+        subnormal, and every product that reads one is 10 to 16 times slower
+        per element on x86.  The mode adds less than 2^-1022 |bracket| to a
+        nodal value, which moves none above about 2^-969 |bracket|; its c^2
+        is +0 in the w12 sum either way."""
         factors = self.basis.semigroup_factor(self.tau)
+        factors[factors < np.finfo(np.float64).tiny] = 0.0
         factors.setflags(write=False)
         return factors
 
     @cached_property
     def live_modes(self) -> int:
-        """One past the last mode whose semigroup factor is nonzero.  The
-        eigenvalues are nondecreasing, so the live modes are a prefix: every
-        later factor underflows to exactly 0.0, so ``_advance`` turns such a
-        mode into a zero at every step, whatever finite noise it is given."""
+        """One past the last mode whose semigroup factor is normal (at least
+        2^-1022).  The eigenvalues are nondecreasing, so the live modes are a
+        prefix: every later factor is exactly 0.0, underflowed or flushed
+        (see ``semigroup``), so ``_advance`` turns such a mode into a zero
+        at every step, whatever finite noise it is given."""
         return int(np.flatnonzero(self.semigroup)[-1]) + 1
 
     @cached_property
@@ -484,9 +499,10 @@ def _noise_blocks(basis: SpectralBasis, sources, ratio: int, m0: int, m1: int,
     the next.
 
     Only modes 0 .. live-1 are drawn.  ``live`` is the largest
-    ``SchemeParams.live_modes`` of the levels that read the block: every
-    later mode has a semigroup factor of exactly 0.0 in each of them, so
-    its increment reaches no result.  Its rows are zeros, allocated once
+    ``SchemeParams.live_modes`` of the levels that read the block, one past
+    the last mode with a normal semigroup factor: every later mode has a
+    factor of exactly 0.0 in each of them, underflowed or flushed, so its
+    increment reaches no result.  Its rows are zeros, allocated once
     and never written.  A draw is keyed by (source, mode), so the skipped
     modes move no other word, and a dead mode's coefficient is 0.0 times a
     finite value either way: the only bit that can differ from a block of

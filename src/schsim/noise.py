@@ -44,11 +44,12 @@ its (steps, N, L) noise block in place, with no per-source temporary; from
 L = 8 on the block is stored source-major, so that each slot is contiguous
 rows.  An ``out`` of k < N columns receives modes 0 .. k-1 alone, and no
 word of a later mode is drawn: the integrator fills each slot only up to
-the last mode that its semigroup does not annihilate (see
-``SchemeParams.live_modes``).  Counter-based words may be produced in any
-grouping (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11), and each (trajectory, mode) stream is keyed on its own, so neither
-the layout nor the modes left out change a value.
+the last live mode, whose semigroup factor is a normal double; every later
+factor is 0.0, underflowed or flushed (see ``SchemeParams.live_modes``).
+Counter-based words may be produced in any grouping (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11), and each
+(trajectory, mode) stream is keyed on its own, so neither the layout nor
+the modes left out change a value.
 
 The order of operations is part of the values and must not be rewritten
 algebraically: x >> 11, conversion to float64, + 0.5, * 2^-53, min with

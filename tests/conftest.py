@@ -9,9 +9,13 @@ one PASS/FAIL line per acceptance criterion.
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import schsim
+from schsim import SchemeParams, experiments, integrator
+
+TINY = np.finfo(np.float64).tiny  # 2^-1022, the smallest normal double
 
 
 def pytest_configure(config):
@@ -37,6 +41,43 @@ def src_env():
     src = str(Path(schsim.__file__).resolve().parents[1])
     return {**os.environ,
             "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+@pytest.fixture
+def exact_factors(monkeypatch):
+    """``restore()`` gives every ``SchemeParams`` built after the call the
+    exact factors of ``SpectralBasis.semigroup_factor``, subnormal ones
+    included, with ``live_modes`` one past the last nonzero one: the scheme
+    as it ran before subnormal factors were flushed to 0.0."""
+    def semigroup(params):
+        factors = params.basis.semigroup_factor(params.tau)
+        factors.setflags(write=False)
+        return factors
+
+    def restore():
+        monkeypatch.setattr(SchemeParams, "semigroup", property(semigroup))
+        monkeypatch.setattr(SchemeParams, "live_modes", property(
+            lambda params: int(np.flatnonzero(params.semigroup)[-1]) + 1))
+
+    return restore
+
+
+@pytest.fixture
+def subnormal_counts(monkeypatch):
+    """The number of subnormal coefficients in each state that ``_advance``
+    returns, one entry per call, for the single runs and the coupled
+    studies alike."""
+    counts = []
+    advance = integrator._advance
+
+    def counting(*args):
+        new = advance(*args)
+        counts.append(int(np.count_nonzero((new != 0.0) & (np.abs(new) < TINY))))
+        return new
+
+    for module in (integrator, experiments):
+        monkeypatch.setattr(module, "_advance", counting)
+    return counts
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

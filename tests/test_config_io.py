@@ -910,6 +910,48 @@ class TestCli:
                      "--out", str(tmp_path / "o2")]) == 0
         assert "simulate: 8 steps" in capsys.readouterr().out
 
+    def test_resume_from_a_subnormal_coefficient(self, tmp_path, capsys, monkeypatch,
+                                                 exact_factors):
+        """At N = 256, tau = 2^-12, a run with the exact semigroup factors
+        checkpoints a subnormal mode-42 coefficient, where the flushed run
+        checkpoints 0.0.  Resuming from either writes the same
+        trajectory.csv byte for byte, whose rows are those of the
+        uninterrupted run from the checkpoint's step on."""
+        sim = ("command = simulate\nn_modes = 256\ntau = 0.000244140625\n"
+               "initial = (1/3)*cos(x)+1/3\nseed = 5\nsnapshot_every = 50\n")
+        ckpt = tmp_path / "state.ckpt"
+        first = self.write_cfg(  # 200 steps
+            tmp_path, sim + f"t_final = 0.048828125\ncheckpoint_out = {ckpt}\n", "first.cfg")
+        resume = self.write_cfg(tmp_path, f"command = simulate\ncheckpoint_in = {ckpt}\n"
+                                "t_final = 0.09765625\nsnapshot_every = 50\n", "resume.cfg")
+        whole = self.write_cfg(tmp_path, sim + "t_final = 0.09765625\n", "whole.cfg")
+
+        def run(cfg, name):
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name),
+                         "--deterministic"]) == 0
+            return (tmp_path / name / "trajectory.csv").read_text(), capsys.readouterr().out
+
+        def mode_42():
+            lines = ckpt.read_text().splitlines()
+            return float(lines[lines.index("coeffs:") + 1 + 42])
+
+        exact_factors()
+        run(first, "exact_first")
+        exact_ckpt = ckpt.read_text()
+        assert 0.0 < abs(mode_42()) < np.finfo(np.float64).tiny
+        monkeypatch.undo()
+        run(first, "first")
+        assert mode_42() == 0.0
+        from_flushed = run(resume, "from_flushed")
+        ckpt.write_text(exact_ckpt)
+        from_exact = run(resume, "from_exact")
+        assert from_exact == from_flushed
+        rows = [line for line in from_flushed[0].splitlines() if not line.startswith("#")]
+        whole_rows = [line for line in run(whole, "whole")[0].splitlines()
+                      if not line.startswith("#")]
+        assert len(rows) == 1 + 5 * 256  # the header and steps 200, 250, ..., 400
+        assert rows[1:] == whole_rows[-5 * 256:]
+
     def test_converge_time_outputs(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, """\
 command = converge-time

@@ -497,7 +497,7 @@ class TestSpatialStudy:
             "0x1.a6381fff3d1c7p-2", "0x1.5c6cdfd6f39d8p-3", "0x1.c7a2d22d8d876p-5"]
 
     def test_live_noise_keeps_every_error_bit(self, monkeypatch):
-        """At tau = 2^-12 the N_ref = 256 reference has 43 live modes and the
+        """At tau = 2^-12 the N_ref = 256 reference has 42 live modes and the
         N = 64 rung all 64, so each block draws their union, 64 modes.  The
         errors equal in hex those of a run whose blocks draw all 256."""
         widths = set()
@@ -519,6 +519,28 @@ class TestSpatialStudy:
         full = run_spatial_study(**study)
         assert widths == {256}
         assert [e.hex() for e in live.errors()] == [e.hex() for e in full.errors()]
+
+    @pytest.mark.parametrize("run, study", [
+        (run_spatial_study, dict(tau=2.0**-12, n_modes_ladder=[16, 64], n_modes_ref=256)),
+        (run_temporal_study, dict(basis=SpectralBasis(64), tau_ref=2.0**-12,
+                                  tau_ladder=[2.0**-6, 2.0**-7]))])
+    def test_flushed_factors_keep_every_error_bit(self, run, study, exact_factors,
+                                                  subnormal_counts):
+        """The shapes whose exact semigroup factors include a subnormal one:
+        mode 42 of the N_ref = 256 reference at tau = 2^-12, and modes 15
+        and 18 at N = 64 of the tau = 2^-6 and 2^-7 rungs.  With those
+        factors flushed to 0.0 no coefficient is ever subnormal, and the
+        errors equal in hex those of a run with the exact factors, which
+        keeps subnormal coefficients."""
+        study = dict(study, drift=WELL, sigma=1.0, t_final=0.25,
+                     initial="(1/3)*cos(x)+1/3", seed=2, n_trajectories=3)
+        flushed = run(**study)
+        assert subnormal_counts and not any(subnormal_counts)
+        subnormal_counts.clear()
+        exact_factors()
+        exact = run(**study)
+        assert any(subnormal_counts)
+        assert [e.hex() for e in flushed.errors()] == [e.hex() for e in exact.errors()]
 
     def test_ladder_may_not_exceed_reference(self):
         with pytest.raises(ValueError, match="must not exceed"):

@@ -238,6 +238,13 @@ class TestNorms:
         with pytest.raises(ValueError, match="p >= 1"):
             basis.norm(np.ones(4), "lp", p=0.5)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_lp_requires_a_finite_exponent(self, p):
+        """p = inf would give 1.0 for every field, since x^(1/inf) = x^0,
+        and p = nan a nan; both are refused."""
+        with pytest.raises(ValueError, match="finite exponent p >= 1, got (inf|nan)"):
+            SpectralBasis(4).norm(np.array([3.0, -4.0, 1.0, 0.5]), "lp", p=p)
+
     def test_unknown_kind_rejected(self):
         basis = SpectralBasis(4)
         with pytest.raises(ValueError, match="unknown norm kind"):

@@ -115,22 +115,34 @@ class TestSchemeParams:
            taus=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                          min_size=1, max_size=20))
     @example(n=2048, taus=[2.0**-12, 5e-3, 1e-300, 0.999])
-    @example(n=64, taus=[5e-3, 2.0**-12])
+    @example(n=64, taus=[5e-3, 2.0**-12, 2.0**-6, 2.0**-7])
+    @example(n=256, taus=[2.0**-12])
     def test_live_modes_are_the_nonzero_prefix(self, n, taus):
         """For every (N, tau) the config accepts, each mode before
         ``live_modes`` has a nonzero semigroup factor and each mode from it
-        on a factor of exactly 0.0."""
+        on a factor of exactly 0.0.  No factor is subnormal: the live modes
+        are those whose exact factor is normal, and every live factor is
+        the exact one."""
         basis = SpectralBasis(n)
+        tiny = np.finfo(np.float64).tiny  # 2^-1022
         for tau in taus:
             params = SchemeParams(basis, WELL, tau)
             live = params.live_modes
             assert 1 <= live <= n
             assert (params.semigroup[:live] != 0.0).all()
             assert (params.semigroup[live:] == 0.0).all()
+            assert not ((params.semigroup > 0.0) & (params.semigroup < tiny)).any()
+            exact = basis.semigroup_factor(tau)
+            assert live == np.flatnonzero(exact >= tiny)[-1] + 1
+            assert params.semigroup[:live].tobytes() == exact[:live].tobytes()
+        if n == 256:  # the closed form is not flushed: at the spatial
+            # reference's shape mode 42's factor stays the exact subnormal
+            assert basis.semigroup_factor(2.0**-12)[42].hex() == "0x0.0000002f7105cp-1022"
 
     def test_live_modes_of_the_workload_shapes(self):
         assert make_params(n=64, tau=5e-3).live_modes == 21
-        assert make_params(n=256, tau=2.0**-12).live_modes == 43
+        # 42, not 43: mode 42's factor 2.46e-316 is subnormal, so it is flushed
+        assert make_params(n=256, tau=2.0**-12).live_modes == 42
         assert make_params(n=64, tau=2.0**-12).live_modes == 64
 
     def test_dissipativity_warning(self):
@@ -835,6 +847,31 @@ class TestLiveModes:
         else:
             run_trajectory(params, state, sources[0], n_steps, observers=(check,))
         assert expected[0].step_index == n_steps
+
+    def test_flushed_factors_keep_every_nodal_bit(self, exact_factors):
+        """Over 300 steps at N = 256, tau = 2^-12, sigma = 1 (the spatial
+        reference's shape), every state's nodal values equal, byte for
+        byte, those of a run with the exact semigroup factors.  That run
+        keeps mode 42's coefficient subnormal at every step; the flushed
+        run has no subnormal coefficient."""
+        tiny = np.finfo(np.float64).tiny
+
+        def run(params):
+            states = []
+            u0 = np.cos(params.basis.grid) / 3 + 1 / 3
+            run_trajectory(params, initial_state(params, u0), make_source(params, seed=2),
+                           300, observers=(lambda m, state: states.append(state),))
+            return ([state.nodal.tobytes() for state in states],
+                    [np.flatnonzero((state.coeffs != 0.0) & (abs(state.coeffs) < tiny))
+                     for state in states[1:]])
+
+        flushed_nodal, flushed_subnormal = run(make_params(n=256, tau=2.0**-12))
+        exact_factors()
+        exact_nodal, exact_subnormal = run(make_params(n=256, tau=2.0**-12))
+        assert len(exact_nodal) == 301
+        assert flushed_nodal == exact_nodal
+        assert all(len(modes) == 0 for modes in flushed_subnormal)
+        assert all(modes.tolist() == [42] for modes in exact_subnormal)
 
 
 class TestAcceptedInputs:
