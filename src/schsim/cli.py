@@ -173,7 +173,8 @@ def _cmd_simulate(cfg: RunConfig, explicit: set[str], out_dir: Path, want_svg: b
 def _cmd_converge(cfg: RunConfig, out_dir: Path, want_svg: bool, threads: int) -> int:
     """``converge-time`` or ``converge-space``: the study gets exactly the keys
     it reads, and its table is written once, as CSV, as stdout lines and as an
-    optional log-log chart of the error against the rows' step parameters."""
+    optional log-log chart of the positive errors against their rows' step
+    parameters."""
     shared = dict(drift=_drift(cfg), sigma=cfg.sigma, t_final=cfg.t_final,
                   initial=cfg.initial, seed=cfg.seed,
                   n_trajectories=cfg.n_trajectories, threads=threads)
@@ -192,12 +193,17 @@ def _cmd_converge(cfg: RunConfig, out_dir: Path, want_svg: bool, threads: int) -
     for row in table.rows:
         rate = "" if row.pair_rate is None else f", pair rate {row.pair_rate:.3f}"
         print(f"  tau={row.tau!r} n_modes={row.n_modes}: error {row.error:.6e}{rate}")
-    if want_svg:
+    # a rung equal to the reference has error 0, which a log axis cannot show
+    charted = [row for row in table.rows if row.error > 0]
+    if want_svg and charted:
         write_svg_line_chart(out_dir / f"{stem}.svg",
-                             [("error", [row.step for row in table.rows], table.errors())],
+                             [("error", [row.step for row in charted],
+                               [row.error for row in charted])],
                              f"{table.kind} refinement (slope {table.slope:.3f})",
                              "tau" if table.kind == "time" else "h", "mean-square error",
                              logx=True, logy=True)
+    elif want_svg:
+        print(f"{stem}.svg not written: no row has a positive error")
     return 0
 
 

@@ -24,17 +24,18 @@ their ladders and tabulate the core's errors.  The core builds each level
 once, as a ``_Level`` record (the reference first), and ``_coupled_sums``
 advances all of them in lockstep, so the reference is integrated once per
 trajectory regardless of ladder length.  Levels that share (tau, drift,
-sigma) form a group, advanced as one ``integrator._LevelStack`` with one
-``_advance`` call per step: in a spatial study the reference and every
-coarse level, in a temporal study each level alone, apart from a rung equal
-to tau_ref, which joins the reference.  A group of one level is that level's
-own ``SchemeParams``.  The elementwise work runs once on the stack; the
-analysis and synthesis products, the w12 column sums and the error record's
-products stay per level, because their bits depend on the operand's shape,
-so each level keeps the bits of its own run.
+sigma) form a ``_Group``, advanced by one ``_advance`` call per step on the
+group's own operand, an ``integrator._LevelStack`` of its levels or a lone
+level's ``SchemeParams``: in a spatial study the reference and every coarse
+level, in a temporal study each level alone, apart from a rung equal to
+tau_ref, which joins the reference.  The elementwise work runs once on the
+stack; the analysis and synthesis products, the w12 column sums and the
+error record's products stay per level, because their bits depend on the
+operand's shape, so each level keeps the bits of its own run.
 Noise is generated once, in blocks at the reference step and mode count; a
-coarse level reads the first N_c modes of each block and sums each run of
-``stride`` reference increments, which is exact (see ``noise``).  A block
+group reads the first N_max modes of each block and sums each run of
+``stride`` reference increments (``_Group.increments``), which is exact (see
+``noise``), and its level k reads the first N_k of them.  A block
 draws modes up to the largest ``SchemeParams.live_modes`` of the levels, the
 union of their live modes (those with a normal semigroup factor), and leaves
 the rest 0.0: those modes have a semigroup factor of exactly 0.0 at every
@@ -69,8 +70,8 @@ import numpy as np
 from .expressions import evaluate_expression
 from .grid import SpectralBasis
 from .integrator import (DriftSpec, HorizonError, SchemeParams, SchemeState,
-                         TrajectoryBlowUpError, _advance, _noise_blocks, _ratio,
-                         _stack_levels, initial_state, run_ensemble, whole_steps)
+                         TrajectoryBlowUpError, _advance, _LevelStack, _noise_blocks,
+                         _ratio, initial_state, run_ensemble, whole_steps)
 from .noise import NoiseSource
 from .observables import (TestFunctionSpec, time_average_ensemble,
                           time_average_single)
@@ -183,49 +184,26 @@ class _Level:
     eval_ref: np.ndarray | None = None
 
 
-def _coarse_increments(fine: np.ndarray, m: int, stride: int,
-                       carry: np.ndarray) -> np.ndarray:
-    """Increments of the coarse steps ending within reference steps
-    [m, m + len(fine)), ``fine[i]`` holding the increments of step m + i.
-
-    A coarse step that straddles a block boundary is carried over as a running
-    sum in ``carry``.  Every sum is exact (see ``noise``), so the grouping
-    does not change a bit.
-    """
-    n = len(fine)
-    head = min(-m % stride, n)  # steps that finish the coarse step open at m
-    k = (n - head) // stride
-    tail = head + k * stride
-    incs = fine[head:tail].reshape(k, stride, *fine.shape[1:]).sum(axis=1)
-    if head:
-        carry += fine[:head].sum(axis=0)
-        if (m + head) % stride == 0:
-            incs = np.concatenate([carry[None], incs])
-            carry[...] = 0.0
-    if tail < n:
-        carry[...] = fine[tail:].sum(axis=0)
-    return incs
-
-
 class _Group:
-    """Levels sharing (tau, drift, sigma), and so a stride, advanced as one
-    ``_LevelStack`` (a lone level as its own params); its coarse levels
-    record their sums together."""
+    """Levels sharing (tau, drift, sigma), and so a stride, with their
+    operand ``stack`` (a lone level's params, or a ``_LevelStack``), state
+    and increments; its coarse levels record their sums together."""
 
     def __init__(self, levels, width: int, n_ref_steps: int):
         self.stride = levels[0].stride
-        self.stack = _stack_levels([level.params for level in levels])
         self.state = np.repeat(np.concatenate([level.coeffs0 for level in levels])[:, None],
                                width, axis=1)
-        lone = len(levels) == 1
-        # a lone level synthesizes as ``step`` does, a stack level by level
-        self.synthesize = (levels[0].params.basis.from_spectral if lone else
-                           partial(self.stack.synthesize, out=np.empty_like(self.state)))
+        if len(levels) == 1:  # it synthesizes as ``step`` does
+            self.stack, rows = levels[0].params, [slice(None)]
+            self.synthesize = self.stack.basis.from_spectral
+        else:  # it synthesizes level by level
+            self.stack = _LevelStack([level.params for level in levels])
+            rows = self.stack.rows
+            self.synthesize = partial(self.stack.synthesize, out=np.empty_like(self.state))
         self.n_max = max(level.params.basis.n_modes for level in levels)
         self.carry = np.zeros((self.n_max, width))
         # coarse levels, their state rows and their rows in the record buffers
-        coarse = [(level, rows) for level, rows
-                  in zip(levels, [slice(None)] if lone else self.stack.rows)
+        coarse = [(level, level_rows) for level, level_rows in zip(levels, rows)
                   if level.eval_coarse is not None]
         self.coarse = [level for level, _ in coarse]
         bounds = np.cumsum([0] + [level.eval_coarse.shape[0] for level in self.coarse])
@@ -235,6 +213,29 @@ class _Group:
         self.values = np.empty((bounds[-1], width))
         self.ref_values = np.empty_like(self.values)
         self.sums = np.empty((n_ref_steps // self.stride + 1, len(self.coarse)))
+
+    def increments(self, block: np.ndarray, m: int):
+        """The increments of the group's steps ending within reference steps
+        [m, m + len(block)), and the group step of the first: the block's
+        first N_max modes, summed over runs of ``stride`` steps, with a step
+        that straddles a block boundary carried over in ``carry``.  Every sum
+        is exact (see ``noise``), so the grouping changes no bit."""
+        fine, stride, carry = block[:, :self.n_max], self.stride, self.carry
+        if stride == 1:
+            return fine, m + 1
+        n = len(fine)
+        head = min(-m % stride, n)  # steps that finish the step open at m
+        k = (n - head) // stride
+        tail = head + k * stride
+        incs = fine[head:tail].reshape(k, stride, *fine.shape[1:]).sum(axis=1)
+        if head:
+            carry += fine[:head].sum(axis=0)
+            if (m + head) % stride == 0:
+                incs = np.concatenate([carry[None], incs])
+                carry[...] = 0.0
+        if tail < n:
+            carry[...] = fine[tail:].sum(axis=0)
+        return incs, m // stride + 1
 
     def record(self, j: int, state_ref: np.ndarray) -> None:
         """Row j of sums, one per coarse level: the per-level products, then one
@@ -273,12 +274,7 @@ def _coupled_sums(levels, sources, n_ref_steps: int) -> list[np.ndarray]:
     live = max(level.params.live_modes for level in levels)  # the union: each is a prefix
     for m, block in _noise_blocks(ref.params.basis, sources, _ratio(ref.params, sources),
                                   0, n_ref_steps, live):
-        # a group's increments: its first N_max modes, summed over runs of
-        # stride reference steps (exact, so equal to drawing them directly)
-        plan = [(g, block[:, :g.n_max] if g.stride == 1
-                 else _coarse_increments(block[:, :g.n_max], m, g.stride, g.carry),
-                 m // g.stride + 1)  # the coarse step of the first increment
-                for g in groups]
+        plan = [(g, *g.increments(block, m)) for g in groups]
         for i in range(block.shape[0]):
             s = m + i + 1
             for g, incs, first in plan:  # the reference's group first

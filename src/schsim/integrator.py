@@ -217,20 +217,24 @@ class SchemeParams:
 class _LevelStack:
     """Levels sharing tau, drift and sigma, advanced by ``_advance`` as one
     (sum_k N_k, L) stack of coefficient columns, level k in rows
-    ``rows[k]``.  Elementwise operations run once on the stack.  Three
+    ``rows[k]``; levels that differ in one of the three are a
+    ``ValueError``.  Elementwise operations run once on the stack.  Three
     things run per level, on views of the stack, because their bits depend
     on the operand's shape: the analysis product, the w12 column sums and
     the synthesis product; the tamer's power runs once, on the (K, L)
     sums, as it runs on a lone level's (L,) row.  The noise ``dw`` of a
     step is the (N_max, L) increment of the widest level, and level k reads
-    its first N_k modes, as a truncated level does (see ``noise``).  Build one with
-    ``_stack_levels``.  The methods are ``_advance``'s per-level parts plus
-    ``synthesize``, which the caller runs to get the nodal values that
-    ``_advance`` reads.  ``tamer`` is the divisor 1 + tau ||u||_{w12}^12 of
-    each row, and ``mean_index`` indexes the rows of the mean modes.
+    its first N_k modes, as a truncated level does (see ``noise``).
+    ``experiments._Group`` builds one of two or more levels.  The methods
+    are ``_advance``'s per-level parts plus ``synthesize``, which the caller
+    runs to get the nodal values that ``_advance`` reads.  ``tamer`` is the
+    divisor 1 + tau ||u||_{w12}^12 of each row, and ``mean_index`` indexes
+    the rows of the mean modes.
     """
 
     def __init__(self, levels):
+        if len({(params.tau, params.drift, params.sigma) for params in levels}) != 1:
+            raise ValueError("stacked levels must share tau, drift and sigma")
         first = levels[0]
         self.tau, self.drift, self.sigma = first.tau, first.drift, first.sigma
         self.bases = tuple(params.basis for params in levels)
@@ -316,16 +320,6 @@ class _RowStack:
 
     def scaled_noise(self, dw: np.ndarray, out: np.ndarray) -> np.ndarray:
         return np.multiply(dw, self.sigma, out=out)
-
-
-def _stack_levels(levels):
-    """The stack of ``levels`` (``SchemeParams`` sharing tau, drift and
-    sigma, in row order); a stack of one level is that level's own params."""
-    if len(levels) == 1:
-        return levels[0]
-    if len({(params.tau, params.drift, params.sigma) for params in levels}) != 1:
-        raise ValueError("stacked levels must share tau, drift and sigma")
-    return _LevelStack(levels)
 
 
 @dataclass(frozen=True, eq=False)

@@ -126,6 +126,11 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match=r"'tau': must lie in \(0, 1\)"):
             parse_config("command = simulate\ntau = 1.5\nt_final = 1\ninitial = 1/3\n")
 
+    def test_a_word_for_a_number_is_a_config_error(self):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config("command = simulate\ntau = abc\nt_final = 1\ninitial = 1/3\n")
+        assert exc_info.value.messages[0] == "key 'tau': expected a number, got 'abc'"
+
     def test_trajectory_id_range(self):
         base = "command = verify\ntrajectory_id = "
         assert parse_config(base + str(2**64 - 1)).trajectory_id == 2**64 - 1
@@ -381,6 +386,14 @@ class TestOutputFiles:
         path = tmp_path / "plain.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="no embedded config block"):
+            read_metadata_config(path)
+
+    def test_config_block_line_without_prefix_is_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ("a",), [(1,)], "command = verify\nseed = 3\n")
+        text = path.read_text().replace("# seed = 3\n", "seed = 3\n")
+        path.write_text(text)
+        with pytest.raises(ValueError, match="malformed metadata line 'seed = 3'"):
             read_metadata_config(path)
 
     def test_svg_is_well_formed(self, tmp_path):
@@ -1038,6 +1051,82 @@ initials = 1/3; 1
         summary = (out / "ergodic_summary.csv").read_text()
         assert "label,estimator,initial,estimate" in summary
         assert capsys.readouterr().out.count("estimate") == 4
+
+    def test_ergodic_svg_draws_one_line_per_run(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, """\
+command = ergodic
+n_modes = 8
+tau = 0.015625
+t_final = 0.25
+t_final_ensemble = 0.125
+n_trajectories = 2
+initials = 1/3; 1
+""")
+        out = tmp_path / "out"
+        assert main(["ergodic", "--config", cfg, "--out", str(out), "--svg"]) == 0
+        root = ET.parse(out / "ergodic.svg").getroot()
+        svg = "{http://www.w3.org/2000/svg}"
+        assert root.tag == f"{svg}svg"
+        lines = list(root.iter(f"{svg}polyline"))
+        labels = [t.text for t in root.iter(f"{svg}text")]
+        runs = ["single[0]", "ensemble[0]", "single[1]", "ensemble[1]"]
+        assert len(lines) == len(runs) and all(run in labels for run in runs)
+        # t = 0, 0.015625, ..., 0.25 for a single run, to 0.125 for an ensemble
+        assert [len(line.get("points").split()) for line in lines] == [17, 9, 17, 9]
+
+    # a rung equal to the reference: the last row of each ladder has error 0
+    ZERO_RUNG = {
+        "converge-time": ("time", "tau_ladder = 0.0625, 0.03125, 0.015625\n",
+                          "tau_ladder = 0.015625\n", """\
+command = converge-time
+n_modes = 8
+t_final = 0.25
+tau_ref = 0.015625
+initial = (1/3)*cos(x)+1/3
+n_trajectories = 2
+"""),
+        "converge-space": ("space", "n_modes_ladder = 4, 8, 16\n",
+                           "n_modes_ladder = 16\n", """\
+command = converge-space
+t_final = 0.125
+tau = 0.0078125
+n_modes_ref = 16
+initial = 1/3
+n_trajectories = 2
+"""),
+    }
+
+    @pytest.mark.parametrize("command", sorted(ZERO_RUNG))
+    def test_svg_charts_the_positive_errors(self, tmp_path, capsys, command):
+        """A log-log chart cannot show a zero error, so --svg charts the
+        other rows; the run exits 0 and its CSV is byte for byte the one
+        written without --svg."""
+        kind, ladder, _, text = self.ZERO_RUNG[command]
+        cfg = self.write_cfg(tmp_path, text + ladder)
+        for name, flags in (("plain", []), ("svg", ["--svg"])):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / name),
+                         "--deterministic", *flags]) == 0
+        csv_name = f"convergence_{kind}.csv"
+        written = (tmp_path / "svg" / csv_name).read_bytes()
+        assert written == (tmp_path / "plain" / csv_name).read_bytes()
+        rows = list(csv.DictReader(line for line in written.decode().splitlines()
+                                   if not line.startswith("#")))
+        errors = [float(row["error"]) for row in rows]
+        assert errors[-1] == 0.0 and all(e > 0 for e in errors[:-1])
+        svg = "{http://www.w3.org/2000/svg}"
+        [line] = ET.parse(tmp_path / "svg" / f"convergence_{kind}.svg").getroot().iter(
+            f"{svg}polyline")
+        assert len(line.get("points").split()) == len(errors) - 1
+
+    @pytest.mark.parametrize("command", sorted(ZERO_RUNG))
+    def test_svg_of_no_positive_error_is_not_written(self, tmp_path, capsys, command):
+        kind, _, ladder, text = self.ZERO_RUNG[command]
+        cfg = self.write_cfg(tmp_path, text + ladder)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--svg"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [f"convergence_{kind}.csv"]
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"convergence_{kind}.svg not written: no row has a positive error")
 
     def test_config_errors_exit_2(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "command = simulate\n")  # missing keys

@@ -24,8 +24,9 @@ from schsim import (DriftSpec, NoiseSource, SchemeParams, SchemeState, SpectralB
                     phi_test, read_checkpoint, run_ensemble, run_trajectory,
                     state_from_coeffs, step, write_checkpoint)
 from schsim import noise
-from schsim.integrator import (HorizonError, _advance, _noise_blocks, _RowStack,
-                               _stack_levels, whole_steps)
+from schsim.integrator import (HorizonError, _advance, _LevelStack, _noise_blocks,
+                               _RowStack, whole_steps)
+from schsim.observables import _RowAverages
 
 # double-well drift used throughout: f(x) = x^3/2 - x^2/2 + x - 1
 WELL = DriftSpec(0.5, -0.5, 1.0, -1.0)
@@ -249,7 +250,7 @@ class TestLevelStack:
 
     @staticmethod
     def advance_stacked(levels, coeffs, dw):
-        stack = _stack_levels(levels)
+        stack = _LevelStack(levels)
         stacked = np.concatenate(coeffs)
         nodal = np.concatenate([p.basis.from_spectral(c) for p, c in zip(levels, coeffs)])
         new = _advance(stack, stacked, dw, nodal)
@@ -291,15 +292,11 @@ class TestLevelStack:
             else:
                 assert new.tobytes() == self.advance_alone(params, c, dw).tobytes()
 
-    def test_a_stack_of_one_is_the_level(self):
-        params = make_params(n=8)
-        assert _stack_levels([params]) is params
-
     def test_stacked_levels_share_tau_drift_and_sigma(self):
         for other in (make_params(n=8, tau=2e-2), make_params(n=8, sigma=0.5),
                       make_params(n=8, drift=DriftSpec(1.0))):
             with pytest.raises(ValueError, match="share tau, drift and sigma"):
-                _stack_levels([make_params(n=8), other])
+                _LevelStack([make_params(n=8), other])
 
 
 class TestRowStack:
@@ -905,8 +902,17 @@ class TestAcceptedInputs:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(n=st.integers(2, 256), tau=st.floats(1e-4, 0.5), seed=st.integers(0, 2**32 - 1))
     def test_a_single_trajectory_is_the_one_column_stack(self, n, tau, seed):
-        """The kernel, both transforms and phi give an (N,) vector exactly
-        the bits of column 0 of the same (N, 1) stack."""
+        """On these inputs the kernel, both transforms and phi give an (N,)
+        vector exactly the bits of column 0 of the same (N, 1) stack.  That
+        does not hold on every input.  The (N,) kernel takes the tamer's
+        power on a numpy scalar and the stack's on an array, and the two
+        differ on some sums: with tau ||u||_w12^12 drawn from [0.5, 8),
+        where the tamer's last bits reach the result, 59 of 3 200 states
+        (N from 8 to 256) gave another column; here the tamer is far above
+        1 and absorbs them.  phi differs on 7 of 20 000 random N = 64
+        states.  A single trajectory's bit-exact twin is the one-row
+        ``_RowStack``, whose kernel and ``_RowAverages`` phi are checked
+        here as well (``TestRowStack`` checks the kernel at every scale)."""
         basis = self.BASES.setdefault(n, SpectralBasis(n))
         params = SchemeParams(basis, WELL, tau)
         spec = TestFunctionSpec.from_expression(basis, "exp(x)", 1.0, 2.0)
@@ -922,6 +928,14 @@ class TestAcceptedInputs:
         assert (_advance(params, coeffs, dw, nodal).tobytes()
                 == _advance(params, coeffs[:, None], dw[:, None], column)[:, 0].tobytes())
         assert phi_test(basis, spec, nodal) == phi_test(basis, spec, column)[0]
+        row_stack = _RowStack(params, 1)
+        row = row_stack.synthesize(coeffs[None], np.empty((1, n)))
+        assert row[0].tobytes() == nodal.tobytes()
+        assert (_advance(row_stack, coeffs[None], dw[None], row)[0].tobytes()
+                == _advance(params, coeffs, dw, nodal).tobytes())
+        averages = _RowAverages(params, spec, 1)
+        averages(0, SchemeState(0, coeffs[None], row))
+        assert averages.total[0] == phi_test(basis, spec, nodal)
 
     def test_whole_steps_names_its_key(self):
         with pytest.raises(TypeError):

@@ -523,6 +523,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             src.coarse_increment(1, -1, 2)
 
+    def test_increment_matrix_range_is_ordered(self):
+        src = make_source(n_modes_max=7)
+        with pytest.raises(ValueError, match=r"need 0 <= m0 <= m1, got \(5, 4\)"):
+            src.increment_matrix(cached_basis(8), 5, 4)
+
     def test_ratio_must_be_positive_integer(self):
         src = make_source()
         with pytest.raises(ValueError, match="ratio"):
