@@ -212,6 +212,7 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
     """Convert raw pairs into a validated RunConfig, reporting all errors."""
     errors = []
     values: dict[str, object] = {}
+    failed = set()  # keys whose value its reader refused, reported once
     for key, raw in pairs.items():
         read = _READERS.get(key)
         if read is None:
@@ -221,6 +222,7 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
             values[key] = read(raw)
         except ValueError as exc:
             errors.append(f"key {key!r}: {exc}")
+            failed.add(key)
             continue
         text = format_value(values[key])  # as its echo line writes it
         if "#" in text or "".join(text.splitlines()) != text:
@@ -262,7 +264,7 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
         if command == "simulate" and cfg.checkpoint_in:
             required = _REQUIRED_RESUMED  # the checkpoint supplies tau and the state
         for key in required:
-            if getattr(cfg, key) is None:
+            if getattr(cfg, key) is None and key not in failed:
                 errors.append(f"command {command!r} requires key {key!r}")
 
     if errors:

@@ -47,6 +47,17 @@ the shape of the separate run's operand: a product by a wider matrix
 picks another BLAS kernel, a sum over a column of a C-ordered stack adds
 sequentially where a 1-D sum adds pairwise, and numpy's array power
 rounds differently from its scalar power on some inputs.
+
+Every 2-D operand runs its elementwise work on equal shapes: the per-mode
+constants tau * lambda, 1 + lambda and the semigroup meet an (N, L) or
+(sum N_k, L) stack as columns tiled to its shape, and an (R, N) row stack
+as rows tiled to (R, N).  At the studies' L = 2, an (N, 1) column
+broadcast over the stack runs as N inner loops of length 2, and a product
+costs 2.5 to 4 times the flat one (2 vCPU, numpy 2.4.6: 2.05 against
+0.81 us at (64, 2), 4.44 against 1.17 us at (376, 2)).  ``_Constants``
+tiles them on a width's first step and keeps them, read-only.  An
+elementwise product is correctly rounded whatever its operands' shapes,
+so the tiling moves no bit.
 """
 
 from __future__ import annotations
@@ -143,6 +154,33 @@ class DriftSpec:
         return float(max(-self.derivative(x) for x in (-radius, radius, vertex)))
 
 
+def _tiled(rows, count: int, axis: int) -> tuple:
+    """Each (M,) row of ``rows`` repeated ``count`` times along ``axis`` into
+    a read-only C-ordered array: (M, count) columns for axis 1, (count, M)
+    rows for axis 0."""
+    tiled = tuple(np.repeat(np.expand_dims(row, axis), count, axis=axis) for row in rows)
+    for array in tiled:
+        array.setflags(write=False)
+    return tiled
+
+
+class _Constants(dict):
+    """Per-mode (M,) rows, read-only, keyed by the shape of the operand they
+    meet elementwise: under (M,) the rows themselves, and under an (M, L)
+    stack's shape the rows tiled to (M, L) columns, built on the first
+    lookup of that width and kept (see the module docstring)."""
+
+    def __init__(self, rows: tuple):
+        for row in rows:
+            row.setflags(write=False)
+        super().__init__({rows[0].shape: rows})
+        self.rows = rows
+
+    def __missing__(self, shape):
+        tiled = self[shape] = _tiled(self.rows, shape[1], axis=1)
+        return tiled
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Immutable bundle of discretization and model parameters.
@@ -200,14 +238,11 @@ class SchemeParams:
         return int(np.flatnonzero(self.semigroup)[-1]) + 1
 
     @cached_property
-    def _kernel_constants(self) -> dict:
-        """(tau * lambda, 1 + lambda, semigroup), read-only: (N,) rows under
-        key 1 for one trajectory and (N, 1) columns under key 2 for a stack."""
+    def _kernel_constants(self) -> _Constants:
+        """(tau * lambda, 1 + lambda, semigroup), read-only, keyed by the
+        shape of the coefficients they multiply (see ``_Constants``)."""
         lam = self.basis.eigenvalues
-        rows = (self.tau * lam, 1.0 + lam, self.semigroup)
-        for row in rows:
-            row.setflags(write=False)
-        return {1: rows, 2: tuple(row[:, None] for row in rows)}
+        return _Constants((self.tau * lam, 1.0 + lam, self.semigroup))
 
     def step_constraint_satisfied(self) -> bool:
         """Step-size coupling h^(-1) tau^9 <= 1 assumed by the error analysis."""
@@ -218,18 +253,21 @@ class _LevelStack:
     """Levels sharing tau, drift and sigma, advanced by ``_advance`` as one
     (sum_k N_k, L) stack of coefficient columns, level k in rows
     ``rows[k]``; levels that differ in one of the three are a
-    ``ValueError``.  Elementwise operations run once on the stack.  Three
-    things run per level, on views of the stack, because their bits depend
-    on the operand's shape: the analysis product, the w12 column sums and
-    the synthesis product; the tamer's power runs once, on the (K, L)
-    sums, as it runs on a lone level's (L,) row.  The noise ``dw`` of a
-    step is the (N_max, L) increment of the widest level, and level k reads
-    its first N_k modes, as a truncated level does (see ``noise``).
-    ``experiments._Group`` builds one of two or more levels.  The methods
-    are ``_advance``'s per-level parts plus ``synthesize``, which the caller
-    runs to get the nodal values that ``_advance`` reads.  ``tamer`` is the
-    divisor 1 + tau ||u||_{w12}^12 of each row, and ``mean_index`` indexes
-    the rows of the mean modes.
+    ``ValueError``.  Elementwise operations run once on the stack, every
+    operand at the stack's shape: the per-mode constants and the mask of
+    the mean rows are tiled to (sum_k N_k, L) on a width's first step.
+    Three things run per level, on views of the stack, because their bits
+    depend on the operand's shape: the analysis product, the w12 column
+    sums and the synthesis product; the tamer's power runs once, on the
+    (K, L) sums, as it runs on a lone level's (L,) row.  The noise ``dw``
+    of a step is the (N_max, L) increment of the widest level, and level k
+    reads its first N_k modes, as a truncated level does (see ``noise``):
+    one ``np.take`` over the row map ``noise_rows`` gathers them into the
+    stack's shape.  ``experiments._Group`` builds one of two or more
+    levels.  The methods are ``_advance``'s per-level parts plus
+    ``synthesize``, which the caller runs to get the nodal values that
+    ``_advance`` reads.  ``tamer`` is the divisor 1 + tau ||u||_{w12}^12
+    of each row.
     """
 
     def __init__(self, levels):
@@ -241,10 +279,13 @@ class _LevelStack:
         self.sizes = [basis.n_modes for basis in self.bases]
         bounds = np.cumsum([0] + self.sizes)
         self.rows = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-        self.mean_index = bounds[:-1]
-        self._kernel_constants = {2: tuple(
-            np.concatenate([params._kernel_constants[1][i] for params in levels])[:, None]
-            for i in range(3))}
+        self.noise_rows = np.concatenate([np.arange(n) for n in self.sizes])
+        per_level = [params._kernel_constants.rows for params in levels]
+        self._kernel_constants = _Constants(tuple(np.concatenate(rows)
+                                                  for rows in zip(*per_level)))
+        is_mean = np.zeros(bounds[-1], dtype=bool)
+        is_mean[bounds[:-1]] = True
+        self._mean_mask = _Constants((is_mean,))
 
     def analyze(self, f: np.ndarray) -> np.ndarray:
         new = np.empty_like(f)
@@ -264,9 +305,14 @@ class _LevelStack:
         return np.repeat(1.0 + self.tau * sums**6, self.sizes, axis=0)
 
     def scaled_noise(self, dw: np.ndarray, out: np.ndarray) -> np.ndarray:
-        for n, rows in zip(self.sizes, self.rows):
-            np.multiply(dw[:n], self.sigma, out=out[rows])
+        # "clip" writes into ``out`` unbuffered, where "raise" would copy; no
+        # index is out of range
+        np.take(dw, self.noise_rows, axis=0, out=out, mode="clip")
+        out *= self.sigma
         return out
+
+    def keep_mean(self, new: np.ndarray, coeffs: np.ndarray) -> None:
+        np.copyto(new, coeffs, where=self._mean_mask[coeffs.shape][0])
 
 
 class _RowStack:
@@ -274,9 +320,9 @@ class _RowStack:
     ``_advance`` as one C-ordered (R, N) stack of coefficient rows, each
     with the bits of its own (N,) run.  It has ``_LevelStack``'s methods,
     and ``step`` synthesizes with ``synthesize``.  Elementwise operations
-    run once on the stack, with the per-mode constants tiled to (R, N): a
-    product of equal shapes costs less than a broadcast one.  Per row, on
-    the row's contiguous (N,) view, run:
+    run once on the stack, with the per-mode constants tiled to (R, N) (see
+    the module docstring).  Per row, on the row's contiguous (N,) view,
+    run:
 
     - the analysis and synthesis products, as the (N,) path's ``@`` runs
       them (``ndarray.dot`` into the row gives the same bits and skips a
@@ -290,13 +336,11 @@ class _RowStack:
     block, read only elementwise.
     """
 
-    mean_index = (slice(None), 0)
-
     def __init__(self, params: SchemeParams, n_rows: int):
         self.basis, self.drift = params.basis, params.drift
         self.tau, self.sigma, self.live_modes = params.tau, params.sigma, params.live_modes
-        self._kernel_constants = {2: tuple(np.tile(row, (n_rows, 1))
-                                           for row in params._kernel_constants[1])}
+        self._kernel_constants = {(n_rows, params.basis.n_modes): _tiled(
+            params._kernel_constants.rows, n_rows, axis=0)}
 
     def analyze(self, f: np.ndarray) -> np.ndarray:
         new = np.empty_like(f)
@@ -320,6 +364,9 @@ class _RowStack:
 
     def scaled_noise(self, dw: np.ndarray, out: np.ndarray) -> np.ndarray:
         return np.multiply(dw, self.sigma, out=out)
+
+    def keep_mean(self, new: np.ndarray, coeffs: np.ndarray) -> None:
+        new[:, 0] = coeffs[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,23 +425,25 @@ def state_from_coeffs(params: SchemeParams, step_index: int, coeffs: np.ndarray)
 def _advance(params, coeffs: np.ndarray, dw: np.ndarray, nodal: np.ndarray) -> np.ndarray:
     """Core update of one level (``SchemeParams``), of a ``_LevelStack``
     or of a ``_RowStack``.  For a level, ``coeffs``, ``dw`` and ``nodal``
-    are (N,) vectors or (N, L) stacks; for a level stack they are (sum N_k,
-    L), with ``dw`` as the stack describes; for a row stack, (R, N).
-    ``nodal`` must equal the synthesis of ``coeffs`` bit for bit; it is
-    read, not modified.
+    are (N,) vectors or (N, L) stacks; for a level stack ``coeffs`` and
+    ``nodal`` are (sum N_k, L) and ``dw`` is the widest level's (N_max, L)
+    increment; for a row stack, all three are (R, N).  ``nodal`` must equal
+    the synthesis of ``coeffs`` bit for bit; it is read, not modified.
 
     The per-mode constants tau * lambda, 1 + lambda and the semigroup come
-    precomputed from ``params`` and the temporaries are updated in place,
-    but the operations and their grouping are those of the formula in the
-    module docstring, with f by Horner's rule (``DriftSpec.evaluate``) and
-    ||u||_{w12}^2 = sum_j ((1 + lambda_j) c_j) c_j, so the bits equal those
-    of the formula evaluated as written, level by level.  A stack runs the
-    elementwise operations once and the shape-sensitive ones per level or
-    per row, on operands of the separate run's shape: the transforms, the
-    w12 sums and, for a row stack, the tamer's power (see the module
-    docstring).  So each level and each row keeps the bits of its own run.
+    precomputed from ``params`` at the shape of ``coeffs`` (tiled for a 2-D
+    operand, see the module docstring) and the temporaries are updated in
+    place, but the operations and their grouping are those of the formula
+    in the module docstring, with f by Horner's rule (``DriftSpec.evaluate``)
+    and ||u||_{w12}^2 = sum_j ((1 + lambda_j) c_j) c_j, so the bits equal
+    those of the formula evaluated as written, level by level.  A stack
+    runs the elementwise operations once and the shape-sensitive ones per
+    level or per row, on operands of the separate run's shape: the
+    transforms, the w12 sums and, for a row stack, the tamer's power (see
+    the module docstring).  So each level and each row keeps the bits of
+    its own run.
     """
-    tau_lam, one_lam, sem = params._kernel_constants[coeffs.ndim]
+    tau_lam, one_lam, sem = params._kernel_constants[coeffs.shape]
     stacked = type(params) is not SchemeParams
     f = params.drift.evaluate(nodal)
     new = params.analyze(f) if stacked else params.basis.to_spectral(f)
@@ -405,8 +454,10 @@ def _advance(params, coeffs: np.ndarray, dw: np.ndarray, nodal: np.ndarray) -> n
     np.subtract(coeffs, new, out=new)
     new += params.scaled_noise(dw, tmp) if stacked else np.multiply(dw, params.sigma, out=tmp)
     new *= sem
-    mean = params.mean_index if stacked else 0
-    new[mean] = coeffs[mean]  # exact mean conservation
+    if stacked:  # exact mean conservation
+        params.keep_mean(new, coeffs)
+    else:
+        new[0] = coeffs[0]
     return new
 
 

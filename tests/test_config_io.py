@@ -127,9 +127,12 @@ class TestBuildConfig:
             parse_config("command = simulate\ntau = 1.5\nt_final = 1\ninitial = 1/3\n")
 
     def test_a_word_for_a_number_is_a_config_error(self):
-        with pytest.raises(ConfigError) as exc_info:
-            parse_config("command = simulate\ntau = abc\nt_final = 1\ninitial = 1/3\n")
-        assert exc_info.value.messages[0] == "key 'tau': expected a number, got 'abc'"
+        """A required key whose value its reader refuses is reported once,
+        for its value, and not again as missing; so is an empty value."""
+        for text in ("abc", ""):
+            with pytest.raises(ConfigError) as exc_info:
+                parse_config(f"command = simulate\ntau = {text}\nt_final = 1\ninitial = 1/3\n")
+            assert exc_info.value.messages == [f"key 'tau': expected a number, got {text!r}"]
 
     def test_trajectory_id_range(self):
         base = "command = verify\ntrajectory_id = "

@@ -215,13 +215,36 @@ class TestKernelOracle:
         assert step(params, state, dw).coeffs.tobytes() == expected.tobytes()
 
     def test_kernel_constants_are_read_only(self):
-        params = make_params(n=8)
-        for ndim in (1, 2):
-            for constant in params._kernel_constants[ndim]:
+        """Every operand's constants are read-only and C-ordered at the
+        operand's shape, the tiles being its (N,) rows repeated; a width's
+        tiles are built on its first lookup and kept, so an ``_advance``
+        at a known width builds none."""
+        params, coarse = make_params(n=8), make_params(n=4)
+        level_stack = _LevelStack([params, coarse])
+        rows = params._kernel_constants[(8,)]
+        columns = [row[:, None] for row in rows]
+        stack_columns = [np.concatenate([row, coarse_row])[:, None]
+                         for row, coarse_row in zip(rows, coarse._kernel_constants.rows)]
+        lookups = [(params, (8,), rows), (params, (8, 1), columns), (params, (8, 2), columns),
+                   (params, (8, 5), columns), (level_stack, (12, 2), stack_columns),
+                   (_RowStack(params, 3), (3, 8), rows)]
+        for operand, shape, tiles in lookups:
+            constants = operand._kernel_constants[shape]
+            assert operand._kernel_constants[shape] is constants
+            for constant, tile in zip(constants, tiles, strict=True):
+                assert constant.shape == shape and constant.flags.c_contiguous
                 assert not constant.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     constant[1] = 0.0
+                assert constant.tobytes() == np.broadcast_to(tile, shape).tobytes()
+        assert level_stack._mean_mask[(12, 2)][0].tobytes() == np.repeat(
+            np.isin(np.arange(12), [0, 8])[:, None], 2, axis=1).tobytes()
         assert params._kernel_constants is params._kernel_constants
+        tiles = dict(params._kernel_constants)
+        coeffs = np.full((8, 2), 0.1)
+        _advance(params, coeffs, np.zeros((8, 2)), params.basis.from_spectral(coeffs))
+        assert all(params._kernel_constants[shape] is tiles[shape] for shape in tiles)
+        assert params._kernel_constants.keys() == tiles.keys()
 
 
 class TestLevelStack:
@@ -291,6 +314,46 @@ class TestLevelStack:
                 assert not np.isfinite(new[:, 1]).all()
             else:
                 assert new.tobytes() == self.advance_alone(params, c, dw).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_mean_rows_come_back_bit_for_bit(self, width):
+        """The masked copy restores each level's mode-0 row from ``coeffs``
+        with every bit, -0.0 and subnormal means included, whatever the
+        update made of it, and leaves every other row as it was."""
+        levels = [make_params(n=n, tau=2.0**-8, sigma=0.7) for n in (16, 8, 4)]
+        stack = _LevelStack(levels)
+        rng = np.random.default_rng(5)
+        coeffs = rng.standard_normal((28, width))
+        means = np.array([-0.0, 5e-324, -2.0**-1070, np.finfo(np.float64).tiny / 3, 1.0])
+        for k, rows in enumerate(stack.rows):
+            coeffs[rows.start] = np.resize(np.roll(means, k), width)
+        new = rng.standard_normal((28, width))
+        expected = new.copy()
+        stack.keep_mean(new, coeffs)
+        for rows in stack.rows:
+            expected[rows.start] = coeffs[rows.start]
+        assert new.tobytes() == expected.tobytes()
+        assert any(np.signbit(new[0]) & (new[0] == 0.0))
+        # through a whole step as well
+        nodal = stack.synthesize(coeffs, np.empty_like(coeffs))
+        dw = np.zeros((16, width))
+        dw[1:] = rng.standard_normal((15, width))
+        stepped = _advance(stack, coeffs, dw, nodal)
+        for rows in stack.rows:
+            assert stepped[rows.start].tobytes() == coeffs[rows.start].tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 50])
+    def test_gathered_noise_is_each_levels_scaled_increment(self, width):
+        """The one gather and one multiply give level k sigma * dw[:N_k],
+        bit for bit, from a real block's step (source-major from width 8
+        on)."""
+        ns = self.LADDERS["spatial"]
+        levels, _, dw = self.stack_and_inputs(ns, width, 0.3)
+        stack = _LevelStack(levels)
+        out = np.empty((sum(ns), width))
+        assert stack.scaled_noise(dw, out) is out
+        for n, rows in zip(ns, stack.rows):
+            assert out[rows].tobytes() == np.multiply(dw[:n], 0.7).tobytes()
 
     def test_stacked_levels_share_tau_drift_and_sigma(self):
         for other in (make_params(n=8, tau=2e-2), make_params(n=8, sigma=0.5),
