@@ -11,6 +11,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -71,8 +72,13 @@ def write_checkpoint(path, params: SchemeParams, state: SchemeState,
 
 
 def read_checkpoint(path) -> CheckpointData:
-    with open(path, "r", encoding="ascii") as fh:
+    # each non-ASCII byte reads as one lone surrogate, found below by its line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         lines = [line.rstrip("\n") for line in fh]
+    for lineno, line in enumerate(lines, 1):
+        if not line.isascii():
+            byte = ord(next(char for char in line if not char.isascii())) - 0xDC00
+            raise ValueError(f"{path}: line {lineno}: non-ASCII byte {byte:#04x}")
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a {_MAGIC!r} file")
     if "coeffs:" not in lines:
@@ -109,4 +115,6 @@ def read_checkpoint(path) -> CheckpointData:
             coeffs[c] = float(line)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed coefficient {line!r}") from None
+        if not math.isfinite(coeffs[c]):  # nan, inf or a literal beyond the doubles
+            raise ValueError(f"{path}: line {lineno}: coefficient {line!r} is not finite")
     return CheckpointData(**values, coeffs=coeffs)

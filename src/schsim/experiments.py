@@ -26,12 +26,13 @@ advances all of them in lockstep, so the reference is integrated once per
 trajectory regardless of ladder length.  Levels that share (tau, drift,
 sigma) form a ``_Group``, advanced by one ``_advance`` call per step on the
 group's own operand, an ``integrator._LevelStack`` of its levels or a lone
-level's ``SchemeParams``: in a spatial study the reference and every coarse
-level, in a temporal study each level alone, apart from a rung equal to
-tau_ref, which joins the reference.  The elementwise work runs once on the
-stack; the analysis and synthesis products, the w12 column sums and the
-error record's products stay per level, because their bits depend on the
-operand's shape, so each level keeps the bits of its own run.
+level's ``SchemeParams``, which have the same five methods: in a spatial
+study the reference and every coarse level, in a temporal study each level
+alone, apart from a rung equal to tau_ref, which joins the reference.  The
+elementwise work runs once on the stack; the products of the step and of
+the error record, each one ``ndarray.dot`` (see ``integrator``), and the
+w12 column sums stay per level, because their bits depend on the operand's
+shape, so each level keeps the bits of its own run.
 Noise is generated once, in blocks at the reference step and mode count; a
 group reads the first N_max modes of each block and sums each run of
 ``stride`` reference increments (``_Group.increments``), which is exact (see
@@ -193,13 +194,12 @@ class _Group:
         self.stride = levels[0].stride
         self.state = np.repeat(np.concatenate([level.coeffs0 for level in levels])[:, None],
                                width, axis=1)
-        if len(levels) == 1:  # it synthesizes as ``step`` does
+        if len(levels) == 1:
             self.stack, rows = levels[0].params, [slice(None)]
-            self.synthesize = self.stack.basis.from_spectral
-        else:  # it synthesizes level by level
+        else:
             self.stack = _LevelStack([level.params for level in levels])
             rows = self.stack.rows
-            self.synthesize = partial(self.stack.synthesize, out=np.empty_like(self.state))
+        self.synthesize = partial(self.stack.synthesize, out=np.empty_like(self.state))
         self.n_max = max(level.params.basis.n_modes for level in levels)
         self.carry = np.zeros((self.n_max, width))
         # coarse levels, their state rows and their rows in the record buffers
@@ -238,11 +238,12 @@ class _Group:
         return incs, m // stride + 1
 
     def record(self, j: int, state_ref: np.ndarray) -> None:
-        """Row j of sums, one per coarse level: the per-level products, then one
-        subtract, square, max over space and sum over trajectories."""
+        """Row j of sums, one per coarse level: the per-level products, into
+        rows of the buffers, then one subtract, square, max over space and
+        sum over trajectories."""
         for eval_coarse, eval_ref, rows, out in self.evals:
-            np.matmul(eval_coarse, self.state[rows], out=self.values[out])
-            np.matmul(eval_ref, state_ref, out=self.ref_values[out])
+            eval_coarse.dot(self.state[rows], out=self.values[out])
+            eval_ref.dot(state_ref, out=self.ref_values[out])
         diff = np.subtract(self.values, self.ref_values, out=self.values)
         diff *= diff
         np.add.reduce(np.maximum.reduceat(diff, self.starts, axis=0), axis=1, out=self.sums[j])

@@ -24,8 +24,6 @@ import numpy as np
 
 __all__ = ["SpectralBasis"]
 
-_FLOAT64 = np.dtype(np.float64)
-
 
 class SpectralBasis:
     """Midpoint grid, eigenvalues and sampled-cosine transform matrix.
@@ -72,8 +70,7 @@ class SpectralBasis:
     def _check_field(self, u: np.ndarray, name: str = "field") -> np.ndarray:
         """``u`` as a float64 ndarray of shape (N,) or (N, L); one that is
         already so is returned as it is, without conversion."""
-        if type(u) is not np.ndarray or u.dtype is not _FLOAT64:
-            u = np.asarray(u, dtype=np.float64)
+        u = np.asarray(u, dtype=np.float64)
         if u.ndim not in (1, 2) or u.shape[0] != self.n_modes:
             raise ValueError(
                 f"{name} must have leading dimension {self.n_modes}, got shape {u.shape}"
@@ -97,21 +94,21 @@ class SpectralBasis:
         out *= (self.n_modes / np.pi) ** 2
         return out
 
-    def to_spectral(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Analysis: coefficients c_j = (pi/N) sum_i u_i phi_j(x_i), into
-        ``out`` if given (a C-contiguous array of the result's shape)."""
-        u = self._check_field(u)
-        if out is None:  # the operator form: a keyword argument costs ~0.4 us a call
-            return self.h * (self.basis_matrix.T @ u)
-        return np.multiply(np.matmul(self.basis_matrix.T, u, out=out), self.h, out=out)
+    def to_spectral(self, u: np.ndarray) -> np.ndarray:
+        """Analysis: coefficients c_j = (pi/N) sum_i u_i phi_j(x_i).
 
-    def from_spectral(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Synthesis: nodal values u_i = sum_j c_j phi_j(x_i), into ``out``
-        if given (a C-contiguous array of the result's shape)."""
+        This and ``from_spectral`` are the checked transforms of set-up,
+        checkpoints, ``verify`` and users.  The integrator's per-step
+        products skip the check and run as one ``ndarray.dot`` each, with
+        the bits of these (see ``integrator``)."""
+        u = self._check_field(u)
+        return self.h * (self.basis_matrix.T @ u)
+
+    def from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
+        """Synthesis: nodal values u_i = sum_j c_j phi_j(x_i), checked as
+        ``to_spectral`` is."""
         coeffs = self._check_field(coeffs, name="coefficients")
-        if out is None:
-            return self.basis_matrix @ coeffs
-        return np.matmul(self.basis_matrix, coeffs, out=out)
+        return self.basis_matrix @ coeffs
 
     def semigroup_factor(self, t: float) -> np.ndarray:
         """Per-mode factors exp(-lambda_{N,j}^2 t) of the bilaplacian semigroup.

@@ -31,33 +31,38 @@ next drift evaluation and the observers read them from the state instead of
 synthesizing again.  A state is one trajectory's (N,) vector or an (N, L)
 stack advanced in lockstep; ``step`` and the one loop behind
 ``run_trajectory`` and ``run_ensemble`` take either.  The kernel
-``_advance`` takes two more operands in place of a ``SchemeParams``, each
-with the bits of its members' separate runs:
+``_advance`` takes one of three operands, each with the bits of its
+members' separate runs:
 
+- a ``SchemeParams``: one level on an (N,) vector or an (N, L) stack;
 - a ``_LevelStack``: levels of different mode counts that share tau, drift
-  and sigma, advanced as one (sum N_k, L) array (the coupled studies'
-  levels);
+  and sigma, advanced as one (sum N_k, L) array (the coupled studies');
 - a ``_RowStack``: R single trajectories of one level, advanced as one
   (R, N) array of coefficient rows (``run_trajectory`` given R states and R
-  sources, which the ergodic study's single runs use).
+  sources, as the ergodic study's single runs are).
 
-A stack shares only the elementwise work.  The operations whose bits
-depend on the operand's shape run per level or per row, on views that have
-the shape of the separate run's operand: a product by a wider matrix
-picks another BLAS kernel, a sum over a column of a C-ordered stack adds
-sequentially where a 1-D sum adds pairwise, and numpy's array power
-rounds differently from its scalar power on some inputs.
+Each operand has the five methods that ``_advance`` and ``step`` call:
+``analyze``, ``synthesize(coeffs, out=None)``, ``tamer``, ``scaled_noise``
+and ``keep_mean``, so the kernel has no branch on its operand's type.
+Every per-step product is one ``ndarray.dot``, with the bits of ``@`` (N =
+8 to 256, L = 1 to 100) and less call overhead, which is most of a product
+at the studies' sizes (2 vCPU, numpy 2.4.6, BLAS at one thread: 0.35
+against 0.83 us at (8, 2), 0.68 against 1.33 us for an analysis at (64,
+2)).  The checked ``SpectralBasis`` transforms serve set-up, checkpoints
+and ``verify``.  A stack shares only the elementwise work; what depends on
+the operand's shape runs per level or per row, on views of the separate
+run's shape: a product by a wider matrix picks another BLAS kernel, a sum
+over a column of a C-ordered stack adds sequentially where a 1-D sum adds
+pairwise, and numpy's array power rounds differently from its scalar power
+on some inputs.
 
-Every 2-D operand runs its elementwise work on equal shapes: the per-mode
-constants tau * lambda, 1 + lambda and the semigroup meet an (N, L) or
-(sum N_k, L) stack as columns tiled to its shape, and an (R, N) row stack
-as rows tiled to (R, N).  At the studies' L = 2, an (N, 1) column
-broadcast over the stack runs as N inner loops of length 2, and a product
-costs 2.5 to 4 times the flat one (2 vCPU, numpy 2.4.6: 2.05 against
-0.81 us at (64, 2), 4.44 against 1.17 us at (376, 2)).  ``_Constants``
-tiles them on a width's first step and keeps them, read-only.  An
-elementwise product is correctly rounded whatever its operands' shapes,
-so the tiling moves no bit.
+The elementwise work of a 2-D operand runs on equal shapes: ``_Constants``
+tiles the per-mode tau * lambda, 1 + lambda and semigroup to the stack's
+shape on a width's first step, columns for (N, L) and (sum N_k, L), rows
+for (R, N), and keeps them read-only.  Broadcast over an L = 2 stack, an
+(N, 1) column runs as N inner loops of length 2, 2.5 to 4 times slower
+(2 vCPU, numpy 2.4.6: 2.05 against 0.81 us at (64, 2)); an elementwise
+product is correctly rounded whatever the shapes, so no bit moves.
 """
 
 from __future__ import annotations
@@ -244,6 +249,24 @@ class SchemeParams:
         lam = self.basis.eigenvalues
         return _Constants((self.tau * lam, 1.0 + lam, self.semigroup))
 
+    # the operand methods of ``_advance`` (see the module docstring)
+    def analyze(self, f: np.ndarray) -> np.ndarray:
+        new = self.basis.basis_matrix.T.dot(f)
+        new *= self.basis.h
+        return new
+
+    def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self.basis.basis_matrix.dot(coeffs, out=out)
+
+    def tamer(self, tmp: np.ndarray):
+        return 1.0 + self.tau * np.add.reduce(tmp, axis=0)**6
+
+    def scaled_noise(self, dw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.multiply(dw, self.sigma, out=out)
+
+    def keep_mean(self, new: np.ndarray, coeffs: np.ndarray) -> None:
+        new[0] = coeffs[0]
+
     def step_constraint_satisfied(self) -> bool:
         """Step-size coupling h^(-1) tau^9 <= 1 assumed by the error analysis."""
         return self.tau**9 / self.basis.h <= 1.0
@@ -253,21 +276,16 @@ class _LevelStack:
     """Levels sharing tau, drift and sigma, advanced by ``_advance`` as one
     (sum_k N_k, L) stack of coefficient columns, level k in rows
     ``rows[k]``; levels that differ in one of the three are a
-    ``ValueError``.  Elementwise operations run once on the stack, every
-    operand at the stack's shape: the per-mode constants and the mask of
-    the mean rows are tiled to (sum_k N_k, L) on a width's first step.
-    Three things run per level, on views of the stack, because their bits
-    depend on the operand's shape: the analysis product, the w12 column
-    sums and the synthesis product; the tamer's power runs once, on the
-    (K, L) sums, as it runs on a lone level's (L,) row.  The noise ``dw``
-    of a step is the (N_max, L) increment of the widest level, and level k
-    reads its first N_k modes, as a truncated level does (see ``noise``):
-    one ``np.take`` over the row map ``noise_rows`` gathers them into the
-    stack's shape.  ``experiments._Group`` builds one of two or more
-    levels.  The methods are ``_advance``'s per-level parts plus
-    ``synthesize``, which the caller runs to get the nodal values that
-    ``_advance`` reads.  ``tamer`` is the divisor 1 + tau ||u||_{w12}^12
-    of each row.
+    ``ValueError``.  ``experiments._Group`` builds one of two or more
+    levels.  Elementwise operations run once on the stack, with the
+    per-mode constants, the mean rows' mask and each row's spacing h tiled
+    to (sum_k N_k, L) on a width's first step.  Per level, on views of the
+    stack, run the analysis and synthesis products, one ``ndarray.dot``
+    into the level's rows each, and the w12 column sums; the tamer's power
+    runs once, on the (K, L) sums, as on a lone level's (L,) row.  A step's
+    noise ``dw`` is the widest level's (N_max, L) increment, of which level
+    k reads the first N_k modes, as a truncated level does (see ``noise``):
+    one ``np.take`` over the row map ``noise_rows`` gathers them.
     """
 
     def __init__(self, levels):
@@ -286,16 +304,19 @@ class _LevelStack:
         is_mean = np.zeros(bounds[-1], dtype=bool)
         is_mean[bounds[:-1]] = True
         self._mean_mask = _Constants((is_mean,))
+        self._spacing = _Constants((np.repeat([basis.h for basis in self.bases], self.sizes),))
 
     def analyze(self, f: np.ndarray) -> np.ndarray:
         new = np.empty_like(f)
         for basis, rows in zip(self.bases, self.rows):
-            basis.to_spectral(f[rows], out=new[rows])
+            basis.basis_matrix.T.dot(f[rows], out=new[rows])
+        new *= self._spacing[f.shape][0]
         return new
 
-    def synthesize(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty_like(coeffs) if out is None else out
         for basis, rows in zip(self.bases, self.rows):
-            basis.from_spectral(coeffs[rows], out=out[rows])
+            basis.basis_matrix.dot(coeffs[rows], out=out[rows])
         return out
 
     def tamer(self, tmp: np.ndarray) -> np.ndarray:
@@ -318,15 +339,12 @@ class _LevelStack:
 class _RowStack:
     """R single trajectories of one level, advanced by ``step`` and
     ``_advance`` as one C-ordered (R, N) stack of coefficient rows, each
-    with the bits of its own (N,) run.  It has ``_LevelStack``'s methods,
-    and ``step`` synthesizes with ``synthesize``.  Elementwise operations
-    run once on the stack, with the per-mode constants tiled to (R, N) (see
-    the module docstring).  Per row, on the row's contiguous (N,) view,
-    run:
+    with the bits of its own (N,) run.  Elementwise operations run once on
+    the stack, with the per-mode constants tiled to (R, N).  Per row, on
+    the row's contiguous (N,) view, run:
 
-    - the analysis and synthesis products, as the (N,) path's ``@`` runs
-      them (``ndarray.dot`` into the row gives the same bits and skips a
-      temporary); the analysis' ``* h`` then runs once on the stack;
+    - the analysis and synthesis products, one ``ndarray.dot`` each, as a
+      lone level runs them; the analysis' ``* h`` runs once on the stack;
     - the tamer's power, on a numpy scalar: the w12 sums come from one
       ``np.add.reduce`` over axis 1, which sums each C-ordered row
       pairwise, as the (N,) sum does, but numpy's array power differs from
@@ -350,7 +368,8 @@ class _RowStack:
         new *= self.basis.h
         return new
 
-    def synthesize(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty_like(coeffs) if out is None else out
         matrix = self.basis.basis_matrix
         for row, row_out in zip(coeffs, out):
             matrix.dot(row, out=row_out)
@@ -423,41 +442,31 @@ def state_from_coeffs(params: SchemeParams, step_index: int, coeffs: np.ndarray)
 
 
 def _advance(params, coeffs: np.ndarray, dw: np.ndarray, nodal: np.ndarray) -> np.ndarray:
-    """Core update of one level (``SchemeParams``), of a ``_LevelStack``
-    or of a ``_RowStack``.  For a level, ``coeffs``, ``dw`` and ``nodal``
-    are (N,) vectors or (N, L) stacks; for a level stack ``coeffs`` and
-    ``nodal`` are (sum N_k, L) and ``dw`` is the widest level's (N_max, L)
-    increment; for a row stack, all three are (R, N).  ``nodal`` must equal
-    the synthesis of ``coeffs`` bit for bit; it is read, not modified.
+    """Core update of one operand: a level (``SchemeParams``) on (N,) or
+    (N, L) ``coeffs``, ``dw`` and ``nodal``, a ``_LevelStack`` on (sum N_k,
+    L) ones, ``dw`` being the widest level's (N_max, L) increment, or a
+    ``_RowStack`` on (R, N) ones.  ``nodal`` must equal the synthesis of
+    ``coeffs`` bit for bit; it is read, not modified.
 
-    The per-mode constants tau * lambda, 1 + lambda and the semigroup come
-    precomputed from ``params`` at the shape of ``coeffs`` (tiled for a 2-D
-    operand, see the module docstring) and the temporaries are updated in
-    place, but the operations and their grouping are those of the formula
-    in the module docstring, with f by Horner's rule (``DriftSpec.evaluate``)
-    and ||u||_{w12}^2 = sum_j ((1 + lambda_j) c_j) c_j, so the bits equal
-    those of the formula evaluated as written, level by level.  A stack
-    runs the elementwise operations once and the shape-sensitive ones per
-    level or per row, on operands of the separate run's shape: the
-    transforms, the w12 sums and, for a row stack, the tamer's power (see
-    the module docstring).  So each level and each row keeps the bits of
-    its own run.
+    The kernel calls only the operand's methods (see the module docstring).
+    The per-mode constants come precomputed at the shape of ``coeffs`` and
+    the temporaries are updated in place, but the operations and their
+    grouping are those of the formula in the module docstring, with f by
+    Horner's rule (``DriftSpec.evaluate``) and ||u||_{w12}^2 = sum_j ((1 +
+    lambda_j) c_j) c_j, so each level and each row gets the bits of the
+    formula evaluated as written on its own.
     """
     tau_lam, one_lam, sem = params._kernel_constants[coeffs.shape]
-    stacked = type(params) is not SchemeParams
     f = params.drift.evaluate(nodal)
-    new = params.analyze(f) if stacked else params.basis.to_spectral(f)
+    new = params.analyze(f)
     tmp = np.multiply(one_lam, coeffs, out=f)  # f is spent
     tmp *= coeffs
-    new /= params.tamer(tmp) if stacked else 1.0 + params.tau * np.add.reduce(tmp, axis=0)**6
+    new /= params.tamer(tmp)
     new *= tau_lam
     np.subtract(coeffs, new, out=new)
-    new += params.scaled_noise(dw, tmp) if stacked else np.multiply(dw, params.sigma, out=tmp)
+    new += params.scaled_noise(dw, tmp)
     new *= sem
-    if stacked:  # exact mean conservation
-        params.keep_mean(new, coeffs)
-    else:
-        new[0] = coeffs[0]
+    params.keep_mean(new, coeffs)  # exact mean conservation
     return new
 
 
@@ -470,7 +479,8 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
     finite, as every non-finite coefficient makes them (row 0 of the basis
     matrix is positive); for a stack its ``column`` names the first failing
     trajectory.  The drift reads ``state.nodal``, and the returned state
-    carries the nodal values of its coefficients.
+    carries the nodal values of its coefficients, synthesized by
+    ``params.synthesize`` into a new array, since observers may keep it.
 
     ``params`` may also be a ``_RowStack``, with (R, N) states and noise:
     each row is synthesized on its own, the finiteness check runs once on
@@ -484,7 +494,7 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
     if np.count_nonzero(noise_coeffs[:, :1] if rows else noise_coeffs[:1]):
         raise ValueError("noise increment for mode 0 must be exactly zero")
     new = _advance(params, state.coeffs, noise_coeffs, state.nodal)
-    nodal = params.synthesize(new, np.empty_like(new)) if rows else params.basis.from_spectral(new)
+    nodal = params.synthesize(new)
     if not np.isfinite(nodal).all():
         m = state.step_index + 1
         exc = TrajectoryBlowUpError(f"non-finite state at step {m}", m)

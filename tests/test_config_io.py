@@ -1337,6 +1337,24 @@ n_trajectories = 2
         assert main(["simulate", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 1
         assert f"{ckpt}: line {len(lines)}: malformed coefficient 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("last, message", [
+        (b"nan", "coefficient 'nan' is not finite"),
+        (b"1e999", "coefficient '1e999' is not finite"),
+        (b"1.0\xc3\xa9", "non-ASCII byte 0xc3")])
+    def test_a_non_finite_or_non_ascii_checkpoint_line_exit_1(self, tmp_path, capsys, last,
+                                                             message):
+        ckpt = tmp_path / "state.ckpt"
+        cfg1 = self.write_cfg(tmp_path, SIM_CFG + f"checkpoint_out = {ckpt}\n", "first.cfg")
+        assert main(["simulate", "--config", cfg1, "--out", str(tmp_path / "o1")]) == 0
+        lines = ckpt.read_bytes().splitlines()
+        lines[-1] = last
+        ckpt.write_bytes(b"\n".join(lines) + b"\n")
+        cfg2 = self.write_cfg(tmp_path, SIM_CFG + f"checkpoint_in = {ckpt}\n", "resume.cfg")
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: runtime: {ckpt}: line {len(lines)}: {message}\n")
+
     def write_resumable(self, tmp_path):
         """A checkpoint at step 2 of a run whose scheme, drift and noise
         values all differ from the config defaults; returns its path."""

@@ -101,6 +101,31 @@ class TestKappaRows:
         x = np.arange(n_eval + 1) * np.pi / n_eval
         assert np.all(np.abs(grid[rows] - x) <= h / 2 + 1e-15)
 
+    @pytest.mark.parametrize("width", [1, 2, 5, 100])
+    def test_record_products_by_dot_are_the_operator_products(self, width):
+        """``_Group.record`` writes each level's products of its kappa-row
+        matrices with ``ndarray.dot`` into rows of its buffers; at N_ref =
+        256 they have the bits of ``@``, -0.0 and subnormal entries
+        included."""
+        ref = SpectralBasis(256).basis_matrix
+        rng = np.random.default_rng(width)
+        state_ref = rng.standard_normal((256, width))
+        state_ref[rng.choice(8, 6, replace=False)] = np.array(  # in every level
+            [-0.0, 5e-324, -5e-324, 0.0, 2.0**-1070, -2.0**-1050])[:, None]
+        ns = (8, 16, 32, 64)
+        values = np.full((sum(n + 1 for n in ns) + 4, width), np.nan)
+        start = 2
+        for n in ns:
+            eval_coarse = SpectralBasis(n).basis_matrix[_kappa_rows(n, n)]
+            eval_ref = ref[_kappa_rows(n, 256)]
+            state = state_ref[:n] * 0.5
+            for matrix, x in ((eval_coarse, state), (eval_ref, state_ref)):
+                out = values[start:start + n + 1]
+                assert matrix.dot(x, out=out) is out
+                assert out.tobytes() == (matrix @ x).tobytes()
+            start += n + 1
+        assert np.isnan(values[:2]).all() and np.isnan(values[start:]).all()
+
 
 class TestMeanSquareError:
     def run(self, params_c, params_r, u0, **kw):

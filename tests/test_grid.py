@@ -154,21 +154,6 @@ class TestTransforms:
         assert converted.dtype == np.float64 and converted.dtype.isnative
 
 
-    @pytest.mark.parametrize("width", [None, 1, 2, 5, 50])
-    def test_out_rows_of_a_stack_get_the_bits_of_a_new_array(self, width):
-        """A transform into rows of a larger C-contiguous array, as a level
-        stack writes it, gives the bits of the transform that allocates."""
-        basis = SpectralBasis(16)
-        shape = (16,) if width is None else (16, width)
-        u = np.random.default_rng(3).standard_normal(shape)
-        for transform in (basis.to_spectral, basis.from_spectral):
-            stack = np.full((40,) + shape[1:], np.nan)
-            got = transform(u, out=stack[8:24])
-            assert got.base is stack
-            assert stack[8:24].tobytes() == transform(u).tobytes()
-            assert np.isnan(stack[:8]).all() and np.isnan(stack[24:]).all()
-
-
 class TestLaplacianStencil:
     def test_two_point_stencil_by_hand(self):
         # N=2: out = (N/pi)^2 * (u2-u1, u1-u2); for u=(1,-1) that is

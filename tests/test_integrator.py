@@ -355,6 +355,18 @@ class TestLevelStack:
         for n, rows in zip(ns, stack.rows):
             assert out[rows].tobytes() == np.multiply(dw[:n], 0.7).tobytes()
 
+    @pytest.mark.parametrize("width", [1, 2, 5, 50])
+    def test_out_rows_of_a_stack_get_the_bits_of_a_new_array(self, width):
+        """A synthesis into rows of a larger C-contiguous array gives the
+        bits of the synthesis that allocates, and writes no other row."""
+        stack = _LevelStack([make_params(n=n) for n in (16, 8, 4)])
+        coeffs = np.random.default_rng(3).standard_normal((28, width))
+        big = np.full((44, width), np.nan)
+        got = stack.synthesize(coeffs, out=big[8:36])
+        assert got.base is big
+        assert big[8:36].tobytes() == stack.synthesize(coeffs).tobytes()
+        assert np.isnan(big[:8]).all() and np.isnan(big[36:]).all()
+
     def test_stacked_levels_share_tau_drift_and_sigma(self):
         for other in (make_params(n=8, tau=2e-2), make_params(n=8, sigma=0.5),
                       make_params(n=8, drift=DriftSpec(1.0))):
@@ -456,6 +468,61 @@ class TestRowStack:
         assert seen == [(m, (3, 8)) for m in range(6)]
         assert [type(f) for f in finals] == [SchemeState] * 3
         assert [f.coeffs.shape for f in finals] == [(8,)] * 3
+
+
+def with_specials(rng, shape):
+    """Normal draws with -0.0, +0.0 and subnormals of both signs at random
+    places."""
+    x = rng.standard_normal(shape)
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 2.0**-1070, -np.finfo(np.float64).tiny / 3]
+    flat = x.reshape(-1)
+    flat[rng.choice(flat.size, min(flat.size, 12), replace=False)] = np.resize(
+        specials, min(flat.size, 12))
+    return x
+
+
+class TestOperands:
+    """Every ``_advance`` operand's ``analyze`` and ``synthesize`` give the
+    bits of the checked ``SpectralBasis`` transforms, level by level and row
+    by row, on inputs that hold -0.0 and subnormals."""
+
+    @pytest.mark.parametrize("width", [None, 1, 2, 5, 50])
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_a_level_transforms_as_its_basis_does(self, n, width):
+        params = make_params(n=n)
+        basis = params.basis
+        shape = (n,) if width is None else (n, width)
+        rng = np.random.default_rng(n)
+        f, coeffs = with_specials(rng, shape), with_specials(rng, shape)
+        assert params.analyze(f).tobytes() == basis.to_spectral(f).tobytes()
+        assert params.synthesize(coeffs).tobytes() == basis.from_spectral(coeffs).tobytes()
+        big = np.full((n + 16,) + shape[1:], np.nan)  # rows of a larger array
+        assert params.synthesize(coeffs, out=big[8:n + 8]).base is big
+        assert big[8:n + 8].tobytes() == basis.from_spectral(coeffs).tobytes()
+        assert np.isnan(big[:8]).all() and np.isnan(big[n + 8:]).all()
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 50])
+    @pytest.mark.parametrize("ns", [[256, 8, 16, 32, 64], [16, 8, 16, 4, 8, 2]])
+    def test_a_level_stack_transforms_each_level_as_its_basis_does(self, ns, width):
+        stack = _LevelStack([make_params(n=n) for n in ns])
+        rng = np.random.default_rng(width)
+        f, coeffs = with_specials(rng, (sum(ns), width)), with_specials(rng, (sum(ns), width))
+        analyzed, synthesized = stack.analyze(f), stack.synthesize(coeffs)
+        for basis, rows in zip(stack.bases, stack.rows):
+            assert analyzed[rows].tobytes() == basis.to_spectral(f[rows]).tobytes()
+            assert synthesized[rows].tobytes() == basis.from_spectral(coeffs[rows]).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_a_row_stack_transforms_each_row_as_its_basis_does(self, n, rows):
+        params = make_params(n=n)
+        stack = _RowStack(params, rows)
+        rng = np.random.default_rng(rows)
+        f, coeffs = with_specials(rng, (rows, n)), with_specials(rng, (rows, n))
+        analyzed, synthesized = stack.analyze(f), stack.synthesize(coeffs)
+        for r in range(rows):
+            assert analyzed[r].tobytes() == params.basis.to_spectral(f[r]).tobytes()
+            assert synthesized[r].tobytes() == params.basis.from_spectral(coeffs[r]).tobytes()
 
 
 class TestStates:
@@ -1233,6 +1300,30 @@ class TestCheckpointResume:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="bad.ckpt: line 19: malformed coefficient 'abc'"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ["nan", "-inf", "inf", "1e999", "-1E400"])
+    def test_a_non_finite_coefficient_names_file_and_line(self, tmp_path, text):
+        params = make_params(n=8)
+        path = tmp_path / "bad.ckpt"
+        write_checkpoint(path, params, initial_state(params, np.zeros(8)), make_source(params))
+        lines = path.read_text().splitlines()
+        lines[13] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(path)
+        assert str(info.value) == f"{path}: line 14: coefficient {text!r} is not finite"
+
+    @pytest.mark.parametrize("lineno", [1, 3, 19])
+    def test_a_non_ascii_byte_names_file_and_line(self, tmp_path, lineno):
+        params = make_params(n=8)
+        path = tmp_path / "bad.ckpt"
+        write_checkpoint(path, params, initial_state(params, np.zeros(8)), make_source(params))
+        lines = path.read_bytes().split(b"\n")
+        lines[lineno - 1] += "\u00e9".encode()  # the bytes 0xc3 0xa9
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(path)
+        assert str(info.value) == f"{path}: line {lineno}: non-ASCII byte 0xc3"
 
     def test_rejects_truncated_coefficients(self, tmp_path):
         params = make_params(n=8)
