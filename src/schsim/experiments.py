@@ -33,17 +33,19 @@ elementwise work runs once on the stack; the products of the step and of
 the error record, each one ``ndarray.dot`` (see ``integrator``), and the
 w12 column sums stay per level, because their bits depend on the operand's
 shape, so each level keeps the bits of its own run.
-Noise is generated once, in blocks at the reference step and mode count; a
-group reads the first N_max modes of each block and sums each run of
-``stride`` reference increments (``_Group.increments``), which is exact (see
-``noise``), and its level k reads the first N_k of them.  A block
-draws modes up to the largest ``SchemeParams.live_modes`` of the levels, the
-union of their live modes (those with a normal semigroup factor), and leaves
-the rest 0.0: those modes have a semigroup factor of exactly 0.0 at every
-level, so no error bit moves (see ``integrator``).  At criterion 4's shape
-(N = 64, tau_ref = 2^-12) the reference keeps all its modes live; at
-criterion 5's (N_ref = 256, tau = 2^-12) the union is 64 modes, set by the
-N = 64 rung, against the reference's 42.
+Noise is generated once, in blocks at the reference step; a block holds
+the modes up to the largest ``SchemeParams.live_modes`` of the levels, the
+union of their live modes (those with a normal semigroup factor), and no
+other: every later mode has a semigroup factor of exactly 0.0 at every
+level, so no error bit moves (see ``integrator``).  A group reads the
+block's first N_max modes, sums each run of ``stride`` reference increments
+(``_Group.increments``), which is exact (see ``noise``), and, if the block
+holds fewer than N_max modes, copies each step's sum into its (N_max, L)
+increment buffer, whose rows past the block's stay +0.0
+(``_Group.advance``); its level k reads the first N_k of them.  At
+criterion 4's shape (N = 64, tau_ref = 2^-12) the reference keeps all its
+modes live; at criterion 5's (N_ref = 256, tau = 2^-12) the union is 64
+modes, set by the N = 64 rung, against the reference's 42.
 All trajectories are advanced as one vectorized batch, whatever ``threads``
 is, and ``_Group.record`` sums each step's per-trajectory row over them, in
 trajectory-id order, as it makes it, so the results do not depend on
@@ -188,9 +190,10 @@ class _Level:
 class _Group:
     """Levels sharing (tau, drift, sigma), and so a stride, with their
     operand ``stack`` (a lone level's params, or a ``_LevelStack``), state
-    and increments; its coarse levels record their sums together."""
+    and increments; its coarse levels record their sums together.  The
+    noise blocks hold ``live`` modes (see ``integrator._noise_blocks``)."""
 
-    def __init__(self, levels, width: int, n_ref_steps: int):
+    def __init__(self, levels, width: int, n_ref_steps: int, live: int):
         self.stride = levels[0].stride
         self.state = np.repeat(np.concatenate([level.coeffs0 for level in levels])[:, None],
                                width, axis=1)
@@ -201,7 +204,9 @@ class _Group:
             rows = self.stack.rows
         self.synthesize = partial(self.stack.synthesize, out=np.empty_like(self.state))
         self.n_max = max(level.params.basis.n_modes for level in levels)
-        self.carry = np.zeros((self.n_max, width))
+        # a step's (N_max, L) increments; rows from the block's height on stay +0.0
+        self.noise = np.zeros((self.n_max, width))
+        self.carry = np.zeros((min(live, self.n_max), width))
         # coarse levels, their state rows and their rows in the record buffers
         coarse = [(level, level_rows) for level, level_rows in zip(levels, rows)
                   if level.eval_coarse is not None]
@@ -217,8 +222,9 @@ class _Group:
     def increments(self, block: np.ndarray, m: int):
         """The increments of the group's steps ending within reference steps
         [m, m + len(block)), and the group step of the first: the block's
-        first N_max modes, summed over runs of ``stride`` steps, with a step
-        that straddles a block boundary carried over in ``carry``.  Every sum
+        first N_max modes, or all of its min(live, N_max) rows, summed over
+        runs of ``stride`` steps, with a step that straddles a block boundary
+        carried over in ``carry``, which has the block's height.  Every sum
         is exact (see ``noise``), so the grouping changes no bit."""
         fine, stride, carry = block[:, :self.n_max], self.stride, self.carry
         if stride == 1:
@@ -236,6 +242,17 @@ class _Group:
         if tail < n:
             carry[...] = fine[tail:].sum(axis=0)
         return incs, m // stride + 1
+
+    def advance(self, inc: np.ndarray) -> None:
+        """One step of the group on ``inc``, one step of ``increments``.
+        Increments of fewer than N_max rows are copied into the rows of
+        ``noise`` they cover, whose other rows stay +0.0, so the operand
+        reads the increments of every mode with zero dead rows, bit for
+        bit."""
+        if len(inc) < len(self.noise):
+            self.noise[:len(inc)] = inc
+            inc = self.noise
+        self.state = _advance(self.stack, self.state, inc, self.synthesize(self.state))
 
     def record(self, j: int, state_ref: np.ndarray) -> None:
         """Row j of sums, one per coarse level: the per-level products, into
@@ -266,13 +283,13 @@ def _coupled_sums(levels, sources, n_ref_steps: int) -> list[np.ndarray]:
     for level in levels:
         params = level.params
         keys.setdefault((params.tau, params.drift, params.sigma), []).append(level)
-    groups = [_Group(members, len(sources), n_ref_steps) for members in keys.values()]
+    live = max(level.params.live_modes for level in levels)  # the union: each is a prefix
+    groups = [_Group(members, len(sources), n_ref_steps, live) for members in keys.values()]
     recorded = [g for g in groups if g.coarse]
     sums = {level: g.sums[:, pos] for g in recorded for pos, level in enumerate(g.coarse)}
 
     for g in recorded:
         g.record(0, groups[0].state[:n_ref])
-    live = max(level.params.live_modes for level in levels)  # the union: each is a prefix
     for m, block in _noise_blocks(ref.params.basis, sources, _ratio(ref.params, sources),
                                   0, n_ref_steps, live):
         plan = [(g, *g.increments(block, m)) for g in groups]
@@ -281,7 +298,7 @@ def _coupled_sums(levels, sources, n_ref_steps: int) -> list[np.ndarray]:
             for g, incs, first in plan:  # the reference's group first
                 if s % g.stride == 0:
                     j = s // g.stride
-                    g.state = _advance(g.stack, g.state, incs[j - first], g.synthesize(g.state))
+                    g.advance(incs[j - first])
                     if g.coarse:
                         g.record(j, groups[0].state[:n_ref])
         end = m + len(block)

@@ -23,7 +23,12 @@ coefficient would slow every product that reads it 10- to 16-fold per
 element on x86, and its mode changes no nodal value (see
 ``SchemeParams.semigroup``).  The runs draw no noise for the dead modes,
 which changes no nodal value either; only the sign of a dead coefficient's
-zero can differ (see ``_noise_blocks``).
+zero can differ from a run fed every mode.  A noise block holds steps x
+live x L floats, the live modes alone (see ``_noise_blocks``).  A run
+copies each step's live rows into one increment buffer of its operand's
+full height, allocated once, whose dead rows stay +0.0: the kernel reads
+the inputs a block of every mode with zero dead rows would give it, bit
+for bit, zero signs included.
 
 A state is its step index, its spectral coefficients and their nodal
 values.  Every state is built with its nodal values, synthesized once: the
@@ -91,7 +96,7 @@ __all__ = [
 ]
 
 _BLOCK_STEPS = 512        # most steps in one noise block
-_BLOCK_FLOATS = 4_000_000  # most floats in a noise block of more than one step
+_BLOCK_FLOATS = 4_000_000  # most live-mode floats in a noise block of more than one step
 _LF_CHECK_RADIUS = 8.0     # half-width of the interval on which L_f is estimated
 
 
@@ -350,8 +355,9 @@ class _RowStack:
       pairwise, as the (N,) sum does, but numpy's array power differs from
       its scalar power on some inputs.
 
-    A step's noise is the transposed view ``block[i].T`` of the (N, R)
-    block, read only elementwise.
+    A step's noise is ``_run``'s (R, N) increment buffer, whose live
+    columns are copied from the (live, R) block step, read only
+    elementwise.
     """
 
     def __init__(self, params: SchemeParams, n_rows: int):
@@ -546,40 +552,40 @@ def _ratio(params: SchemeParams, sources) -> int:
 def _noise_blocks(basis: SpectralBasis, sources, ratio: int, m0: int, m1: int,
                   live: int):
     """Yield (m, block) covering steps m0 <= m < m1, block[i] being the
-    (N, L) increments of step m + i for the L sources.  A block holds at
-    most 512 steps and, beyond one step, at most 4M floats.  Every block is
-    a view of one buffer that the next block overwrites, and each source
-    writes its slot ``block[:, :live, l]`` in place, so only one block is
-    ever resident: a consumer must be done with a block before it asks for
-    the next.
+    (live, L) increments of modes 0 .. live-1 at step m + i for the L
+    sources.  A block holds steps x live x L floats: at most 512 steps and,
+    beyond one step, at most 4M live floats.  Every block is a view of one
+    buffer that the next block overwrites, and each source writes its slot
+    ``block[:, :, l]`` in place, so only one block is ever resident: a
+    consumer must be done with a block before it asks for the next.
 
-    Only modes 0 .. live-1 are drawn.  ``live`` is the largest
-    ``SchemeParams.live_modes`` of the levels that read the block, one past
-    the last mode with a normal semigroup factor: every later mode has a
-    factor of exactly 0.0 in each of them, underflowed or flushed, so its
-    increment reaches no result.  Its rows are zeros, allocated once
-    and never written.  A draw is keyed by (source, mode), so the skipped
-    modes move no other word, and a dead mode's coefficient is 0.0 times a
-    finite value either way: the only bit that can differ from a block of
-    every mode is the sign of that zero.
+    ``live`` is the largest ``SchemeParams.live_modes`` of the levels that
+    read the block, one past the last mode with a normal semigroup factor:
+    every later mode has a factor of exactly 0.0 in each of them,
+    underflowed or flushed, so its increment reaches no result and is
+    neither drawn nor stored.  A consumer pads each step's rows with +0.0
+    to its operand's height (see ``_run``).  A draw is keyed by (source,
+    mode), so the skipped modes move no other word, and a dead mode's
+    coefficient is 0.0 times a finite value either way: the only bit that
+    can differ from drawing every mode is the sign of that zero.
 
     Storage order follows the width L alone.  From L = 8 on, the buffer is
-    stored source-major, as (steps, L, N) seen through a transposed view:
-    eight float64 fill a 64-byte cache line, so a slot strided by L floats
-    would put each of its elements on a line of its own, and every source
-    would touch every line of the block.  Narrower blocks keep the (steps,
-    N, L) order, in which the step's mixed-order ``sigma * dw`` would cost
-    more than the strided writes save.  The order changes no value.
+    stored source-major, as (steps, L, live) seen through a transposed
+    view: eight float64 fill a 64-byte cache line, so a slot strided by L
+    floats would put each of its elements on a line of its own, and every
+    source would touch every line of the block.  Narrower blocks keep the
+    (steps, live, L) order, so that a step's copy into an (N, L) state's
+    buffer does not transpose.  The order changes no value.
     """
-    n, width = basis.n_modes, len(sources)
-    steps = max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // (n * width)))
+    width = len(sources)
+    steps = max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // (live * width)))
     rows = min(steps, m1 - m0)
-    buffer = (np.zeros((rows, width, n)).transpose(0, 2, 1) if width >= 8
-              else np.zeros((rows, n, width)))
+    buffer = (np.empty((rows, width, live)).transpose(0, 2, 1) if width >= 8
+              else np.empty((rows, live, width)))
     for m in range(m0, m1, steps):
         block = buffer[:min(steps, m1 - m)]
         for l, src in enumerate(sources):
-            src.increment_matrix(basis, m, m + len(block), ratio, block[:, :live, l])
+            src.increment_matrix(basis, m, m + len(block), ratio, block[:, :, l])
         yield m, block
 
 
@@ -588,17 +594,22 @@ def _run(params, state: SchemeState, sources, n_steps: int, observers) -> Scheme
     an (N, L) stack driven by sources[l] or, with a ``_RowStack`` for
     ``params``, an (R, N) row stack driven by sources[r], each observer
     called as ``obs(m, state)`` before and after every step; a blow-up
-    names the failing source's trajectory id."""
+    names the failing source's trajectory id.  Every step reads one
+    increment buffer of the state's shape, whose live rows (live columns
+    of a row stack) are copied from the noise block and whose dead ones
+    stay +0.0."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     ratio = _ratio(params, sources)
     for obs in observers:
         obs(state.step_index, state)
-    m0 = state.step_index
-    rows, stacked = type(params) is _RowStack, state.coeffs.ndim == 2
-    for _, block in _noise_blocks(params.basis, sources, ratio, m0, m0 + n_steps,
-                                 params.live_modes):
-        for dw in (block.transpose(0, 2, 1) if rows else block if stacked else block[:, :, 0]):
+    m0, live = state.step_index, params.live_modes
+    dw = np.zeros(state.coeffs.shape)
+    # dw's live modes, seen as a block's (live, L) step
+    head = (dw.T if type(params) is _RowStack else dw.reshape(len(dw), -1))[:live]
+    for _, block in _noise_blocks(params.basis, sources, ratio, m0, m0 + n_steps, live):
+        for inc in block:
+            np.copyto(head, inc)
             try:
                 state = step(params, state, dw)
             except TrajectoryBlowUpError as exc:

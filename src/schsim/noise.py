@@ -40,12 +40,14 @@ most 64 modes and 32 768 words at a time, so that a pass stays in cache and
 its temporaries stay below the size of the output.  The pass writes straight
 into its destination, which may be a strided view: ``increment_matrix``
 takes an optional ``out``, so an ensemble fills each trajectory's slot of
-its (steps, N, L) noise block in place, with no per-source temporary; from
-L = 8 on the block is stored source-major, so that each slot is contiguous
-rows.  An ``out`` of k < N columns receives modes 0 .. k-1 alone, and no
-word of a later mode is drawn: the integrator fills each slot only up to
-the last live mode, whose semigroup factor is a normal double; every later
-factor is 0.0, underflowed or flushed (see ``SchemeParams.live_modes``).
+its (steps, live, L) noise block in place, with no per-source temporary;
+from L = 8 on the block is stored source-major, so that each slot is
+contiguous rows.  An ``out`` of k < N columns receives modes 0 .. k-1
+alone, and no word of a later mode is drawn.  A block holds the live modes
+alone, those up to the last one whose semigroup factor is a normal double;
+every later factor is 0.0, underflowed or flushed (see
+``SchemeParams.live_modes``).  So a block is steps x live x L floats, and
+its 4M-float cap counts live floats (see ``integrator._noise_blocks``).
 Counter-based words may be produced in any grouping (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11), and each
 (trajectory, mode) stream is keyed on its own, so neither the layout nor
@@ -314,7 +316,7 @@ class NoiseSource:
         Row m - m0 is bit-for-bit equal to ``increment_field(basis, m, ratio)``.
         ``out``, if given, is a float64 array of that shape, possibly a
         strided view such as one trajectory's slot ``block[:, :, l]`` of a
-        (steps, N, L) block; it is filled in place (column 0 set to 0.0)
+        (steps, live, L) block; it is filled in place (column 0 set to 0.0)
         and returned, with the same bits as a fresh array.  An ``out`` of
         k < N columns receives modes 0 .. k-1 alone, the first k columns of
         the full matrix bit for bit; no word of a later mode is drawn.

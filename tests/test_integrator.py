@@ -22,14 +22,15 @@ from numpy.random import Philox
 from schsim import (DriftSpec, NoiseSource, SchemeParams, SchemeState, SpectralBasis,
                     TestFunctionSpec, TrajectoryBlowUpError, initial_state,
                     phi_test, read_checkpoint, run_ensemble, run_trajectory,
-                    state_from_coeffs, step, write_checkpoint)
-from schsim import noise
+                    state_from_coeffs, step, time_average_ensemble, write_checkpoint)
+from schsim import experiments, integrator, noise
 from schsim.integrator import (HorizonError, _advance, _LevelStack, _noise_blocks,
                                _RowStack, whole_steps)
 from schsim.observables import _RowAverages
 
 # double-well drift used throughout: f(x) = x^3/2 - x^2/2 + x - 1
 WELL = DriftSpec(0.5, -0.5, 1.0, -1.0)
+ZERO = DriftSpec(0.0, validation_mode=True)
 
 
 def make_params(n=16, tau=1e-2, sigma=1.0, drift=WELL):
@@ -881,12 +882,13 @@ class TestNoiseBlocks:
         assert all(np.shares_memory(block, blocks[0][2]) for _, _, block in blocks)
 
     def test_an_ensemble_holds_one_noise_block(self):
-        """At N = 64, L = 50 a block is 512 steps (13 MB); filling the next
-        block into the same buffer keeps the traced peak near one block."""
+        """At N = 64, tau = 5e-3, L = 50 a block is 512 steps of the 21 live
+        modes (4.3 MB); filling the next block into the same buffer keeps
+        the traced peak near one block."""
         params = make_params(n=64, tau=5e-3)
         sources = [make_source(params, seed=2, trajectory_id=l) for l in range(50)]
         run_ensemble(params, np.zeros(64), sources, 2)  # warm up outside the trace
-        block_bytes = 512 * 64 * 50 * 8
+        block_bytes = 512 * params.live_modes * 50 * 8
         tracemalloc.start()
         try:
             run_ensemble(params, np.zeros(64), sources, 1024)
@@ -894,6 +896,49 @@ class TestNoiseBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * block_bytes
+
+    def test_an_ensemble_average_stays_below_a_full_width_block(self):
+        """``time_average_ensemble`` at N = 64, tau = 5e-3, L = 50 over 600
+        steps: a block of every mode would be 512 x 64 x 50 floats (13.1
+        MB), the live-width block is 512 x 21 x 50 (4.3 MB), and the traced
+        peak stays below the full-width block."""
+        params = make_params(n=64, tau=5e-3)
+        spec = TestFunctionSpec.from_expression(params.basis, "exp(x)", 1.0, 2.0)
+        sources = [make_source(params, seed=2, trajectory_id=l) for l in range(50)]
+        coeffs0 = initial_state(params, np.cos(params.basis.grid) / 3 + 1 / 3).coeffs
+        time_average_ensemble(params, coeffs0, sources, 2, spec)  # warm up outside the trace
+        tracemalloc.start()
+        try:
+            time_average_ensemble(params, coeffs0, sources, 600, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 64 * 50 * 8
+
+    @pytest.mark.parametrize("ratio", [1, 4])
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 50])
+    def test_a_block_holds_the_live_modes_alone(self, monkeypatch, width, ratio):
+        """At N = 64, tau = 5e-3 (21 live modes), with the float cap set to
+        five steps of live floats, a block is five steps x 21 modes x L
+        floats, stored source-major from L = 8 on, and equals the first 21
+        columns of each source's full-width ``increment_matrix``, bit for
+        bit.  The run starts at step 509, off a block boundary; at ratio 4
+        its first block crosses a 2048-word Philox block."""
+        params = make_params(n=64, tau=5e-3)
+        basis, live = params.basis, params.live_modes
+        assert live == 21
+        monkeypatch.setattr(integrator, "_BLOCK_FLOATS", 6 * live * width - 1)
+        sources = [make_source(params, seed=2, trajectory_id=l) for l in range(width)]
+        seen = []
+        for m, block in _noise_blocks(basis, sources, ratio, 509, 522, live):
+            assert block.shape == (len(block), live, width)
+            assert block.base.nbytes == 5 * live * width * 8
+            assert block.strides[2] == (live if width >= 8 else 1) * 8
+            for l, src in enumerate(sources):
+                full = src.increment_matrix(basis, m, m + len(block), ratio)
+                assert block[:, :, l].tobytes() == full[:, :live].tobytes()
+            seen.append((m, len(block)))
+        assert seen == [(509, 5), (514, 5), (519, 3)]
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(width=st.sampled_from([1, 2, 7, 8, 9, 50]), n=st.integers(2, 257),
@@ -907,9 +952,9 @@ class TestNoiseBlocks:
     def test_storage_order_never_changes_a_bit(self, width, n, ratio, m0, n_steps, live):
         """Whatever the storage order the width picks, slot l of every block
         holds the first ``live`` columns of a fresh ``increment_matrix`` of
-        source l and zeros after them, and each source draws exactly its
-        budget of Philox words: per live mode and block request, the words
-        it returns plus the alignment words below its first one."""
+        source l and no other, and each source draws exactly its budget of
+        Philox words: per live mode and block request, the words it returns
+        plus the alignment words below its first one."""
         n_steps = min(n_steps, max(1, 600_000 // (width * n)))  # bounds the run time
         live = min(live, n)
         basis = self.BASES.setdefault(n, SpectralBasis(n))
@@ -926,15 +971,74 @@ class TestNoiseBlocks:
                        for l in range(width)]
         budget = 0
         for m, block in _noise_blocks(basis, sources, ratio, m0, m0 + n_steps, live):
-            assert block.shape[1:] == (n, width)
-            assert not block[:, live:].any()
+            assert block.shape[1:] == (live, width)
             for l, src in enumerate(sources):
                 fresh = NoiseSource(6, 40 + l, tau_fine=1e-3, n_modes_max=n - 1)
                 full = fresh.increment_matrix(basis, m, m + len(block), ratio)
-                assert block[:, :live, l].tobytes() == full[:, :live].tobytes()
+                assert block[:, :, l].tobytes() == full[:, :live].tobytes()
             budget += (live - 1) * (len(block) * ratio + m * ratio % 4)
         for src in sources:
             assert sum(size for gen, size in counted if gen is src._philox) == budget
+
+
+class TestPaddedIncrements:
+    """Each operand reads a step's increments from one buffer of its full
+    height, whose live rows are copied from a live-width noise block and
+    whose dead rows stay +0.0 (``integrator._run``,
+    ``experiments._Group.advance``).  Its new coefficients equal, byte for
+    byte, zero signs included, those from full-width increments with the
+    dead modes set to +0.0, as a block of every mode whose dead rows are
+    never drawn gives them.  A start has random dead coefficients (a first
+    step) or -0.0 ones; under the zero drift a dead mode's bracket is then
+    -0.0, so the sign of its increment's zero decides the new one's."""
+
+    KINDS = [("vector", 1), ("columns", 2), ("columns", 8), ("rows", 2), ("rows", 8),
+             ("levels", 2), ("levels", 8)]
+
+    @staticmethod
+    def start(params, width, negzero, rng):
+        """(N, width) random coefficients, the dead modes' -0.0 with ``negzero``."""
+        lam = params.basis.eigenvalues[:, None]
+        coeffs = rng.standard_normal((params.basis.n_modes, width)) / (1.0 + lam) / 3
+        if negzero:
+            coeffs[params.live_modes:] = -0.0
+        return coeffs
+
+    @pytest.mark.parametrize("drift", [WELL, ZERO], ids=["well", "zero"])
+    @pytest.mark.parametrize("negzero", [False, True], ids=["first", "negzero"])
+    @pytest.mark.parametrize("kind,width", KINDS)
+    def test_padded_noise_gives_the_zero_tailed_bytes(self, kind, width, negzero, drift):
+        rng = np.random.default_rng(5)
+        m = 7 if negzero else 0
+        ns = (256, 8, 16, 32, 64) if kind == "levels" else (64,)  # the spatial ladder
+        levels = [make_params(n=n, tau=2.0**-12 if kind == "levels" else 5e-3, drift=drift)
+                  for n in ns]
+        basis, live = levels[0].basis, max(params.live_modes for params in levels)
+        assert live < basis.n_modes
+        sources = [make_source(levels[0], seed=2, trajectory_id=l) for l in range(width)]
+        full = np.zeros((basis.n_modes, width))
+        for l, src in enumerate(sources):
+            full[:live, l] = src.increment_matrix(basis, m, m + 1)[0, :live]
+        coeffs = np.concatenate([self.start(params, width, negzero, rng) for params in levels])
+        if kind == "levels":
+            group = experiments._Group([experiments._Level(params, np.zeros(params.basis.n_modes))
+                                        for params in levels], width, 1, live)
+            group.state = coeffs
+            expected = _advance(group.stack, coeffs, full, group.stack.synthesize(coeffs))
+            _, block = next(_noise_blocks(basis, sources, 1, m, m + 1, live))
+            incs, _ = group.increments(block, m)
+            group.advance(incs[0])
+            new = group.state
+        else:
+            params = levels[0]
+            if kind == "rows":
+                params, coeffs, full = _RowStack(params, width), coeffs.T.copy(), full.T
+            elif kind == "vector":
+                coeffs, full = coeffs[:, 0], full[:, 0]
+            state = SchemeState(m, coeffs, params.synthesize(coeffs))
+            expected = step(params, state, full).coeffs
+            new = integrator._run(params, state, sources, 1, ()).coeffs
+        assert new.tobytes() == expected.tobytes()
 
 
 class TestLiveModes:
