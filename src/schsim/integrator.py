@@ -34,40 +34,41 @@ A state is its step index, its spectral coefficients and their nodal
 values.  Every state is built with its nodal values, synthesized once: the
 next drift evaluation and the observers read them from the state instead of
 synthesizing again.  A state is one trajectory's (N,) vector or an (N, L)
-stack advanced in lockstep; ``step`` and the one loop behind
-``run_trajectory`` and ``run_ensemble`` take either.  The kernel
-``_advance`` takes one of three operands, each with the bits of its
-members' separate runs:
+stack advanced in lockstep, modes down and trajectories across, whatever
+the operand; ``step`` and the one loop behind ``run_trajectory`` and
+``run_ensemble`` take either.  The kernel ``_advance`` takes one of three
+operands, each with the bits of its members' separate runs:
 
 - a ``SchemeParams``: one level on an (N,) vector or an (N, L) stack;
 - a ``_LevelStack``: levels of different mode counts that share tau, drift
   and sigma, advanced as one (sum N_k, L) array (the coupled studies');
 - a ``_RowStack``: R single trajectories of one level, advanced as one
-  (R, N) array of coefficient rows (``run_trajectory`` given R states and R
+  column-major (N, R) array (``run_trajectory`` given R states and R
   sources, as the ergodic study's single runs are).
 
 Each operand has the five methods that ``_advance`` and ``step`` call:
 ``analyze``, ``synthesize(coeffs, out=None)``, ``tamer``, ``scaled_noise``
-and ``keep_mean``, so the kernel has no branch on its operand's type.
-Every per-step product is one ``ndarray.dot``, with the bits of ``@`` (N =
-8 to 256, L = 1 to 100) and less call overhead, which is most of a product
-at the studies' sizes (2 vCPU, numpy 2.4.6, BLAS at one thread: 0.35
-against 0.83 us at (8, 2), 0.68 against 1.33 us for an analysis at (64,
-2)).  The checked ``SpectralBasis`` transforms serve set-up, checkpoints
-and ``verify``.  A stack shares only the elementwise work; what depends on
-the operand's shape runs per level or per row, on views of the separate
-run's shape: a product by a wider matrix picks another BLAS kernel, a sum
-over a column of a C-ordered stack adds sequentially where a 1-D sum adds
-pairwise, and numpy's array power rounds differently from its scalar power
-on some inputs.
+and ``keep_mean``, so neither the kernel nor the loop has a branch on its
+operand's type.  Every per-step product is one ``ndarray.dot``, with the
+bits of ``@`` (N = 8 to 256, L = 1 to 100) and less call overhead, which is
+most of a product at the studies' sizes (2 vCPU, numpy 2.4.6, BLAS at one
+thread: 0.35 against 0.83 us at (8, 2), 0.68 against 1.33 us for an
+analysis at (64, 2)).  The checked ``SpectralBasis`` transforms serve
+set-up, checkpoints and ``verify``.  A stack shares only the elementwise
+work; what depends on the operand's shape runs per level or per
+trajectory, on views of the separate run's shape: a product by a wider
+matrix picks another BLAS kernel, a sum over a column of a C-ordered stack
+adds sequentially where a 1-D sum adds pairwise, and numpy's array power
+rounds differently from its scalar power on some inputs.
 
 The elementwise work of a 2-D operand runs on equal shapes: ``_Constants``
 tiles the per-mode tau * lambda, 1 + lambda and semigroup to the stack's
-shape on a width's first step, columns for (N, L) and (sum N_k, L), rows
-for (R, N), and keeps them read-only.  Broadcast over an L = 2 stack, an
-(N, 1) column runs as N inner loops of length 2, 2.5 to 4 times slower
-(2 vCPU, numpy 2.4.6: 2.05 against 0.81 us at (64, 2)); an elementwise
-product is correctly rounded whatever the shapes, so no bit moves.
+shape and memory order on a width's first step, C-ordered for (N, L) and
+(sum N_k, L) and column-major for the (N, R) row stack, and keeps them
+read-only.  Broadcast over an L = 2 stack, an (N, 1) column runs as N
+inner loops of length 2, 2.5 to 4 times slower (2 vCPU, numpy 2.4.6: 2.05
+against 0.81 us at (64, 2)); an elementwise product is correctly rounded
+whatever the shapes, so no bit moves.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ _LF_CHECK_RADIUS = 8.0     # half-width of the interval on which L_f is estimate
 
 class TrajectoryBlowUpError(RuntimeError):
     """A state with non-finite nodal values; ``column`` is the failing
-    column of a stack, or the failing row of a row stack."""
+    column of a stack."""
 
     column: int | None = None
 
@@ -341,57 +342,47 @@ class _LevelStack:
         np.copyto(new, coeffs, where=self._mean_mask[coeffs.shape][0])
 
 
-class _RowStack:
+class _RowStack(SchemeParams):
     """R single trajectories of one level, advanced by ``step`` and
-    ``_advance`` as one C-ordered (R, N) stack of coefficient rows, each
-    with the bits of its own (N,) run.  Elementwise operations run once on
-    the stack, with the per-mode constants tiled to (R, N).  Per row, on
-    the row's contiguous (N,) view, run:
+    ``_advance`` as one column-major (N, R) stack, the transposed view of a
+    C-ordered (R, N) buffer, each column with the bits of its own (N,) run.
+    The elementwise work, the scaled noise and the mean copy are
+    ``SchemeParams``' own, run once on the stack.  Per trajectory, on its
+    contiguous column, a row of the (R, N) view ``.T``, run:
 
     - the analysis and synthesis products, one ``ndarray.dot`` each, as a
       lone level runs them; the analysis' ``* h`` runs once on the stack;
     - the tamer's power, on a numpy scalar: the w12 sums come from one
-      ``np.add.reduce`` over axis 1, which sums each C-ordered row
-      pairwise, as the (N,) sum does, but numpy's array power differs from
-      its scalar power on some inputs.
-
-    A step's noise is ``_run``'s (R, N) increment buffer, whose live
-    columns are copied from the (live, R) block step, read only
-    elementwise.
+      ``np.add.reduce`` over axis 1 of the (R, N) view, which sums each
+      row pairwise, as the (N,) sum does, but numpy's array power differs
+      from its scalar power on some inputs.
     """
 
     def __init__(self, params: SchemeParams, n_rows: int):
-        self.basis, self.drift = params.basis, params.drift
-        self.tau, self.sigma, self.live_modes = params.tau, params.sigma, params.live_modes
-        self._kernel_constants = {(n_rows, params.basis.n_modes): _tiled(
-            params._kernel_constants.rows, n_rows, axis=0)}
+        tiles = tuple(tile.T for tile in _tiled(params._kernel_constants.rows, n_rows, axis=0))
+        # the level's fields and caches, with the constants at the stack's shape
+        self.__dict__.update(params.__dict__, _kernel_constants={tiles[0].shape: tiles})
 
     def analyze(self, f: np.ndarray) -> np.ndarray:
         new = np.empty_like(f)
         matrix = self.basis.basis_matrix.T
-        for row, out in zip(f, new):
-            matrix.dot(row, out=out)
+        for column, out in zip(f.T, new.T):
+            matrix.dot(column, out=out)
         new *= self.basis.h
         return new
 
     def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty_like(coeffs) if out is None else out
         matrix = self.basis.basis_matrix
-        for row, row_out in zip(coeffs, out):
-            matrix.dot(row, out=row_out)
+        for column, column_out in zip(coeffs.T, out.T):
+            matrix.dot(column, out=column_out)
         return out
 
     def tamer(self, tmp: np.ndarray) -> np.ndarray:
-        sums = np.add.reduce(tmp, axis=1)
+        sums = np.add.reduce(tmp.T, axis=1)
         for r, w12_sq in enumerate(sums):  # numpy scalars
             sums[r] = 1.0 + self.tau * w12_sq**6
-        return sums[:, None]
-
-    def scaled_noise(self, dw: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return np.multiply(dw, self.sigma, out=out)
-
-    def keep_mean(self, new: np.ndarray, coeffs: np.ndarray) -> None:
-        new[:, 0] = coeffs[:, 0]
+        return sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,17 +441,18 @@ def state_from_coeffs(params: SchemeParams, step_index: int, coeffs: np.ndarray)
 def _advance(params, coeffs: np.ndarray, dw: np.ndarray, nodal: np.ndarray) -> np.ndarray:
     """Core update of one operand: a level (``SchemeParams``) on (N,) or
     (N, L) ``coeffs``, ``dw`` and ``nodal``, a ``_LevelStack`` on (sum N_k,
-    L) ones, ``dw`` being the widest level's (N_max, L) increment, or a
-    ``_RowStack`` on (R, N) ones.  ``nodal`` must equal the synthesis of
-    ``coeffs`` bit for bit; it is read, not modified.
+    L) ones, ``dw`` being the widest level's (N_max, L) increment, or the
+    stack of ``run_trajectory``'s R trajectories on column-major (N, R)
+    ones.  ``nodal`` must equal the synthesis of ``coeffs`` bit for bit; it
+    is read, not modified.
 
     The kernel calls only the operand's methods (see the module docstring).
     The per-mode constants come precomputed at the shape of ``coeffs`` and
     the temporaries are updated in place, but the operations and their
     grouping are those of the formula in the module docstring, with f by
     Horner's rule (``DriftSpec.evaluate``) and ||u||_{w12}^2 = sum_j ((1 +
-    lambda_j) c_j) c_j, so each level and each row gets the bits of the
-    formula evaluated as written on its own.
+    lambda_j) c_j) c_j, so each level and each trajectory gets the bits of
+    the formula evaluated as written on its own.
     """
     tau_lam, one_lam, sem = params._kernel_constants[coeffs.shape]
     f = params.drift.evaluate(nodal)
@@ -479,6 +471,7 @@ def _advance(params, coeffs: np.ndarray, dw: np.ndarray, nodal: np.ndarray) -> n
 def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> SchemeState:
     """Advance one step with the given spectral noise increment.
 
+    ``params`` is a level or a stack operand (see the module docstring).
     ``noise_coeffs`` has the shape of ``state.coeffs``, (N,) or (N, L), and
     its mode-0 entries must be exactly zero (the mean carries no noise).
     Raises :class:`TrajectoryBlowUpError` if the new nodal values are not all
@@ -487,17 +480,12 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
     trajectory.  The drift reads ``state.nodal``, and the returned state
     carries the nodal values of its coefficients, synthesized by
     ``params.synthesize`` into a new array, since observers may keep it.
-
-    ``params`` may also be a ``_RowStack``, with (R, N) states and noise:
-    each row is synthesized on its own, the finiteness check runs once on
-    the stack, and ``column`` names the first failing row.
     """
-    rows = type(params) is _RowStack
     noise_coeffs = np.asarray(noise_coeffs, dtype=np.float64)
     if noise_coeffs.shape != state.coeffs.shape:
         raise ValueError(
             f"noise shape {noise_coeffs.shape} does not match state shape {state.coeffs.shape}")
-    if np.count_nonzero(noise_coeffs[:, :1] if rows else noise_coeffs[:1]):
+    if np.count_nonzero(noise_coeffs[:1]):
         raise ValueError("noise increment for mode 0 must be exactly zero")
     new = _advance(params, state.coeffs, noise_coeffs, state.nodal)
     nodal = params.synthesize(new)
@@ -505,7 +493,7 @@ def step(params: SchemeParams, state: SchemeState, noise_coeffs: np.ndarray) -> 
         m = state.step_index + 1
         exc = TrajectoryBlowUpError(f"non-finite state at step {m}", m)
         if nodal.ndim == 2:
-            exc.column = int(np.argmax(~np.isfinite(nodal).all(axis=1 if rows else 0)))
+            exc.column = int(np.argmax(~np.isfinite(nodal).all(axis=0)))
         raise exc
     # built without __post_init__: the index is positive and the shapes are
     # equal by construction
@@ -590,23 +578,20 @@ def _noise_blocks(basis: SpectralBasis, sources, ratio: int, m0: int, m1: int,
 
 
 def _run(params, state: SchemeState, sources, n_steps: int, observers) -> SchemeState:
-    """``n_steps`` calls of ``step`` on an (N,) state driven by sources[0],
-    an (N, L) stack driven by sources[l] or, with a ``_RowStack`` for
-    ``params``, an (R, N) row stack driven by sources[r], each observer
+    """``n_steps`` calls of ``step`` on an (N,) state driven by sources[0]
+    or an (N, L) stack of any operand driven by sources[l], each observer
     called as ``obs(m, state)`` before and after every step; a blow-up
     names the failing source's trajectory id.  Every step reads one
-    increment buffer of the state's shape, whose live rows (live columns
-    of a row stack) are copied from the noise block and whose dead ones
-    stay +0.0."""
+    increment buffer of the state's shape and memory order, whose live rows
+    are copied from the noise block and whose dead ones stay +0.0."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     ratio = _ratio(params, sources)
     for obs in observers:
         obs(state.step_index, state)
     m0, live = state.step_index, params.live_modes
-    dw = np.zeros(state.coeffs.shape)
-    # dw's live modes, seen as a block's (live, L) step
-    head = (dw.T if type(params) is _RowStack else dw.reshape(len(dw), -1))[:live]
+    dw = np.zeros_like(state.coeffs)
+    head = dw.reshape(len(dw), -1)[:live]  # dw's live modes, as a block's (live, L) step
     for _, block in _noise_blocks(params.basis, sources, ratio, m0, m0 + n_steps, live):
         for inc in block:
             np.copyto(head, inc)
@@ -633,12 +618,13 @@ def run_trajectory(params: SchemeParams, state, source, n_steps: int, observers=
 
     R trajectories: ``state`` and ``source`` may also be sequences of R
     (N,) states, all at one step index, and R sources.  They advance in
-    lockstep as one (R, N) row stack (see ``_RowStack``), with one ``step``
-    per step for all rows, and the R final states come back as a list,
-    each bit for bit that of the trajectory's own run.  Observers see the
-    row stack: ``coeffs`` and ``nodal`` are (R, N).  The first blow-up is
-    raised as one trajectory's run would raise it: the earliest step, and
-    of rows failing at that step the first.
+    lockstep as one (N, R) stack (see ``_RowStack``), with one ``step`` per
+    step for all of them, and the R final states come back as a list of
+    the stack's columns, each bit for bit that of the trajectory's own run.
+    Observers see the stack: ``coeffs`` and ``nodal`` are (N, R), as an
+    ensemble's are.  The first blow-up is raised as one trajectory's run
+    would raise it: the earliest step, and of columns failing at that step
+    the first.
     """
     if isinstance(state, SchemeState):
         return _run(params, state, [source], n_steps, observers)
@@ -650,11 +636,11 @@ def run_trajectory(params: SchemeParams, state, source, n_steps: int, observers=
             (params.basis.n_modes,)}:
         raise ValueError(f"R trajectories need ({params.basis.n_modes},) states "
                          f"at one step index")
-    stack = SchemeState(states[0].step_index, np.stack([s.coeffs for s in states]),
-                        np.stack([s.nodal for s in states]))
+    stack = SchemeState(states[0].step_index, np.stack([s.coeffs for s in states]).T,
+                        np.stack([s.nodal for s in states]).T)
     final = _run(_RowStack(params, len(states)), stack, sources, n_steps, observers)
     return [SchemeState(final.step_index, coeffs, nodal)
-            for coeffs, nodal in zip(final.coeffs, final.nodal)]
+            for coeffs, nodal in zip(final.coeffs.T, final.nodal.T)]
 
 
 def run_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources, n_steps: int,

@@ -19,8 +19,8 @@ All functionals accept a single field (N,) or an (N, L) stack of trajectories.
 Both long-run estimators run through one accumulator, ``TimeAverageObserver``,
 which keeps its own sample count and sum of phi: the single estimator on one
 trajectory, the ensemble estimator on the (N, L) stack.  R single estimators
-advanced in lockstep as an (R, N) row stack share one accumulator,
-``_RowAverages``, which keeps each row's bits of its own run.
+advanced in lockstep as one (N, R) stack share one accumulator,
+``_RowAverages``, which keeps each trajectory's bits of its own run.
 """
 
 from __future__ import annotations
@@ -205,15 +205,14 @@ class TimeAverageObserver:
 
 class _RowAverages(TimeAverageObserver):
     """R single trajectories' ``TimeAverageObserver``s in one, for the
-    (R, N) row stack of a lockstep ``run_trajectory``: one call per state
-    evaluates phi for every row.  ``total`` and ``average`` are (R,) rows
-    and ``histories`` holds one history per row.  Each row's count, total
-    and history equal those of a ``TimeAverageObserver`` on the row's own
-    run, bit for bit: the row sums come from one ``np.add.reduce`` over
-    axis 1, which sums each C-ordered row as the (N,) sum does, and the
-    pairing ``v @ row`` and the arithmetic after it run per row on the
-    row's (N,) view and on Python floats, as ``phi_test`` runs them on one
-    field."""
+    (N, R) stack of a lockstep ``run_trajectory``: one call per state
+    evaluates phi for every column.  ``total`` and ``average`` are (R,) rows
+    and ``histories`` holds one history per trajectory, each bit for bit
+    that of a ``TimeAverageObserver`` on the trajectory's own run.  The
+    stack's (R, N) view ``.T`` is C-ordered: one ``np.add.reduce`` over its
+    axis 1 sums each row as the (N,) sum does, and the pairing ``v @ row``
+    and the arithmetic after it run per row and on Python floats, as
+    ``phi_test`` runs them on one field."""
 
     def __init__(self, params: SchemeParams, spec: TestFunctionSpec, n_rows: int,
                  burn_in_steps: int = 0, record_every: int = 1):
@@ -223,13 +222,20 @@ class _RowAverages(TimeAverageObserver):
 
     def _phi(self, nodal: np.ndarray) -> np.ndarray:
         basis, spec, dot = self.params.basis, self.spec, self.spec.v.dot  # dot: the bits of @
-        totals = np.add.reduce(nodal, axis=1).tolist()
-        return np.array([_squash(spec, _pairing(basis, spec, float(dot(nodal[r])), total))
-                         for r, total in enumerate(totals)])
+        rows = nodal.T
+        totals = np.add.reduce(rows, axis=1).tolist()
+        return np.array([_squash(spec, _pairing(basis, spec, float(dot(row)), total))
+                         for row, total in zip(rows, totals)])
 
     def _record(self) -> None:
         for history, average in zip(self.histories, self.average):
             history.append((self._last_t, float(average)))
+
+
+def _check_burn_in(burn_in_steps: int, last_step: int) -> None:
+    """Refuse a burn-in that leaves a run ending at ``last_step`` no sample."""
+    if burn_in_steps > last_step:
+        raise ValueError(f"burn_in_steps {burn_in_steps} is past the run's last step {last_step}")
 
 
 def time_average_single(params: SchemeParams, state0, source, n_steps: int,
@@ -244,14 +250,17 @@ def time_average_single(params: SchemeParams, state0, source, n_steps: int,
     states and R sources, advanced in lockstep by ``run_trajectory``, with
     phi evaluated for all of them in one observer call per step.  Returns a
     list of R (average, history, final_state) triples, each bit for bit
-    that of the trajectory's own call.
+    that of the trajectory's own call.  A burn-in past the last state is a
+    ``ValueError``, raised before any step.
     """
-    if isinstance(state0, SchemeState):
+    lone = isinstance(state0, SchemeState)
+    states = [state0] if lone else list(state0)
+    _check_burn_in(burn_in_steps, (states[0].step_index if states else 0) + n_steps)
+    if lone:
         obs = TimeAverageObserver(params, spec, burn_in_steps, record_every)
         final = run_trajectory(params, state0, source, n_steps, observers=(obs,))
         obs.finalize()
         return float(obs.average), obs.history, final
-    states = list(state0)
     obs = _RowAverages(params, spec, len(states), burn_in_steps, record_every)
     finals = run_trajectory(params, states, source, n_steps, observers=(obs,))
     obs.finalize()
@@ -267,8 +276,10 @@ def time_average_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources,
     All trajectories advance in lockstep as one (N, L) stack through the same
     observer as the single estimator; the recorded history holds the ensemble
     mean of the running time averages.  Returns
-    (grand_average, per_trajectory_averages, history, final_coeffs).
+    (grand_average, per_trajectory_averages, history, final_coeffs).  A
+    burn-in past the last state is a ``ValueError``, raised before any step.
     """
+    _check_burn_in(burn_in_steps, n_steps)
     obs = TimeAverageObserver(params, spec, burn_in_steps, record_every)
     final = run_ensemble(params, coeffs0, sources, n_steps, observers=(obs,))
     obs.finalize()

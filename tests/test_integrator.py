@@ -216,24 +216,26 @@ class TestKernelOracle:
         assert step(params, state, dw).coeffs.tobytes() == expected.tobytes()
 
     def test_kernel_constants_are_read_only(self):
-        """Every operand's constants are read-only and C-ordered at the
-        operand's shape, the tiles being its (N,) rows repeated; a width's
-        tiles are built on its first lookup and kept, so an ``_advance``
-        at a known width builds none."""
+        """Every operand's constants are read-only and contiguous at the
+        operand's shape in its memory order, C for a level and a level
+        stack, column-major for the row stack, the tiles being its (N,)
+        rows repeated; a width's tiles are built on its first lookup and
+        kept, so an ``_advance`` at a known width builds none."""
         params, coarse = make_params(n=8), make_params(n=4)
         level_stack = _LevelStack([params, coarse])
         rows = params._kernel_constants[(8,)]
         columns = [row[:, None] for row in rows]
         stack_columns = [np.concatenate([row, coarse_row])[:, None]
                          for row, coarse_row in zip(rows, coarse._kernel_constants.rows)]
-        lookups = [(params, (8,), rows), (params, (8, 1), columns), (params, (8, 2), columns),
-                   (params, (8, 5), columns), (level_stack, (12, 2), stack_columns),
-                   (_RowStack(params, 3), (3, 8), rows)]
-        for operand, shape, tiles in lookups:
+        lookups = [(params, (8,), rows, "C"), (params, (8, 1), columns, "C"),
+                   (params, (8, 2), columns, "C"), (params, (8, 5), columns, "C"),
+                   (level_stack, (12, 2), stack_columns, "C"),
+                   (_RowStack(params, 3), (8, 3), columns, "F")]
+        for operand, shape, tiles, order in lookups:
             constants = operand._kernel_constants[shape]
             assert operand._kernel_constants[shape] is constants
             for constant, tile in zip(constants, tiles, strict=True):
-                assert constant.shape == shape and constant.flags.c_contiguous
+                assert constant.shape == shape and constant.flags[f"{order}_CONTIGUOUS"]
                 assert not constant.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     constant[1] = 0.0
@@ -376,71 +378,83 @@ class TestLevelStack:
 
 
 class TestRowStack:
-    """R single trajectories advanced as one (R, N) row stack (the lockstep
-    form of ``run_trajectory``); ``tests/test_observables.py``
-    ``TestLockstepSingles`` checks that every row keeps its own run's bits."""
+    """R single trajectories advanced as one column-major (N, R) stack, the
+    transposed view of a C-ordered (R, N) buffer (the lockstep form of
+    ``run_trajectory``); ``tests/test_observables.py``
+    ``TestLockstepSingles`` checks that every trajectory keeps its own
+    run's bits."""
+
+    @staticmethod
+    def column_major(x):
+        """The (N, R) view of an (R, N) array's C-ordered copy."""
+        return np.ascontiguousarray(x).T
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(2, 300), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     def test_row_sums_are_the_one_dimensional_sums(self, n, rows, seed):
         """The row stack's w12 sums and the ergodic observer's nodal sums
-        come from one ``np.add.reduce`` over axis 1.  numpy sums each row of
-        a C-ordered stack pairwise, as it sums an (N,) vector, and this pins
-        that.  The values span 16 decades, so another order would show."""
+        come from one ``np.add.reduce`` over axis 1 of the (N, R) stack's
+        (R, N) view ``.T``.  numpy sums each row of that C-ordered view
+        pairwise, as it sums an (N,) vector, and this pins that.  The
+        values span 16 decades, so another order would show."""
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-8, 8, (rows, n))
-        for row, total in zip(x, np.add.reduce(x, axis=1)):
-            assert total.tobytes() == np.add.reduce(row.copy(), axis=0).tobytes()
+        x = self.column_major(rng.standard_normal((rows, n))
+                              * 10.0 ** rng.uniform(-8, 8, (rows, n)))
+        for r, total in enumerate(np.add.reduce(x.T, axis=1)):
+            assert total.tobytes() == np.add.reduce(x[:, r].copy(), axis=0).tobytes()
 
     @pytest.mark.parametrize("rows", [1, 2, 5, 500])
     @pytest.mark.parametrize("scale", [0.3, None, 40.0], ids=["plain", "active", "tamed"])
     @pytest.mark.parametrize("n", [8, 64])
     def test_stacked_advance_is_each_rows_own(self, n, scale, rows):
-        """One ``_advance`` and one synthesis of a row stack give every row
-        the bits of its own (N,) call.  The increments are a real noise
-        block's step, read as ``_run`` reads it (from width 8 on the block
-        is source-major).  With ``scale=None`` each row is scaled to a
-        tau ||u||_w12^12 drawn from [2, 4), where a last-bit change of the
-        w12 sum's power reaches the tamer and often the result: at 500 rows
-        and N = 64, numpy's array power in place of the per-row scalar
-        power changes 13 rows.  A tamer near 1 or far above it hides such
-        bits."""
+        """One ``_advance`` and one synthesis of a column-major (N, R) row
+        stack give every column the bits of its own (N,) call, and the new
+        stack stays column-major.  The increments are a real noise block's
+        step, copied into a buffer of the stack's memory order as ``_run``
+        copies it (from width 8 on the block is source-major).  With
+        ``scale=None`` each column is scaled to a tau ||u||_w12^12 drawn
+        from [2, 4), where a last-bit change of the w12 sum's power reaches
+        the tamer and often the result: at 500 columns and N = 64, numpy's
+        array power in place of the per-column scalar power changes 13
+        columns.  A tamer near 1 or far above it hides such bits."""
         params = make_params(n=n, tau=2.0**-8, sigma=0.7)
         lam = params.basis.eigenvalues
         rng = np.random.default_rng(12)
-        coeffs = rng.standard_normal((rows, n)) / (1.0 + lam)
+        coeffs = self.column_major(rng.standard_normal((rows, n)) / (1.0 + lam))
         if scale is None:
-            w12_sq = np.sum((1.0 + lam) * coeffs * coeffs, axis=1)[:, None]
-            coeffs *= (params.tau * w12_sq**6 / rng.uniform(2.0, 4.0, (rows, 1))) ** (-1 / 12)
+            w12_sq = np.sum((1.0 + lam[:, None]) * coeffs * coeffs, axis=0)
+            coeffs *= (params.tau * w12_sq**6 / rng.uniform(2.0, 4.0, rows)) ** (-1 / 12)
         else:
             coeffs *= scale
         sources = [make_source(params, seed=12, trajectory_id=r) for r in range(rows)]
         _, block = next(_noise_blocks(params.basis, sources, 1, 0, 1, n))
-        dw = block[0].T
+        dw = np.zeros_like(coeffs)
+        np.copyto(dw, block[0])
         stack = _RowStack(params, rows)
         nodal = stack.synthesize(coeffs, np.empty_like(coeffs))
         new = _advance(stack, coeffs, dw, nodal)
+        assert new.flags.f_contiguous and nodal.flags.f_contiguous
         for r in range(rows):
-            own_nodal = params.basis.from_spectral(coeffs[r].copy())
-            assert nodal[r].tobytes() == own_nodal.tobytes()
-            own = _advance(params, coeffs[r].copy(), dw[r].copy(), own_nodal)
-            assert new[r].tobytes() == own.tobytes()
+            own_nodal = params.basis.from_spectral(coeffs[:, r].copy())
+            assert nodal[:, r].tobytes() == own_nodal.tobytes()
+            own = _advance(params, coeffs[:, r].copy(), dw[:, r].copy(), own_nodal)
+            assert new[:, r].tobytes() == own.tobytes()
 
     @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
     def test_step_names_the_first_failing_row(self):
         """``step`` on a row stack checks the stack once; its ``column`` is
-        the first row whose nodal values are not finite, and mode 0 of
-        every row must carry no noise."""
+        the first column whose nodal values are not finite, and mode 0 of
+        every column must carry no noise."""
         params = make_params(n=8, sigma=0.0)
-        coeffs = np.zeros((4, 8))
-        coeffs[[1, 3]] = 1e160
+        coeffs = self.column_major(np.zeros((4, 8)))
+        coeffs[:, [1, 3]] = 1e160
         stack = _RowStack(params, 4)
         state = SchemeState(0, coeffs, stack.synthesize(coeffs, np.empty_like(coeffs)))
         with pytest.raises(TrajectoryBlowUpError) as exc_info:
-            step(stack, state, np.zeros((4, 8)))
+            step(stack, state, self.column_major(np.zeros((4, 8))))
         assert (exc_info.value.step_index, exc_info.value.column) == (1, 1)
-        dw = np.zeros((4, 8))
-        dw[2, 0] = 1e-300
+        dw = self.column_major(np.zeros((4, 8)))
+        dw[0, 2] = 1e-300
         with pytest.raises(ValueError, match="mode 0 must be exactly zero"):
             step(stack, state, dw)
 
@@ -459,16 +473,40 @@ class TestRowStack:
         with pytest.raises(ValueError, match=r"\(8,\) states"):
             run_trajectory(params, [stack] + states[1:], sources, 4)
 
-    def test_observers_see_the_row_stack(self):
-        params = make_params(n=8)
-        states = [initial_state(params, np.cos(params.basis.grid) * k) for k in range(3)]
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_observers_see_the_row_stack(self, rows):
+        """Observers of a lockstep run see (N, R) states, as an ensemble's
+        do.  At N = 64, tau = 5e-3 (21 live modes), column r's coefficients
+        and nodal values are, byte for byte, those that trajectory r's own
+        (N,) run shows its observers, at every step, and each final state
+        is a view of the last stack's column."""
+        params = make_params(n=64, tau=5e-3)
+        assert params.live_modes == 21
+        grid = params.basis.grid
+        states = [initial_state(params, np.cos((r + 1) * grid) / (r + 2) + 1 / 3)
+                  for r in range(rows)]
+
+        def sources():
+            return [make_source(params, seed=2, trajectory_id=r) for r in range(rows)]
+
         seen = []
-        finals = run_trajectory(params, states, [make_source(params, trajectory_id=k)
-                                                 for k in range(3)], 5,
-                                observers=(lambda m, s: seen.append((m, s.coeffs.shape)),))
-        assert seen == [(m, (3, 8)) for m in range(6)]
-        assert [type(f) for f in finals] == [SchemeState] * 3
-        assert [f.coeffs.shape for f in finals] == [(8,)] * 3
+        finals = run_trajectory(params, states, sources(), 30,
+                                observers=(lambda m, s: seen.append((m, s)),))
+        assert [m for m, _ in seen] == list(range(31))
+        assert all(s.coeffs.shape == s.nodal.shape == (64, rows) for _, s in seen)
+        for r, (state, source, final) in enumerate(zip(states, sources(), finals)):
+            own = []
+            own_final = run_trajectory(params, state, source, 30,
+                                       observers=(lambda m, s: own.append((m, s)),))
+            assert len(own) == len(seen)
+            for (m, stacked), (own_m, alone) in zip(seen, own):
+                assert m == own_m
+                assert stacked.coeffs[:, r].tobytes() == alone.coeffs.tobytes()
+                assert stacked.nodal[:, r].tobytes() == alone.nodal.tobytes()
+            assert type(final) is SchemeState and final.coeffs.shape == (64,)
+            assert final.coeffs.tobytes() == own_final.coeffs.tobytes()
+            assert np.shares_memory(final.coeffs, seen[-1][1].coeffs)
+            assert np.shares_memory(final.nodal, seen[-1][1].nodal)
 
 
 def with_specials(rng, shape):
@@ -519,11 +557,13 @@ class TestOperands:
         params = make_params(n=n)
         stack = _RowStack(params, rows)
         rng = np.random.default_rng(rows)
-        f, coeffs = with_specials(rng, (rows, n)), with_specials(rng, (rows, n))
+        # column-major (N, R) views of C-ordered (R, N) draws
+        f, coeffs = with_specials(rng, (rows, n)).T, with_specials(rng, (rows, n)).T
         analyzed, synthesized = stack.analyze(f), stack.synthesize(coeffs)
         for r in range(rows):
-            assert analyzed[r].tobytes() == params.basis.to_spectral(f[r]).tobytes()
-            assert synthesized[r].tobytes() == params.basis.from_spectral(coeffs[r]).tobytes()
+            assert analyzed[:, r].tobytes() == params.basis.to_spectral(f[:, r]).tobytes()
+            assert (synthesized[:, r].tobytes()
+                    == params.basis.from_spectral(coeffs[:, r]).tobytes())
 
 
 class TestStates:
@@ -632,18 +672,26 @@ class TestStep:
 
     def test_noise_on_mean_mode_rejected(self):
         """Any mode-0 increment but +-0.0 is refused, NaN and subnormals
-        included, for one trajectory and for a stack."""
+        included, for one trajectory, for a stack and for the column-major
+        row stack of three trajectories, where the last one's is."""
         params = make_params(n=8)
-        for shape in ((8,), (8, 3)):
-            state = state_from_coeffs(params, 0, np.zeros(shape))
+        for operand, zeros in ((params, lambda: np.zeros(8)), (params, lambda: np.zeros((8, 3))),
+                               (_RowStack(params, 3), lambda: np.zeros((3, 8)).T)):
+            coeffs = zeros()
+            state = SchemeState(0, coeffs, operand.synthesize(coeffs))
             for value in (math.nan, 5e-324, 1e-300):
-                bad = np.zeros(shape)
+                bad = zeros()
                 bad[0] = value
                 with pytest.raises(ValueError, match="mode 0 must be exactly zero"):
-                    step(params, state, bad)
-            zero = np.zeros(shape)
+                    step(operand, state, bad)
+                if bad.ndim == 2:
+                    bad = zeros()
+                    bad[0, -1] = value
+                    with pytest.raises(ValueError, match="mode 0 must be exactly zero"):
+                        step(operand, state, bad)
+            zero = zeros()
             zero[0] = -0.0
-            assert step(params, state, zero).step_index == 1
+            assert step(operand, state, zero).step_index == 1
 
     def test_overflow_raises_blow_up(self):
         params = make_params(n=8, sigma=0.0)
@@ -686,12 +734,14 @@ class TestStep:
 
     @pytest.mark.parametrize("values", [[math.inf], [math.nan], [math.inf, -math.inf]],
                              ids=["inf", "nan", "inf-inf"])
-    @pytest.mark.parametrize("width", [None, 3, 9])
-    def test_every_non_finite_kind_is_reported_where_it_starts(self, values, width):
+    @pytest.mark.parametrize("kind,width", [("vector", None), ("columns", 3), ("columns", 9),
+                                            ("rows", 3)])
+    def test_every_non_finite_kind_is_reported_where_it_starts(self, values, kind, width):
         """Noise holding inf, NaN, or +inf and -inf in one column turns the
         state non-finite at one step; the error names that step, the column
-        and, from a run, the trajectory id.  Of two columns failing at the
-        same step, the first is named."""
+        and, from a run, the trajectory id, for one trajectory, an ensemble
+        and the lockstep row stack.  Of two columns failing at the same
+        step, the first is named."""
         params = make_params(n=8)
         bad, first = 4, (0 if width is None else 1)
 
@@ -708,21 +758,27 @@ class TestStep:
         u0 = np.cos(params.basis.grid)
         with pytest.raises(TrajectoryBlowUpError,
                            match=f"^trajectory {30 + first}: non-finite state at step 5$") as info:
-            if width is None:
+            if kind == "vector":
                 run_trajectory(params, initial_state(params, u0), sources[0], 8)
-            else:
+            elif kind == "columns":
                 run_ensemble(params, params.basis.to_spectral(u0), sources, 8)
+            else:
+                run_trajectory(params, [initial_state(params, u0)] * width, sources, 8)
         assert (info.value.trajectory_id, info.value.step_index) == (30 + first, bad + 1)
 
-        state = initial_state(params, u0)
+        operand, state = params, initial_state(params, u0)
         dw = np.zeros(8)
         dw[1:1 + len(values)] = values
-        if width is not None:
+        if kind == "columns":
             state = state_from_coeffs(params, 0, np.tile(state.coeffs[:, None], width))
-            dw = np.zeros((8, width))
+        elif kind == "rows":
+            operand, coeffs = _RowStack(params, width), np.tile(state.coeffs, (width, 1)).T
+            state = SchemeState(0, coeffs, operand.synthesize(coeffs))
+        if width is not None:
+            dw = np.zeros_like(state.coeffs)
             dw[1:1 + len(values), [first, width - 1]] = np.array(values)[:, None]
         with pytest.raises(TrajectoryBlowUpError, match="^non-finite state at step 1$") as info:
-            step(params, state, dw)
+            step(operand, state, dw)
         assert (info.value.step_index, info.value.column) == (1, None if width is None else first)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -1032,7 +1088,7 @@ class TestPaddedIncrements:
         else:
             params = levels[0]
             if kind == "rows":
-                params, coeffs, full = _RowStack(params, width), coeffs.T.copy(), full.T
+                params, coeffs = _RowStack(params, width), np.asfortranarray(coeffs)
             elif kind == "vector":
                 coeffs, full = coeffs[:, 0], full[:, 0]
             state = SchemeState(m, coeffs, params.synthesize(coeffs))
@@ -1144,9 +1200,10 @@ class TestAcceptedInputs:
         where the tamer's last bits reach the result, 59 of 3 200 states
         (N from 8 to 256) gave another column; here the tamer is far above
         1 and absorbs them.  phi differs on 7 of 20 000 random N = 64
-        states.  A single trajectory's bit-exact twin is the one-row
-        ``_RowStack``, whose kernel and ``_RowAverages`` phi are checked
-        here as well (``TestRowStack`` checks the kernel at every scale)."""
+        states.  A single trajectory's bit-exact twin is the same (N, 1)
+        column advanced by a one-trajectory ``_RowStack``, whose kernel and
+        ``_RowAverages`` phi are checked here as well (``TestRowStack``
+        checks the kernel at every scale)."""
         basis = self.BASES.setdefault(n, SpectralBasis(n))
         params = SchemeParams(basis, WELL, tau)
         spec = TestFunctionSpec.from_expression(basis, "exp(x)", 1.0, 2.0)
@@ -1163,12 +1220,12 @@ class TestAcceptedInputs:
                 == _advance(params, coeffs[:, None], dw[:, None], column)[:, 0].tobytes())
         assert phi_test(basis, spec, nodal) == phi_test(basis, spec, column)[0]
         row_stack = _RowStack(params, 1)
-        row = row_stack.synthesize(coeffs[None], np.empty((1, n)))
-        assert row[0].tobytes() == nodal.tobytes()
-        assert (_advance(row_stack, coeffs[None], dw[None], row)[0].tobytes()
+        row = row_stack.synthesize(coeffs[:, None], np.empty((n, 1)))
+        assert row[:, 0].tobytes() == nodal.tobytes()
+        assert (_advance(row_stack, coeffs[:, None], dw[:, None], row)[:, 0].tobytes()
                 == _advance(params, coeffs, dw, nodal).tobytes())
         averages = _RowAverages(params, spec, 1)
-        averages(0, SchemeState(0, coeffs[None], row))
+        averages(0, SchemeState(0, coeffs[:, None], row))
         assert averages.total[0] == phi_test(basis, spec, nodal)
 
     def test_whole_steps_names_its_key(self):

@@ -338,15 +338,60 @@ class TestTimeAverages:
         # only the final state survives the burn-in
         assert per_traj.shape == (1,)
 
+    @pytest.mark.parametrize("form", ["lone", "lockstep", "ensemble"])
+    def test_a_burn_in_past_the_last_state_draws_no_noise(self, form):
+        """At N = 16, 5 000 steps and a burn-in of 6 000 steps no state is
+        sampled: each estimator refuses the burn-in, naming it, before it
+        draws a single increment."""
+        params = SchemeParams(SpectralBasis(16), WELL, 1e-2)
+        spec = make_spec(params.basis)
+        drawn = []
+
+        class Counting(NoiseSource):
+            def increment_matrix(self, basis, m0, m1, ratio=1, out=None):
+                drawn.append((m0, m1))
+                return super().increment_matrix(basis, m0, m1, ratio, out)
+
+        sources = [Counting(9, l, tau_fine=params.tau, n_modes_max=15) for l in range(2)]
+        state = initial_state(params, np.cos(params.basis.grid) / 3 + 1 / 3)
+        with pytest.raises(ValueError, match="burn_in_steps 6000 is past"):
+            if form == "lone":
+                time_average_single(params, state, sources[0], 5000, spec, 6000)
+            elif form == "lockstep":
+                time_average_single(params, [state, state], sources, 5000, spec, 6000)
+            else:
+                time_average_ensemble(params, state.coeffs, sources, 5000, spec, 6000)
+        assert drawn == []
+
+    @pytest.mark.parametrize("lockstep", [False, True])
+    def test_a_burn_in_at_the_last_state_keeps_one_sample(self, lockstep):
+        """A run from step 3 over 5 steps ends at step 8: a burn-in of 8
+        samples that state alone, and one of 9 is refused."""
+        params = SchemeParams(SpectralBasis(8), WELL, 1e-2)
+        spec = make_spec(params.basis)
+        state = state_from_coeffs(params, 3, params.basis.to_spectral(np.full(8, 1 / 3)))
+
+        def run(burn_in_steps):
+            source = NoiseSource(9, 0, tau_fine=params.tau, n_modes_max=7)
+            if lockstep:
+                return time_average_single(params, [state], [source], 5, spec, burn_in_steps)[0]
+            return time_average_single(params, state, source, 5, spec, burn_in_steps)
+
+        average, history, final = run(8)
+        assert history == [(8 * params.tau, average)]
+        assert average == phi_test(params.basis, spec, final.nodal)
+        with pytest.raises(ValueError, match="burn_in_steps 9 is past the run's last step 8"):
+            run(9)
+
 
 class TestLockstepSingles:
     """``time_average_single`` given R states and R sources advances them
-    in lockstep as one (R, N) row stack.  Every row must keep the bits of
-    its own run: average, history, final coefficients and nodal values.
-    At mass 1 and tau = 2^-4 the tamer acts on every step (tau ||u||^12 >
-    1, checked below).  A tamer that far above 1 absorbs the last bits of
-    its power, so these runs pass with numpy's array power in place of the
-    per-row scalar power; ``tests/test_integrator.py``
+    in lockstep as one column-major (N, R) stack.  Every trajectory must
+    keep the bits of its own run: average, history, final coefficients and
+    nodal values.  At mass 1 and tau = 2^-4 the tamer acts on every step
+    (tau ||u||^12 > 1, checked below).  A tamer that far above 1 absorbs
+    the last bits of its power, so these runs pass with numpy's array power
+    in place of the per-trajectory scalar power; ``tests/test_integrator.py``
     ``TestRowStack::test_stacked_advance_is_each_rows_own`` catches that."""
 
     N_STEPS, BURN_IN, RECORD_EVERY = 1000, 5, 7  # 996 samples: the last is off the cadence
@@ -385,7 +430,8 @@ class TestLockstepSingles:
             taming = []
             run_trajectory(params, states, self.sources(params, rows), self.N_STEPS,
                            observers=(lambda m, state: taming.append(
-                               tau * np.sum((1.0 + lam) * state.coeffs**2, axis=1)**6),))
+                               tau * np.sum((1.0 + lam[:, None]) * state.coeffs**2,
+                                            axis=0)**6),))
             assert np.min(taming) > 1.0
 
 
