@@ -49,17 +49,19 @@ operands, each with the bits of its members' separate runs:
 Each operand has the five methods that ``_advance`` and ``step`` call:
 ``analyze``, ``synthesize(coeffs, out=None)``, ``tamer``, ``scaled_noise``
 and ``keep_mean``, so neither the kernel nor the loop has a branch on its
-operand's type.  Every per-step product is one ``ndarray.dot``, with the
-bits of ``@`` (N = 8 to 256, L = 1 to 100) and less call overhead, which is
-most of a product at the studies' sizes (2 vCPU, numpy 2.4.6, BLAS at one
-thread: 0.35 against 0.83 us at (8, 2), 0.68 against 1.33 us for an
-analysis at (64, 2)).  The checked ``SpectralBasis`` transforms serve
-set-up, checkpoints and ``verify``.  A stack shares only the elementwise
-work; what depends on the operand's shape runs per level or per
-trajectory, on views of the separate run's shape: a product by a wider
-matrix picks another BLAS kernel, a sum over a column of a C-ordered stack
-adds sequentially where a 1-D sum adds pairwise, and numpy's array power
-rounds differently from its scalar power on some inputs.
+operand's type.  A level's per-step product, and each level's in a level
+stack, is one ``ndarray.dot``, with the bits of ``@`` (N = 8 to 256, L = 1
+to 100) and less call overhead, which is most of a product at the studies'
+sizes (2 vCPU, numpy 2.4.6, BLAS at one thread: 0.35 against 0.83 us at
+(8, 2), 0.68 against 1.33 us for an analysis at (64, 2)).  A row stack
+takes each product as one batched ``np.matmul`` (see ``_RowStack``).  The
+checked ``SpectralBasis`` transforms serve set-up, checkpoints and
+``verify``.  A stack shares only the elementwise work; what depends on the
+operand's shape runs per level or per trajectory, on views of the
+separate run's shape: a product by a wider matrix picks another BLAS
+kernel, a sum over a column of a C-ordered stack adds sequentially where a
+1-D sum adds pairwise, and numpy's array power rounds differently from its
+scalar power on some inputs.
 
 The elementwise work of a 2-D operand runs on equal shapes: ``_Constants``
 tiles the per-mode tau * lambda, 1 + lambda and semigroup to the stack's
@@ -347,15 +349,23 @@ class _RowStack(SchemeParams):
     ``_advance`` as one column-major (N, R) stack, the transposed view of a
     C-ordered (R, N) buffer, each column with the bits of its own (N,) run.
     The elementwise work, the scaled noise and the mean copy are
-    ``SchemeParams``' own, run once on the stack.  Per trajectory, on its
-    contiguous column, a row of the (R, N) view ``.T``, run:
+    ``SchemeParams``' own, run once on the stack.  Over the (R, N) view
+    ``.T``, whose rows are the trajectories' contiguous columns:
 
-    - the analysis and synthesis products, one ``ndarray.dot`` each, as a
-      lone level runs them; the analysis' ``* h`` runs once on the stack;
-    - the tamer's power, on a numpy scalar: the w12 sums come from one
-      ``np.add.reduce`` over axis 1 of the (R, N) view, which sums each
-      row pairwise, as the (N,) sum does, but numpy's array power differs
-      from its scalar power on some inputs.
+    - the analysis and synthesis products are one ``np.matmul`` each, as R
+      (1, N) rows times the (N, N) matrix and the matrix times R (N, 1)
+      columns, written through ``out=``; numpy runs one BLAS gemv per
+      trajectory, with the bits of the lone level's ``ndarray.dot`` (an
+      F-ordered ``C.dot(X)`` has other bits).  At N = 64 a synthesis costs
+      3.0 against 3.5 us looped per trajectory at R = 2 and 5.7 against
+      9.3 us at R = 8 (2 vCPU, numpy 2.4.6, BLAS at one thread).  The
+      analysis' ``* h`` runs once on the stack;
+    - the w12 sums are one ``np.add.reduce`` over axis 1, which sums each
+      row pairwise, as the (N,) sum does; the tamer's power runs per
+      trajectory on a numpy scalar, because numpy's array power differs
+      from its scalar power on some inputs, and a Python float's power
+      raises ``OverflowError`` where numpy's returns inf, which would
+      change the blow-up path.
     """
 
     def __init__(self, params: SchemeParams, n_rows: int):
@@ -365,17 +375,13 @@ class _RowStack(SchemeParams):
 
     def analyze(self, f: np.ndarray) -> np.ndarray:
         new = np.empty_like(f)
-        matrix = self.basis.basis_matrix.T
-        for column, out in zip(f.T, new.T):
-            matrix.dot(column, out=out)
+        np.matmul(f.T[:, None, :], self.basis.basis_matrix, out=new.T[:, None, :])
         new *= self.basis.h
         return new
 
     def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty_like(coeffs) if out is None else out
-        matrix = self.basis.basis_matrix
-        for column, column_out in zip(coeffs.T, out.T):
-            matrix.dot(column, out=column_out)
+        np.matmul(self.basis.basis_matrix, coeffs.T[:, :, None], out=out.T[:, :, None])
         return out
 
     def tamer(self, tmp: np.ndarray) -> np.ndarray:
@@ -581,11 +587,16 @@ def _run(params, state: SchemeState, sources, n_steps: int, observers) -> Scheme
     """``n_steps`` calls of ``step`` on an (N,) state driven by sources[0]
     or an (N, L) stack of any operand driven by sources[l], each observer
     called as ``obs(m, state)`` before and after every step; a blow-up
-    names the failing source's trajectory id.  Every step reads one
+    names the failing source's trajectory id.  Any other number of sources
+    is a ``ValueError``, raised before any step.  Every step reads one
     increment buffer of the state's shape and memory order, whose live rows
     are copied from the noise block and whose dead ones stay +0.0."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    width = state.coeffs.shape[1] if state.coeffs.ndim == 2 else 1
+    if not 1 <= len(sources) == width:
+        raise ValueError(f"a state of shape {state.coeffs.shape} needs as many sources as "
+                         f"trajectories, at least one, got {len(sources)}")
     ratio = _ratio(params, sources)
     for obs in observers:
         obs(state.step_index, state)
@@ -628,17 +639,14 @@ def run_trajectory(params: SchemeParams, state, source, n_steps: int, observers=
     """
     if isinstance(state, SchemeState):
         return _run(params, state, [source], n_steps, observers)
-    states, sources = list(state), list(source)
-    if not states or len(sources) != len(states):
-        raise ValueError(f"R trajectories need R >= 1 states and as many sources, got "
-                         f"{len(states)} states and {len(sources)} sources")
+    states = list(state)
     if len({s.step_index for s in states}) != 1 or {s.coeffs.shape for s in states} != {
             (params.basis.n_modes,)}:
-        raise ValueError(f"R trajectories need ({params.basis.n_modes},) states "
-                         f"at one step index")
+        raise ValueError(f"R trajectories need R >= 1 ({params.basis.n_modes},) states "
+                         f"at one step index, and as many sources")
     stack = SchemeState(states[0].step_index, np.stack([s.coeffs for s in states]).T,
                         np.stack([s.nodal for s in states]).T)
-    final = _run(_RowStack(params, len(states)), stack, sources, n_steps, observers)
+    final = _run(_RowStack(params, len(states)), stack, list(source), n_steps, observers)
     return [SchemeState(final.step_index, coeffs, nodal)
             for coeffs, nodal in zip(final.coeffs.T, final.nodal.T)]
 
@@ -654,13 +662,8 @@ def run_ensemble(params: SchemeParams, coeffs0: np.ndarray, sources, n_steps: in
     share tau_fine.
     """
     sources = list(sources)
-    if not sources:
-        raise ValueError("at least one noise source is required")
-    n = params.basis.n_modes
     coeffs0 = np.asarray(coeffs0, dtype=np.float64)
     coeffs = (np.repeat(coeffs0[:, None], len(sources), axis=1) if coeffs0.ndim == 1
               else coeffs0.copy())
-    if coeffs.shape != (n, len(sources)):
-        raise ValueError(f"coeffs0 must have shape ({n},) or ({n}, {len(sources)})")
     state = state_from_coeffs(params, start_index, coeffs)
     return _run(params, state, sources, n_steps, observers).coeffs

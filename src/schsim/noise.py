@@ -37,17 +37,21 @@ Generation: every public method goes through one producer, which fills a
 (modes, words) array from Philox (one counter reset and one ``random_raw``
 per mode and 2048-word block) and quantizes it in one vectorized pass, at
 most 64 modes and 32 768 words at a time, so that a pass stays in cache and
-its temporaries stay below the size of the output.  The pass writes straight
-into its destination, which may be a strided view: ``increment_matrix``
-takes an optional ``out``, so an ensemble fills each trajectory's slot of
-its (steps, live, L) noise block in place, with no per-source temporary;
-from L = 8 on the block is stored source-major, so that each slot is
-contiguous rows.  An ``out`` of k < N columns receives modes 0 .. k-1
-alone, and no word of a later mode is drawn.  A block holds the live modes
-alone, those up to the last one whose semigroup factor is a normal double;
-every later factor is 0.0, underflowed or flushed (see
-``SchemeParams.live_modes``).  So a block is steps x live x L floats, and
-its 4M-float cap counts live floats (see ``integrator._noise_blocks``).
+its temporaries stay within the size of the output or of a few passes,
+whatever the ratio.  A request of more than 32 768 words per mode (steps x
+ratio) runs mode by mode, in passes that end on 2048-word block
+boundaries, so no word is drawn twice, and each coarse step's int64 sum is
+carried across passes.  The passes write straight into their destination,
+which may be a strided view: ``increment_matrix`` takes an optional
+``out``, so an ensemble fills each trajectory's slot of its (steps, live,
+L) noise block in place, with no per-source temporary; from L = 8 on the
+block is stored source-major, so that each slot is contiguous rows.  An
+``out`` of k < N columns receives modes 0 .. k-1 alone, and no word of a
+later mode is drawn.  A block holds the live modes alone, those up to the
+last one whose semigroup factor is a normal double; every later factor is
+0.0, underflowed or flushed (see ``SchemeParams.live_modes``).  So a block
+is steps x live x L floats, and its 4M-float cap counts live floats (see
+``integrator._noise_blocks``).
 Counter-based words may be produced in any grouping (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11), and each
 (trajectory, mode) stream is keyed on its own, so neither the layout nor
@@ -85,7 +89,9 @@ __all__ = ["NoiseSource", "stationary_variance"]
 _KEY_CONST = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, decorrelates the seed word
 _BLOCK = 2048  # words per counter value of word 1
 # A pass quantizes at most this many modes and words (256 KB per buffer):
-# its buffer stays in cache and its temporaries below the request's output.
+# its buffer stays in cache and its temporaries within the request's output
+# or a few passes.  _CHUNK_WORDS is a multiple of _BLOCK, so that a long
+# request's passes end on block boundaries (see NoiseSource._fill_in_passes).
 _CHUNK_MODES = 64
 _CHUNK_WORDS = 32768
 
@@ -239,32 +245,66 @@ class NoiseSource:
                 self._philox.state = self._state
                 row[dest] = self._philox.random_raw(count)[skip:]
 
+    def _quantized(self, raw: np.ndarray, j0: int, k0: int) -> np.ndarray:
+        """Draw words k0 .. of modes j0 .. into ``raw`` (see ``_words``) and
+        quantize them in place, in the module docstring's order of
+        operations; returns the float64 view of ``raw``, whole multiples of
+        q counted in units of q."""
+        self._words(raw, j0, k0)
+        # the shifted words are below 2^53, so converting them as int64 is
+        # exact (and faster than from uint64)
+        np.right_shift(raw, np.uint64(11), out=raw)
+        x = raw.view(np.float64)
+        np.add(raw.view(np.int64), 0.5, out=x)
+        x *= 2.0**-53
+        np.minimum(x, 1.0 - 2.0**-53, out=x)  # the top word gives 1.0
+        ndtri(x, out=x)
+        x *= self._scale
+        np.rint(x, out=x)
+        return x
+
     def _fill(self, out: np.ndarray, j0: int, m0: int, ratio: int) -> None:
         """The producer behind every public method: write the increments of
         modes j0 <= j < j0 + out.shape[1] over coarse steps m0 <= m < m0 +
-        out.shape[0] of ``ratio`` fine steps into ``out``, one vectorized
-        pass per chunk of modes."""
+        out.shape[0] of ``ratio`` fine steps into ``out``.  A request of at
+        most ``_CHUNK_WORDS`` words per mode runs one vectorized pass per
+        chunk of modes; a longer one runs mode by mode in bounded passes
+        (see ``_fill_in_passes``)."""
         steps, n = out.shape
         words = steps * ratio
-        chunk = max(1, min(_CHUNK_MODES, _CHUNK_WORDS // max(words, 1)))
+        if words > _CHUNK_WORDS:
+            for c in range(n):
+                self._fill_in_passes(out[:, c], j0 + c, m0, ratio)
+            return
+        chunk = min(_CHUNK_MODES, _CHUNK_WORDS // max(words, 1))
         for c0 in range(0, n, chunk):
             c1 = min(n, c0 + chunk)
-            raw = np.empty((c1 - c0, words), dtype=np.uint64)
-            self._words(raw, j0 + c0, m0 * ratio)
-            # in place and in the module docstring's order of operations;
-            # the shifted words are below 2^53, so converting them as int64
-            # is exact (and faster than from uint64)
-            np.right_shift(raw, np.uint64(11), out=raw)
-            x = raw.view(np.float64)
-            np.add(raw.view(np.int64), 0.5, out=x)
-            x *= 2.0**-53
-            np.minimum(x, 1.0 - 2.0**-53, out=x)  # the top word gives 1.0
-            ndtri(x, out=x)
-            x *= self._scale
-            np.rint(x, out=x)
+            x = self._quantized(np.empty((c1 - c0, words), dtype=np.uint64), j0 + c0,
+                                m0 * ratio)
             if ratio > 1:  # at ratio 1 the floats are already whole multiples of q
                 x = x.astype(np.int64).reshape(c1 - c0, steps, ratio).sum(axis=2)
             np.multiply(x.T, self.quantum, out=out[:, c0:c1])
+
+    def _fill_in_passes(self, out: np.ndarray, j: int, m0: int, ratio: int) -> None:
+        """``_fill`` for the one mode j over len(out) coarse steps, in
+        passes of at most ``_CHUNK_WORDS`` words, each ending on a
+        2048-word block boundary or at the request's end, so that no word
+        is drawn twice.  A coarse step may straddle passes: each pass adds
+        its words into the int64 sums of the steps it touches, and integer
+        sums do not depend on the grouping, so the bits are those of one
+        pass."""
+        k0, k1 = m0 * ratio, (m0 + len(out)) * ratio
+        sums = np.zeros(len(out), dtype=np.int64)
+        k = k0
+        while k < k1:
+            stop = min(k1, k - k % _BLOCK + _CHUNK_WORDS)
+            x = self._quantized(np.empty((1, stop - k), dtype=np.uint64), j, k)[0]
+            first, last = (k - k0) // ratio, (stop - 1 - k0) // ratio
+            # offsets in this pass of the words that start its steps after the first
+            starts = np.arange(first + 1, last + 1) * ratio - (k - k0)
+            sums[first:last + 1] += np.add.reduceat(x.astype(np.int64), np.r_[0, starts])
+            k = stop
+        np.multiply(sums, self.quantum, out=out)
 
     def _check_mode(self, j: int) -> None:
         if not 1 <= j <= self.n_modes_max:

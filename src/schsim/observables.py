@@ -210,9 +210,12 @@ class _RowAverages(TimeAverageObserver):
     and ``histories`` holds one history per trajectory, each bit for bit
     that of a ``TimeAverageObserver`` on the trajectory's own run.  The
     stack's (R, N) view ``.T`` is C-ordered: one ``np.add.reduce`` over its
-    axis 1 sums each row as the (N,) sum does, and the pairing ``v @ row``
-    and the arithmetic after it run per row and on Python floats, as
-    ``phi_test`` runs them on one field."""
+    axis 1 sums each row as the (N,) sum does, and one ``np.matmul`` of its
+    (1, N) rows by v as an (N, 1) column takes the R pairings, one BLAS dot
+    per row with the bits of ``v @ row`` (``rows.dot(v)`` has other bits).
+    The arithmetic after them runs per row on Python floats, as
+    ``phi_test`` runs it on one field: numpy's array square differs from a
+    Python float's ``** 2`` on some inputs."""
 
     def __init__(self, params: SchemeParams, spec: TestFunctionSpec, n_rows: int,
                  burn_in_steps: int = 0, record_every: int = 1):
@@ -221,11 +224,11 @@ class _RowAverages(TimeAverageObserver):
         self.histories: list[list[tuple[float, float]]] = [[] for _ in range(n_rows)]
 
     def _phi(self, nodal: np.ndarray) -> np.ndarray:
-        basis, spec, dot = self.params.basis, self.spec, self.spec.v.dot  # dot: the bits of @
-        rows = nodal.T
+        basis, spec, rows = self.params.basis, self.spec, nodal.T
+        dots = np.matmul(rows[:, None, :], spec.v[:, None]).ravel().tolist()
         totals = np.add.reduce(rows, axis=1).tolist()
-        return np.array([_squash(spec, _pairing(basis, spec, float(dot(row)), total))
-                         for row, total in zip(rows, totals)])
+        return np.array([_squash(spec, _pairing(basis, spec, dot, total))
+                         for dot, total in zip(dots, totals)])
 
     def _record(self) -> None:
         for history, average in zip(self.histories, self.average):

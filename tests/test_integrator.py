@@ -26,7 +26,7 @@ from schsim import (DriftSpec, NoiseSource, SchemeParams, SchemeState, SpectralB
 from schsim import experiments, integrator, noise
 from schsim.integrator import (HorizonError, _advance, _LevelStack, _noise_blocks,
                                _RowStack, whole_steps)
-from schsim.observables import _RowAverages
+from schsim.observables import _pairing, _RowAverages, _squash
 
 # double-well drift used throughout: f(x) = x^3/2 - x^2/2 + x - 1
 WELL = DriftSpec(0.5, -0.5, 1.0, -1.0)
@@ -402,6 +402,34 @@ class TestRowStack:
                               * 10.0 ** rng.uniform(-8, 8, (rows, n)))
         for r, total in enumerate(np.add.reduce(x.T, axis=1)):
             assert total.tobytes() == np.add.reduce(x[:, r].copy(), axis=0).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.sampled_from([2, 3, 7, 8, 16, 33, 64, 65, 127, 256]), rows=st.integers(1, 5),
+           exponents=st.lists(st.floats(-3, 3), min_size=4, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_products_are_each_rows_dot(self, n, rows, exponents, seed):
+        """The row stack's analysis and synthesis are one ``np.matmul``
+        each over its (R, N) view, and ``_RowAverages`` takes the R
+        pairings in one more; each trajectory must get the bits of its
+        own ``ndarray.dot``, the product its lone run takes.  Neither
+        ``rows.dot(v)`` nor an F-ordered ``C.dot(X)`` does."""
+        params = make_params(n=n)
+        basis, matrix = params.basis, params.basis.basis_matrix
+        rng = np.random.default_rng(seed)
+        f, coeffs, nodal = (self.column_major(rng.standard_normal((rows, n)) * 10.0**e)
+                            for e in exponents[:3])
+        spec = TestFunctionSpec(rng.standard_normal(n) * 10.0**exponents[3], 1.0, 2.0)
+        stack = _RowStack(params, rows)
+        analyzed, synthesized = stack.analyze(f), stack.synthesize(coeffs)
+        phi = _RowAverages(params, spec, rows)._phi(nodal)
+        for r in range(rows):
+            own = matrix.T.dot(f[:, r].copy())
+            own *= basis.h
+            assert analyzed[:, r].tobytes() == own.tobytes()
+            assert synthesized[:, r].tobytes() == matrix.dot(coeffs[:, r].copy()).tobytes()
+            column = nodal[:, r].copy()
+            g = _pairing(basis, spec, float(spec.v.dot(column)), float(np.add.reduce(column)))
+            assert phi[r].tobytes() == np.float64(_squash(spec, g)).tobytes()
 
     @pytest.mark.parametrize("rows", [1, 2, 5, 500])
     @pytest.mark.parametrize("scale", [0.3, None, 40.0], ids=["plain", "active", "tamed"])
@@ -1284,6 +1312,23 @@ class TestTrajectories:
         state = initial_state(params, np.zeros(8))
         with pytest.raises(ValueError, match="nonnegative"):
             run_trajectory(params, state, make_source(params), -1)
+
+    @pytest.mark.parametrize("width", [0, 2, 3])
+    def test_a_stack_needs_one_source_per_column(self, width):
+        """An (N, L) state given one source is refused before any draw or
+        observer call, where broadcasting that source's increments would
+        give every column the same noise; an (N, 1) state runs on its one
+        source."""
+        params = make_params(n=8)
+        seen = []
+        stack = state_from_coeffs(params, 0, np.zeros((8, width)))
+        with pytest.raises(ValueError, match=r"shape \(8, %d\) needs as many sources" % width):
+            run_trajectory(params, stack, make_source(params), 5,
+                           observers=(lambda m, s: seen.append(m),))
+        assert seen == []
+        column = run_trajectory(params, state_from_coeffs(params, 0, np.zeros((8, 1))),
+                                make_source(params), 5)
+        assert (column.step_index, column.coeffs.shape) == (5, (8, 1))
 
     def test_tau_must_be_multiple_of_tau_fine(self):
         params = make_params(n=8, tau=1e-2)

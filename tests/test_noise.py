@@ -421,6 +421,38 @@ class TestOracle:
             tracemalloc.stop()
         assert peak <= 2 * out.nbytes
 
+    def test_a_long_request_is_quantized_in_bounded_passes(self):
+        """A request of more than 32 768 words per mode (steps x ratio) runs
+        in passes of at most that many words, so its peak traced memory is
+        a few passes' buffers whatever the ratio (the draw, its quantized
+        copy and the int64 words each take one); in one pass, this one's
+        320 000 words per mode took 5.2 MB."""
+        src = make_source(n_modes_max=3)
+        basis = SpectralBasis(4)
+        src.increment_matrix(basis, 0, 1, ratio=40_000)  # warm up outside the trace
+        tracemalloc.start()
+        try:
+            src.increment_matrix(basis, 3, 19, ratio=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * noise._CHUNK_WORDS
+
+    @pytest.mark.parametrize("ratio, m0, steps", [(1, 1001, 5000), (3, 667, 2000),
+                                                  (2047, 1, 5), (2049, 2, 4), (5000, 3, 3)])
+    def test_passes_keep_the_bits_of_one_pass(self, monkeypatch, draws, ratio, m0, steps):
+        """With passes of 2048 words, every request here is split, most of
+        them inside a coarse step; the bits equal the one-pass result and
+        the per-mode oracle, and the words drawn are the same, none twice."""
+        src = make_source(seed=5, trajectory_id=2, n_modes_max=6)
+        basis = SpectralBasis(7)
+        one_pass = src.increment_matrix(basis, m0, m0 + steps, ratio)
+        words = draws["words"]
+        monkeypatch.setattr(noise, "_CHUNK_WORDS", 2048)
+        assert_bits(src.increment_matrix(basis, m0, m0 + steps, ratio), one_pass)
+        assert draws["words"] == 2 * words
+        assert_bits(one_pass, reference_matrix(src, 7, m0, m0 + steps, ratio))
+
 
 class TestStatistics:
     def test_fine_increment_moments(self):
